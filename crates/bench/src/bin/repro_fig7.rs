@@ -32,7 +32,6 @@ fn main() {
     let mut density = 0.0;
     let mut wirelength = 0.0;
     let mut other = 0.0;
-    let mut phases: std::collections::BTreeMap<String, (u64, f64)> = Default::default();
     for config in &suite {
         eprintln!("  {} ...", config.name);
         let (_, report) = design_after_full_flow(config, &cfg);
@@ -42,11 +41,6 @@ fn main() {
         density += report.mgp_profile.density_seconds;
         wirelength += report.mgp_profile.wirelength_seconds;
         other += report.mgp_profile.other_seconds;
-        for p in &report.phase_times {
-            let e = phases.entry(p.name.clone()).or_insert((0, 0.0));
-            e.0 += p.calls;
-            e.1 += p.seconds;
-        }
     }
     let total: f64 = stage_totals.iter().map(|(_, s)| s).sum();
     println!("stage,seconds,share_pct");
@@ -63,16 +57,6 @@ fn main() {
         100.0 * wirelength / mgp_total
     );
     println!("mgp_other,{other:.3},{:.1}", 100.0 * other / mgp_total);
-    // The same breakdown as measured by the observability spans — phase
-    // rows here come from the span tree, not the driver's stopwatches, so
-    // they cross-check each other.
-    println!("obs_phase,calls,seconds,share_pct");
-    for (name, (calls, seconds)) in &phases {
-        println!(
-            "{name},{calls},{seconds:.3},{:.1}",
-            100.0 * seconds / total.max(1e-12)
-        );
-    }
     eprintln!(
         "paper shape: mGP dominates the flow; inside mGP density 57% / wirelength 29% / other 14%"
     );

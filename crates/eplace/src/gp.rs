@@ -404,8 +404,18 @@ fn run_guarded(
             break;
         }
         if iter > best_iter + stall_window {
+            // Stagnated above the target — keep the best snapshot.
+            obs.add("stagnation_stops", 1);
+            if obs.journal_active() {
+                obs.journal(
+                    Record::new("stop")
+                        .str_field("stage", stage.key())
+                        .u64_field("iter", iter as u64)
+                        .str_field("reason", "stagnation"),
+                );
+            }
             iter += 1;
-            break; // stagnated above the target — keep the best snapshot
+            break;
         }
         iter += 1;
         if cfg.checkpoint_interval > 0 && iter % cfg.checkpoint_interval == 0 {

@@ -52,7 +52,7 @@ pub use ckpt::{checkpoint_from_bytes, checkpoint_to_bytes, load_checkpoint, save
 pub use cost::EplaceCost;
 pub use fillers::insert_fillers;
 pub use gp::{resume_global_placement, run_global_placement, GpOutcome};
-pub use mip::{initial_placement, initial_placement_with_obs, quadratic_solve, Anchor, MipReport};
+pub use mip::{initial_placement, quadratic_solve, Anchor, MipReport};
 pub use nesterov::{Gradient, NesterovCheckpoint, NesterovOptimizer, StepInfo};
 pub use placer::{PlacementReport, Placer};
 pub use problem::PlacementProblem;
@@ -64,7 +64,7 @@ pub use trace::{
 };
 
 pub use eplace_density::SpectralEngine;
-pub use eplace_obs::{Obs, PhaseTime};
+pub use eplace_obs::Obs;
 pub use eplace_route::{RoutabilityReport, RouteConfig};
 
 use eplace_mlg::MlgConfig;

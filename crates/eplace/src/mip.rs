@@ -247,17 +247,6 @@ pub fn initial_placement(design: &mut Design) -> MipReport {
     }
 }
 
-/// [`initial_placement`] under an observability recorder: spans the solve
-/// (`mip`) and records the CG iteration and B2B rebuild counters. Recording
-/// never perturbs the solve.
-pub fn initial_placement_with_obs(design: &mut Design, obs: &eplace_obs::Obs) -> MipReport {
-    let _span = obs.span("mip");
-    let report = initial_placement(design);
-    obs.add("mip_cg_iterations", report.cg_iterations as u64);
-    obs.add("mip_rebuilds", report.rebuilds as u64);
-    report
-}
-
 #[inline]
 fn coord(p: Point, axis: usize) -> f64 {
     if axis == 0 {

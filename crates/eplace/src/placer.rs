@@ -1,17 +1,13 @@
 use crate::routability::{run_routability_loop, RoutabilityOutcome};
 use crate::trace::{IterationRecord, RuntimeProfile, Stage, StageTiming};
 use crate::{
-    initial_placement_with_obs, insert_fillers, run_global_placement, EplaceConfig, MipReport, Obs,
+    initial_placement, insert_fillers, run_global_placement, EplaceConfig, MipReport, Obs,
     PlacementProblem,
 };
 use eplace_errors::EplaceError;
-use eplace_legalize::{
-    detail_place_with_obs, global_swap_with_obs, legalize_abacus_with_obs, legalize_with_obs,
-    LegalizeReport,
-};
-use eplace_mlg::{legalize_macros_with_obs, MlgReport};
+use eplace_legalize::{detail_place, global_swap, legalize, legalize_abacus, LegalizeReport};
+use eplace_mlg::{legalize_macros, MlgReport};
 use eplace_netlist::{CellKind, Design};
-use eplace_obs::PhaseTime;
 use std::time::Instant;
 
 /// Everything a run of the flow produced — the raw material for every
@@ -59,22 +55,12 @@ pub struct PlacementReport {
     pub mgp_profile: RuntimeProfile,
     /// Per-iteration records across all stages (Figures 2/3/6).
     pub trace: Vec<IterationRecord>,
-    /// Per-phase span times from the observability layer (direct children
-    /// of the `flow` span). Always populated: a disabled
-    /// [`EplaceConfig::obs`] is upgraded to a metrics-only recorder for the
-    /// duration of the run.
-    pub phase_times: Vec<PhaseTime>,
     /// Routability-mode outcome: routing scorecards before and after the
     /// congestion-driven inflation loop ([`crate::RoutabilityConfig`]).
     /// `None` when the mode is off (the default).
     pub routability: Option<RoutabilityOutcome>,
     /// Iterations recorded per global-placement stage, in flow order.
     pub iterations_per_stage: Vec<(Stage, usize)>,
-    /// Journal lines/flushes lost to I/O failures (the sink keeps running
-    /// best-effort after a write error, but the loss must be visible —
-    /// also surfaced as the `journal/io_errors` metric in the end-of-run
-    /// summary). Always 0 when no journal sink is attached.
-    pub journal_io_errors: u64,
 }
 
 impl PlacementReport {
@@ -131,57 +117,93 @@ impl Placer {
 
     /// Executes the flow and returns the report.
     ///
+    /// Records into [`EplaceConfig::obs`] exactly as configured: the
+    /// disabled default records nothing. An enabled recorder gets the
+    /// `flow` span tree, and a journaling one ends its journal with one
+    /// `summary` record on every exit, failed runs included.
+    ///
     /// # Errors
     ///
     /// [`EplaceError::Diverged`] when a global-placement stage exhausts its
     /// divergence-recovery budget (see [`crate::run_global_placement`]);
     /// the design then holds the best placement seen before the failure.
     pub fn run(&mut self) -> Result<PlacementReport, EplaceError> {
-        let mut cfg = self.config.clone();
-        // Phase times must always land in the report, so a disabled
-        // recorder is upgraded to a metrics-only one (no journal sink) for
-        // the duration of the run. Recording never touches the numerics.
-        if !cfg.obs.is_enabled() {
-            cfg.obs = Obs::metrics();
-        }
-        let obs = cfg.obs.clone();
-        let design = &mut self.design;
-        let mut trace = Vec::new();
-        let mut timings = Vec::new();
+        let obs = &self.config.obs;
         let flow_span = obs.span("flow");
+        let result = run_flow(&mut self.design, &self.config);
+        // Close the flow span so the summary sees its total.
+        drop(flow_span);
+        if obs.journal_active() {
+            obs.journal(obs.summary().to_record());
+        }
+        obs.flush();
+        result
+    }
+}
 
-        // --- mIP -----------------------------------------------------------
-        let t = Instant::now();
-        let mip = initial_placement_with_obs(design, &obs);
-        timings.push(StageTiming {
-            stage: Stage::Mip,
-            seconds: t.elapsed().as_secs_f64(),
-        });
+/// Times one flow stage into `timings`. `own_span` opens the stage's
+/// `flow/<key>` span here, for the stages whose entry point does not open
+/// one itself (global placement and the routability loop do).
+fn timed_stage<T>(
+    timings: &mut Vec<StageTiming>,
+    obs: &Obs,
+    stage: Stage,
+    own_span: bool,
+    f: impl FnOnce() -> T,
+) -> T {
+    let t = Instant::now();
+    let out = if own_span {
+        in_span(obs, stage.key(), f)
+    } else {
+        f()
+    };
+    timings.push(StageTiming {
+        stage,
+        seconds: t.elapsed().as_secs_f64(),
+    });
+    out
+}
 
-        // --- mGP -----------------------------------------------------------
-        let t = Instant::now();
+/// Runs `f` inside the span `name`.
+fn in_span<T>(obs: &Obs, name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = obs.span(name);
+    f()
+}
+
+/// The stages of [`Placer::run`], inside its `flow` span.
+fn run_flow(design: &mut Design, cfg: &EplaceConfig) -> Result<PlacementReport, EplaceError> {
+    let obs = &cfg.obs;
+    let mut trace = Vec::new();
+    let mut timings = Vec::new();
+
+    // --- mIP ---------------------------------------------------------------
+    let mip = timed_stage(&mut timings, obs, Stage::Mip, true, || {
+        initial_placement(design)
+    });
+    obs.add("mip_cg_iterations", mip.cg_iterations as u64);
+    obs.add("mip_rebuilds", mip.rebuilds as u64);
+
+    // --- mGP ---------------------------------------------------------------
+    let mgp = timed_stage(&mut timings, obs, Stage::Mgp, false, || {
         design.remove_fillers();
         insert_fillers(design, cfg.seed);
         let problem = PlacementProblem::all_movables(design);
-        let mgp = run_global_placement(design, &problem, &cfg, Stage::Mgp, None, None, &mut trace)?;
-        let mut recoveries = mgp.recoveries;
+        let mgp = run_global_placement(design, &problem, cfg, Stage::Mgp, None, None, &mut trace)?;
         design.remove_fillers();
-        timings.push(StageTiming {
-            stage: Stage::Mgp,
-            seconds: t.elapsed().as_secs_f64(),
-        });
+        Ok::<_, EplaceError>(mgp)
+    })?;
+    let mut recoveries = mgp.recoveries;
 
-        // --- mLG + cGP (mixed-size only, §VII) ------------------------------
-        let has_movable_macros = design
-            .cells
-            .iter()
-            .any(|c| c.kind == CellKind::Macro && c.is_movable());
-        let mut mlg_report = None;
-        let mut cgp_iterations = 0;
-        if has_movable_macros {
-            // mLG: fix std cells, anneal macros, fix macros.
-            let t = Instant::now();
-            let mlg_span = obs.span("mlg");
+    // --- mLG + cGP (mixed-size only, §VII) ----------------------------------
+    let has_movable_macros = design
+        .cells
+        .iter()
+        .any(|c| c.kind == CellKind::Macro && c.is_movable());
+    let mut mlg_report = None;
+    let mut cgp_iterations = 0;
+    if has_movable_macros {
+        // mLG: fix std cells, anneal macros, fix macros.
+        let mlg = timed_stage(&mut timings, obs, Stage::Mlg, true, || {
             let mut unfixed_std: Vec<usize> = Vec::new();
             for (i, c) in design.cells.iter_mut().enumerate() {
                 if c.kind == CellKind::StdCell && !c.fixed {
@@ -189,38 +211,38 @@ impl Placer {
                     unfixed_std.push(i);
                 }
             }
-            mlg_report = Some(legalize_macros_with_obs(design, &cfg.mlg, &obs));
+            let mlg = in_span(obs, "mlg_anneal", || legalize_macros(design, &cfg.mlg));
             for &i in &unfixed_std {
                 design.cells[i].fixed = false;
             }
-            drop(mlg_span);
-            timings.push(StageTiming {
-                stage: Stage::Mlg,
-                seconds: t.elapsed().as_secs_f64(),
-            });
+            mlg
+        });
+        obs.add("mlg_outer_iterations", mlg.outer_iterations as u64);
+        obs.add("mlg_moves_attempted", mlg.moves_attempted as u64);
+        obs.add("mlg_moves_accepted", mlg.moves_accepted as u64);
+        mlg_report = Some(mlg);
 
-            // Filler-only relocation (§VI-B), then cGP.
-            let t = Instant::now();
+        // Filler-only relocation (§VI-B), then cGP.
+        recoveries += timed_stage(&mut timings, obs, Stage::FillerOnly, false, || {
             insert_fillers(design, cfg.seed.wrapping_add(1));
-            if cfg.enable_filler_phase {
-                let fillers = PlacementProblem::fillers_only(design);
-                let filler_gp = run_global_placement(
-                    design,
-                    &fillers,
-                    &cfg,
-                    Stage::FillerOnly,
-                    None,
-                    Some(cfg.filler_phase_iterations),
-                    &mut trace,
-                )?;
-                recoveries += filler_gp.recoveries;
+            if !cfg.enable_filler_phase {
+                return Ok(0);
             }
-            timings.push(StageTiming {
-                stage: Stage::FillerOnly,
-                seconds: t.elapsed().as_secs_f64(),
-            });
+            let fillers = PlacementProblem::fillers_only(design);
+            let cap = Some(cfg.filler_phase_iterations);
+            run_global_placement(
+                design,
+                &fillers,
+                cfg,
+                Stage::FillerOnly,
+                None,
+                cap,
+                &mut trace,
+            )
+            .map(|gp| gp.recoveries)
+        })?;
 
-            let t = Instant::now();
+        let cgp = timed_stage(&mut timings, obs, Stage::Cgp, false, || {
             let problem = PlacementProblem::all_movables(design);
             // λ rewind: m buffering iterations to recover mGP's
             // aggressiveness (§VI-B), m = mGP iterations / 10.
@@ -229,104 +251,89 @@ impl Placer {
             let cgp = run_global_placement(
                 design,
                 &problem,
-                &cfg,
+                cfg,
                 Stage::Cgp,
                 Some(lambda_init),
                 None,
                 &mut trace,
             )?;
-            cgp_iterations = cgp.iterations;
-            recoveries += cgp.recoveries;
             design.remove_fillers();
-            timings.push(StageTiming {
-                stage: Stage::Cgp,
-                seconds: t.elapsed().as_secs_f64(),
-            });
-        }
+            Ok::<_, EplaceError>(cgp)
+        })?;
+        cgp_iterations = cgp.iterations;
+        recoveries += cgp.recoveries;
+    }
 
-        // --- Routability (optional, §VIII): route, inflate, refine -----------
-        let mut routability = None;
-        if let Some(rcfg) = cfg.routability.clone() {
-            let t = Instant::now();
-            routability = Some(run_routability_loop(design, &cfg, &rcfg, &mut trace)?);
-            if let Some(out) = &routability {
-                recoveries += out.recoveries;
-            }
-            timings.push(StageTiming {
-                stage: Stage::RouteRefine,
-                seconds: t.elapsed().as_secs_f64(),
-            });
-        }
+    // --- Routability (optional, §VIII): route, inflate, refine -------------
+    let mut routability = None;
+    if let Some(rcfg) = &cfg.routability {
+        let out = timed_stage(&mut timings, obs, Stage::RouteRefine, false, || {
+            run_routability_loop(design, cfg, rcfg, &mut trace)
+        })?;
+        recoveries += out.recoveries;
+        routability = Some(out);
+    }
 
-        // --- cDP -------------------------------------------------------------
-        let t = Instant::now();
-        let cdp_span = obs.span("cdp");
+    // --- cDP ---------------------------------------------------------------
+    let (legal, legal_err, detail_gain) = timed_stage(&mut timings, obs, Stage::Cdp, true, || {
         // Abacus is the quality choice; Tetris is the fallback when its
         // greedy segment selection runs out of room.
+        let tetris = |design: &mut Design| in_span(obs, "legalize_tetris", || legalize(design));
         let attempt = if cfg.use_abacus {
-            legalize_abacus_with_obs(design, &obs).or_else(|_| legalize_with_obs(design, &obs))
+            in_span(obs, "legalize_abacus", || legalize_abacus(design)).or_else(|_| tetris(design))
         } else {
-            legalize_with_obs(design, &obs)
+            tetris(design)
         };
-        let (legal, legal_err) = match attempt {
-            Ok(r) => (Some(r), None),
-            Err(e) => (None, Some(e.to_string())),
+        let legal = match attempt {
+            Ok(r) => r,
+            Err(e) => return (None, Some(e.to_string()), 0.0),
         };
-        let detail_gain = if legal.is_some() {
-            // In-row refinement, then the cross-row global-swap pass.
-            detail_place_with_obs(design, cfg.detail_passes, &obs)
-                + global_swap_with_obs(design, cfg.detail_passes, &obs)
-                + detail_place_with_obs(design, 1, &obs)
-        } else {
-            0.0
+        obs.add("legalize_runs", 1);
+        obs.add("legalize_cells_placed", legal.placed as u64);
+        obs.set_gauge("legalize_total_displacement", legal.total_displacement);
+        obs.set_gauge("legalize_max_displacement", legal.max_displacement);
+        // In-row refinement, then the cross-row global-swap pass.
+        let detail = |design: &mut Design, passes| {
+            let gain = in_span(obs, "detail_place", || detail_place(design, passes));
+            obs.set_gauge("detail_place_gain", gain);
+            gain
         };
-        drop(cdp_span);
-        timings.push(StageTiming {
-            stage: Stage::Cdp,
-            seconds: t.elapsed().as_secs_f64(),
+        let gain = detail(design, cfg.detail_passes);
+        let swap_gain = in_span(obs, "global_swap", || {
+            global_swap(design, cfg.detail_passes)
         });
+        obs.set_gauge("global_swap_gain", swap_gain);
+        let gain = gain + swap_gain + detail(design, 1);
+        (Some(legal), None, gain)
+    });
 
-        // --- Final scoring ----------------------------------------------------
-        let final_hpwl = design.hpwl();
-        let final_overflow = final_overflow_of(design, &cfg);
-        let scaled_hpwl = final_hpwl * (1.0 + 0.01 * (final_overflow * 100.0));
-        let suboptimality_ratio = cfg.known_optimum_hpwl.map(|opt| final_hpwl / opt);
+    // --- Final scoring -------------------------------------------------------
+    let final_hpwl = design.hpwl();
+    let final_overflow = final_overflow_of(design, cfg);
+    let scaled_hpwl = final_hpwl * (1.0 + 0.01 * (final_overflow * 100.0));
+    let suboptimality_ratio = cfg.known_optimum_hpwl.map(|opt| final_hpwl / opt);
 
-        // Close the flow span so the snapshot sees its total, then derive
-        // the per-phase breakdown and emit the end-of-run summary record.
-        drop(flow_span);
-        let summary = obs.summary();
-        let phase_times = summary.phases.clone();
-        if obs.journal_active() {
-            obs.journal(summary.to_record());
-        }
-        obs.flush();
-        let journal_io_errors = obs.journal_io_errors();
-
-        Ok(PlacementReport {
-            final_hpwl,
-            scaled_hpwl,
-            final_overflow,
-            suboptimality_ratio,
-            mip,
-            mgp_iterations: mgp.iterations,
-            mgp_backtracks_per_iteration: mgp.backtracks_per_iteration,
-            mgp_converged: mgp.converged,
-            recoveries,
-            mlg: mlg_report,
-            cgp_iterations,
-            legalization: legal,
-            legalization_error: legal_err,
-            detail_gain,
-            routability,
-            stage_timings: timings,
-            mgp_profile: mgp.profile,
-            iterations_per_stage: iterations_per_stage(&trace),
-            trace,
-            phase_times,
-            journal_io_errors,
-        })
-    }
+    Ok(PlacementReport {
+        final_hpwl,
+        scaled_hpwl,
+        final_overflow,
+        suboptimality_ratio,
+        mip,
+        mgp_iterations: mgp.iterations,
+        mgp_backtracks_per_iteration: mgp.backtracks_per_iteration,
+        mgp_converged: mgp.converged,
+        recoveries,
+        mlg: mlg_report,
+        cgp_iterations,
+        legalization: legal,
+        legalization_error: legal_err,
+        detail_gain,
+        routability,
+        stage_timings: timings,
+        mgp_profile: mgp.profile,
+        iterations_per_stage: iterations_per_stage(&trace),
+        trace,
+    })
 }
 
 /// Iteration counts per stage, in the order the stages first appear in the

@@ -50,61 +50,6 @@ pub use swap::global_swap;
 pub use tetris::{legalize, LegalizeReport};
 
 use eplace_netlist::{CellKind, Design};
-use eplace_obs::Obs;
-
-/// [`legalize`] under an observability recorder: spans the run
-/// (`legalize_tetris`) and records the cells placed and displacement spent.
-///
-/// # Errors
-///
-/// As [`legalize`].
-pub fn legalize_with_obs(design: &mut Design, obs: &Obs) -> Result<LegalizeReport, LegalizeError> {
-    let _span = obs.span("legalize_tetris");
-    let report = legalize(design)?;
-    record_legalize(obs, &report);
-    Ok(report)
-}
-
-/// [`legalize_abacus`] under an observability recorder
-/// (`legalize_abacus` span).
-///
-/// # Errors
-///
-/// As [`legalize_abacus`].
-pub fn legalize_abacus_with_obs(
-    design: &mut Design,
-    obs: &Obs,
-) -> Result<LegalizeReport, LegalizeError> {
-    let _span = obs.span("legalize_abacus");
-    let report = legalize_abacus(design)?;
-    record_legalize(obs, &report);
-    Ok(report)
-}
-
-fn record_legalize(obs: &Obs, report: &LegalizeReport) {
-    obs.add("legalize_runs", 1);
-    obs.add("legalize_cells_placed", report.placed as u64);
-    obs.set_gauge("legalize_total_displacement", report.total_displacement);
-    obs.set_gauge("legalize_max_displacement", report.max_displacement);
-}
-
-/// [`detail_place`] under an observability recorder (`detail_place` span,
-/// `detail_place_gain` gauge).
-pub fn detail_place_with_obs(design: &mut Design, passes: usize, obs: &Obs) -> f64 {
-    let _span = obs.span("detail_place");
-    let gain = detail_place(design, passes);
-    obs.set_gauge("detail_place_gain", gain);
-    gain
-}
-
-/// [`global_swap`] under an observability recorder (`global_swap` span,
-/// `global_swap_gain` gauge).
-pub fn global_swap_with_obs(design: &mut Design, passes: usize, obs: &Obs) -> f64 {
-    let _span = obs.span("global_swap");
-    let gain = global_swap(design, passes);
-    obs.set_gauge("global_swap_gain", gain);
-    gain
-}
 
 /// Error raised when legalization cannot fit every cell.
 #[derive(Debug, Clone, PartialEq)]

@@ -41,24 +41,6 @@ mod engine;
 
 pub use engine::{legalize_macros, MlgReport};
 
-use eplace_obs::Obs;
-
-/// [`legalize_macros`] under an observability recorder: spans the anneal
-/// (`mlg_anneal`) and records the SA move counters and outer-iteration
-/// count. Recording never perturbs the anneal (same seed → same result).
-pub fn legalize_macros_with_obs(
-    design: &mut eplace_netlist::Design,
-    cfg: &MlgConfig,
-    obs: &Obs,
-) -> MlgReport {
-    let _span = obs.span("mlg_anneal");
-    let report = legalize_macros(design, cfg);
-    obs.add("mlg_outer_iterations", report.outer_iterations as u64);
-    obs.add("mlg_moves_attempted", report.moves_attempted as u64);
-    obs.add("mlg_moves_accepted", report.moves_accepted as u64);
-    report
-}
-
 /// Tuning knobs of the annealer; the defaults are the paper's values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlgConfig {

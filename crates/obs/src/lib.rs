@@ -69,7 +69,7 @@ mod report;
 pub use fsutil::write_atomic;
 pub use journal::{FileSink, JournalSink, MemoryJournal, MemorySink, Record};
 pub use metrics::{Histogram, HistogramSnapshot, Snapshot, SpanStat};
-pub use report::{render_phase_table, PhaseTime, Summary};
+pub use report::{PhaseTime, Summary};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

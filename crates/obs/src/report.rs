@@ -108,7 +108,7 @@ impl Summary {
 ///
 /// Shares are relative to `total_seconds`; a `(untracked)` row accounts for
 /// root time not covered by any phase, so the column sums to the total.
-pub fn render_phase_table(phases: &[PhaseTime], total_seconds: f64) -> String {
+fn render_phase_table(phases: &[PhaseTime], total_seconds: f64) -> String {
     let name_width = phases
         .iter()
         .map(|p| p.name.len())

@@ -1,10 +1,11 @@
 //! `obs_check` — validates an ePlace run journal or job ledger (JSONL).
 //!
 //! Journal mode (default) checks that every line parses as JSON, that
-//! `iter` records carry the full finite metric set, that `recovery` records
-//! name a stage and reason, and that the journal ends with exactly one
-//! `summary` record whose phase seconds are consistent with its total. CI
-//! runs this over the journal produced by a `--journal` run.
+//! `iter` records carry the full finite metric set, that `recovery` and
+//! `stop` records name a stage, iteration and reason, and that the journal
+//! ends with exactly one `summary` record whose phase seconds are
+//! consistent with its total. CI runs this over the journal produced by a
+//! `--journal` run.
 //!
 //! `--ledger` mode validates an `eplace-serve` job ledger instead: globally
 //! strictly-increasing sequence numbers, every per-job event stream obeying
@@ -26,6 +27,7 @@ use std::process::ExitCode;
 struct Stats {
     iters: u64,
     recoveries: u64,
+    stops: u64,
     total_seconds: f64,
     phases: usize,
 }
@@ -76,8 +78,8 @@ fn main() -> ExitCode {
     match check(&path, expect_iters) {
         Ok(stats) => {
             println!(
-                "{path}: OK — {} iter records, {} recoveries, {} phases, {:.3}s total",
-                stats.iters, stats.recoveries, stats.phases, stats.total_seconds
+                "{path}: OK — {} iter records, {} recoveries, {} stops, {} phases, {:.3}s total",
+                stats.iters, stats.recoveries, stats.stops, stats.phases, stats.total_seconds
             );
             ExitCode::SUCCESS
         }
@@ -205,6 +207,7 @@ fn check(path: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
     let mut stats = Stats {
         iters: 0,
         recoveries: 0,
+        stops: 0,
         total_seconds: 0.0,
         phases: 0,
     };
@@ -224,11 +227,15 @@ fn check(path: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
                 }
                 stats.iters += 1;
             }
-            "recovery" => {
+            "recovery" | "stop" => {
                 str_field(&value, "stage", no)?;
                 str_field(&value, "reason", no)?;
                 u64_field(&value, "iter", no)?;
-                stats.recoveries += 1;
+                if kind == "stop" {
+                    stats.stops += 1;
+                } else {
+                    stats.recoveries += 1;
+                }
             }
             "summary" => {
                 summaries += 1;

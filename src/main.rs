@@ -151,7 +151,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+    } else if args.metrics_summary {
+        config.obs = eplace_repro::obs::Obs::metrics();
     }
+    let obs = config.obs.clone();
     let mut placer = Placer::new(design, config);
     let report = match placer.run() {
         Ok(report) => report,
@@ -206,10 +209,7 @@ fn main() -> ExitCode {
         }
     }
     if args.metrics_summary {
-        println!(
-            "{}",
-            eplace_repro::obs::render_phase_table(&report.phase_times, report.total_seconds())
-        );
+        println!("{}", obs.summary().render_table());
     }
 
     if let Some(path) = &args.trace_csv {

@@ -4,10 +4,10 @@
 //! the run's wall-clock.
 
 use eplace_repro::benchgen::BenchmarkConfig;
-use eplace_repro::core::{EplaceConfig, Placer, Stage};
+use eplace_repro::core::{EplaceConfig, GradientFault, Placer, Stage};
 use eplace_repro::netlist::Design;
 use eplace_repro::obs::json::{parse_json, JsonValue};
-use eplace_repro::obs::Obs;
+use eplace_repro::obs::{MemoryJournal, Obs};
 
 fn small_design(seed: u64) -> Design {
     BenchmarkConfig::ispd05_like("obs", seed)
@@ -23,21 +23,31 @@ fn run_with(design: Design, obs: Obs) -> eplace_repro::core::PlacementReport {
     Placer::new(design, cfg).run().unwrap()
 }
 
+/// The journal's records, parsed.
+fn records(journal: &MemoryJournal) -> Vec<JsonValue> {
+    journal
+        .lines()
+        .iter()
+        .map(|l| parse_json(l).expect("journal line must parse as JSON"))
+        .collect()
+}
+
+fn kind(v: &JsonValue) -> &str {
+    v.get("type").and_then(JsonValue::as_str).unwrap()
+}
+
+/// Indices of the `summary` records.
+fn summary_indices(records: &[JsonValue]) -> Vec<usize> {
+    (0..records.len())
+        .filter(|&i| kind(&records[i]) == "summary")
+        .collect()
+}
+
 #[test]
 fn journal_iter_lines_match_reported_iterations() {
     let (obs, journal) = Obs::memory();
     let report = run_with(small_design(81), obs);
-    let lines = journal.lines();
-    let records: Vec<JsonValue> = lines
-        .iter()
-        .map(|l| parse_json(l).expect("journal line must parse as JSON"))
-        .collect();
-    let kind = |v: &JsonValue| {
-        v.get("type")
-            .and_then(JsonValue::as_str)
-            .unwrap()
-            .to_string()
-    };
+    let records = records(&journal);
     let iters: Vec<&JsonValue> = records.iter().filter(|v| kind(v) == "iter").collect();
     assert_eq!(
         iters.len(),
@@ -67,13 +77,7 @@ fn journal_iter_lines_match_reported_iterations() {
         );
     }
     // Exactly one summary, and it is the final line.
-    let summaries: Vec<usize> = records
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| kind(v) == "summary")
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(summaries, vec![records.len() - 1]);
+    assert_eq!(summary_indices(&records), vec![records.len() - 1]);
 }
 
 #[test]
@@ -103,12 +107,11 @@ fn journaling_never_perturbs_the_trajectory() {
 
 #[test]
 fn phase_times_account_for_the_wall_clock() {
-    let report = run_with(small_design(83), Obs::disabled());
-    assert!(
-        !report.phase_times.is_empty(),
-        "phase times populate even with obs disabled"
-    );
-    let covered: f64 = report.phase_times.iter().map(|p| p.seconds).sum();
+    let obs = Obs::metrics();
+    let report = run_with(small_design(83), obs.clone());
+    let phases = obs.summary().phases;
+    assert!(!phases.is_empty(), "an enabled recorder times every phase");
+    let covered: f64 = phases.iter().map(|p| p.seconds).sum();
     let total = report.total_seconds();
     assert!(
         covered <= total * 1.05,
@@ -143,13 +146,41 @@ fn mixed_flow_reports_every_stage() {
         .map(|&(s, _)| s)
         .collect();
     assert_eq!(stages, vec![Stage::Mgp, Stage::FillerOnly, Stage::Cgp]);
-    let phases: Vec<&str> = report.phase_times.iter().map(|p| p.name.as_str()).collect();
+    // The journal's summary record carries every phase and the counters
+    // the mIP, mLG and legalizer stages record.
+    let records = records(&journal);
+    let summary = &records[*summary_indices(&records).last().unwrap()];
+    let phases: Vec<&str> = summary
+        .get("phases")
+        .and_then(JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .map(|p| p.get("name").and_then(JsonValue::as_str).unwrap())
+        .collect();
     for expect in ["mip", "mgp", "mlg", "fillergp", "cgp", "cdp"] {
         assert!(
             phases.contains(&expect),
             "missing phase {expect} in {phases:?}"
         );
     }
+    for counter in [
+        "mip_cg_iterations",
+        "mip_rebuilds",
+        "mlg_outer_iterations",
+        "mlg_moves_attempted",
+        "mlg_moves_accepted",
+        "legalize_runs",
+        "legalize_cells_placed",
+    ] {
+        assert!(
+            summary.get(counter).and_then(JsonValue::as_u64).is_some(),
+            "summary lacks counter {counter}"
+        );
+    }
+    assert_eq!(
+        summary.get("legalize_runs").and_then(JsonValue::as_u64),
+        Some(1)
+    );
     // Per-stage counters agree with the report.
     let snap = obs.snapshot();
     for (stage, n) in &report.iterations_per_stage {
@@ -161,7 +192,52 @@ fn mixed_flow_reports_every_stage() {
         };
         assert_eq!(snap.counter(counter), *n as u64, "{counter}");
     }
-    assert!(!journal.lines().is_empty());
+}
+
+#[test]
+fn failed_run_journal_ends_with_its_summary() {
+    let (obs, journal) = Obs::memory();
+    let cfg = EplaceConfig {
+        obs,
+        fault: Some(GradientFault::nan_at(30).repeating()),
+        ..EplaceConfig::fast()
+    };
+    let err = Placer::new(small_design(87), cfg).run();
+    assert!(err.is_err(), "a persistent fault cannot be outrun");
+    let records = records(&journal);
+    assert_eq!(summary_indices(&records), vec![records.len() - 1]);
+    assert!(records.iter().any(|r| kind(r) == "recovery"));
+}
+
+#[test]
+fn stagnation_stop_is_counted_and_journaled() {
+    // A zero overflow target is unreachable, so mGP can only end on the
+    // stagnation stop (or its iteration cap).
+    let (obs, journal) = Obs::memory();
+    let cfg = EplaceConfig {
+        obs: obs.clone(),
+        target_overflow: 0.0,
+        ..EplaceConfig::fast()
+    };
+    let report = Placer::new(small_design(88), cfg).run().unwrap();
+    assert!(!report.mgp_converged);
+    let stops: Vec<JsonValue> = records(&journal)
+        .into_iter()
+        .filter(|r| kind(r) == "stop")
+        .collect();
+    assert!(!stops.is_empty(), "no stop record");
+    assert_eq!(
+        obs.snapshot().counter("stagnation_stops"),
+        stops.len() as u64
+    );
+    let first = &stops[0];
+    assert_eq!(first.get("stage").and_then(JsonValue::as_str), Some("mgp"));
+    assert_eq!(
+        first.get("reason").and_then(JsonValue::as_str),
+        Some("stagnation")
+    );
+    let iter = first.get("iter").and_then(JsonValue::as_u64).unwrap();
+    assert!(iter < report.mgp_iterations as u64);
 }
 
 #[test]
