@@ -105,9 +105,10 @@ fn slide_bounds(design: &Design, row: &[usize], k: usize) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Median-based optimal x of a cell over its incident nets (excluding its
-/// own pin when computing each net's interval would be ideal; using the full
-/// bounding interval is the usual cheap approximation).
+/// Median-based optimal x of a cell: the median of its incident nets'
+/// x-interval endpoints, each interval spanning the net's other pins (the
+/// cell's own pin is excluded). Nets with no other pin are skipped; `None`
+/// when no net remains.
 fn optimal_x(design: &Design, ci: usize) -> Option<f64> {
     let mut lows = Vec::new();
     let mut highs = Vec::new();

@@ -10,11 +10,14 @@
 //! * [`legalize_abacus`] — Abacus-style cluster-optimal legalization:
 //!   lower displacement than Tetris by shifting whole clusters to their
 //!   least-squares position instead of packing against a frontier.
-//! * [`detail_place`] — greedy refinement: per-row sliding-window
-//!   reordering plus an independent single-cell relocation pass, both
-//!   accepting only HPWL-improving moves.
+//! * [`detail_place`] — greedy in-row refinement: each cell slides, snapped
+//!   to the site grid, within the gap between its row neighbours toward the
+//!   median of its nets' intervals; then every disjoint window of three
+//!   adjacent cells is re-packed in its best permutation. Only
+//!   HPWL-improving moves are kept.
 //! * [`global_swap`] — cross-row refinement: exchange equal-footprint cells
-//!   toward their optimal regions (the FastPlace-DP/NTUplace move).
+//!   toward their optimal regions (the FastPlace-DP/NTUplace move), trying
+//!   the few same-footprint partners nearest each cell's optimal point.
 //! * [`check_legal`] — the post-condition oracle used by tests and the flow
 //!   driver (in-region, on-row, on-site, zero overlap).
 //!
