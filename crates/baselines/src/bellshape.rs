@@ -1,5 +1,5 @@
-use crate::{measure_overflow, GlobalPlacer, GpResult};
-use eplace_core::initial_placement;
+use crate::{GlobalPlacer, GpResult};
+use eplace_core::{initial_placement, measure_overflow};
 use eplace_density::{grid_dimension, BellShapeDensity};
 use eplace_geometry::{Point, Size};
 use eplace_netlist::Design;

@@ -1,6 +1,7 @@
-use crate::{measure_overflow, GlobalPlacer, GpResult};
+use crate::{GlobalPlacer, GpResult};
 use eplace_core::{
-    initial_placement, insert_fillers, EplaceConfig, EplaceCost, Gradient, PlacementProblem,
+    initial_placement, insert_fillers, measure_overflow, EplaceConfig, EplaceCost, Gradient,
+    PlacementProblem,
 };
 use eplace_geometry::Point;
 use eplace_netlist::Design;

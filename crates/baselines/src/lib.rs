@@ -13,9 +13,9 @@
 //!
 //! All implement [`GlobalPlacer`]: they take a design and produce a *global*
 //! placement (overlap mostly resolved, nothing legalized); the benchmark
-//! harness runs the identical downstream flow (mLG/cDP) on every placer so
-//! the tables compare the global-placement algorithms, as the contest
-//! protocol does.
+//! harness runs the identical downstream flow (mLG, then
+//! [`eplace_core::run_cdp`]) on every placer so the tables compare the
+//! global-placement algorithms, as the contest protocol does.
 //!
 //! # Examples
 //!
@@ -40,7 +40,6 @@ pub use cg::CgPlacer;
 pub use mincut::MincutPlacer;
 pub use quadratic::QuadraticPlacer;
 
-use eplace_density::{grid_dimension, DensityGrid, DensityObject};
 use eplace_netlist::Design;
 
 /// Outcome of one global placement run.
@@ -48,7 +47,7 @@ use eplace_netlist::Design;
 pub struct GpResult {
     /// HPWL of the produced (global, not legalized) placement.
     pub hpwl: f64,
-    /// Density overflow τ measured by [`measure_overflow`].
+    /// Density overflow τ measured by [`eplace_core::measure_overflow`].
     pub overflow: f64,
     /// Iterations (solver-specific notion).
     pub iterations: usize,
@@ -69,47 +68,9 @@ pub trait GlobalPlacer {
     fn global_place(&self, design: &mut Design) -> GpResult;
 }
 
-/// The shared overflow oracle: τ of the current (filler-free) layout on the
-/// standard grid policy, identical for every placer so the tables' density
-/// columns are comparable.
-pub fn measure_overflow(design: &Design) -> f64 {
-    let movables: Vec<usize> = design.movable_indices().collect();
-    if movables.is_empty() {
-        return 0.0;
-    }
-    let dim = grid_dimension(movables.len(), 16, 512);
-    let mut grid = DensityGrid::new(design.region, dim, dim, design.target_density);
-    for c in design.cells.iter().filter(|c| c.fixed) {
-        grid.add_fixed(c.rect());
-    }
-    let objects: Vec<DensityObject> = movables
-        .iter()
-        .map(|&i| DensityObject::movable(design.cells[i].size))
-        .collect();
-    let pos: Vec<_> = movables.iter().map(|&i| design.cells[i].pos).collect();
-    grid.deposit(&objects, &pos);
-    grid.overflow()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eplace_benchgen::BenchmarkConfig;
-
-    #[test]
-    fn overflow_oracle_spread_vs_piled() {
-        let mut d = BenchmarkConfig::ispd05_like("o", 81).scale(200).generate();
-        // Generator scatters uniformly: moderate overflow.
-        let scattered = measure_overflow(&d);
-        // Pile everything up.
-        let center = d.region.center();
-        for c in d.cells.iter_mut().filter(|c| c.is_movable()) {
-            c.pos = center;
-        }
-        let piled = measure_overflow(&d);
-        assert!(piled > scattered);
-        assert!(piled > 0.5);
-    }
 
     #[test]
     fn all_baselines_have_distinct_names() {

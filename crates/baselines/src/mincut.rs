@@ -1,4 +1,5 @@
-use crate::{measure_overflow, GlobalPlacer, GpResult};
+use crate::{GlobalPlacer, GpResult};
+use eplace_core::measure_overflow;
 use eplace_geometry::{Point, Rect};
 use eplace_netlist::{Design, NetId};
 use std::time::Instant;

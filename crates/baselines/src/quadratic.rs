@@ -1,5 +1,5 @@
-use crate::{measure_overflow, GlobalPlacer, GpResult};
-use eplace_core::{quadratic_solve, Anchor};
+use crate::{GlobalPlacer, GpResult};
+use eplace_core::{measure_overflow, quadratic_solve, Anchor};
 use eplace_geometry::{Point, Rect};
 use eplace_netlist::Design;
 use std::time::Instant;

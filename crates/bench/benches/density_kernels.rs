@@ -7,6 +7,7 @@
 //! threads). On a single-core host the parallel variants measure pure
 //! chunking/spawn overhead, so expect speedups ≤ 1 there.
 
+use eplace_bench::report::bench_exec;
 use eplace_bench::timing::{bench, report_speedup};
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::PlacementProblem;
@@ -15,13 +16,6 @@ use eplace_exec::ExecConfig;
 use eplace_geometry::Point;
 use eplace_wirelength::{SmoothWirelength, WaModel};
 use std::hint::black_box;
-
-fn bench_exec() -> ExecConfig {
-    match std::env::var("EPLACE_BENCH_THREADS") {
-        Ok(v) => ExecConfig::with_threads(v.parse().expect("bad EPLACE_BENCH_THREADS")),
-        Err(_) => ExecConfig::auto(),
-    }
-}
 
 fn bench_density_solve(exec: ExecConfig) {
     println!("density_deposit_solve");
@@ -72,7 +66,7 @@ fn bench_wa_gradient(exec: ExecConfig) {
 }
 
 fn main() {
-    let exec = bench_exec();
+    let exec = bench_exec(ExecConfig::auto());
     bench_density_solve(exec);
     bench_wa_gradient(exec);
 }

@@ -6,6 +6,7 @@
 //! threads). On a single-core host the parallel variant measures pure
 //! spawn/partition overhead, so expect speedups ≤ 1 there.
 
+use eplace_bench::report::bench_exec;
 use eplace_bench::timing::{bench, report_speedup};
 use eplace_exec::ExecConfig;
 use eplace_spectral::{Complex, DctPlan, FftPlan, SpectralEngine, Transform2d};
@@ -36,10 +37,7 @@ fn bench_dct() {
 }
 
 fn bench_transform2d() {
-    let exec = match std::env::var("EPLACE_BENCH_THREADS") {
-        Ok(v) => ExecConfig::with_threads(v.parse().expect("bad EPLACE_BENCH_THREADS")),
-        Err(_) => ExecConfig::auto(),
-    };
+    let exec = bench_exec(ExecConfig::auto());
     println!("poisson_transform_round");
     for &n in &[64usize, 128, 256, 512] {
         let data: Vec<f64> = (0..n * n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();

@@ -6,10 +6,10 @@
 //! per-phase span breakdown from `eplace-obs`, and writes `BENCH_gp.json`
 //! at the repository root. A separate `transform` record times one Poisson
 //! transform round at grid 256 under both spectral engines and reports the
-//! v2/v1 median speedup. The file is re-parsed with the journal's own
-//! JSON reader before the program exits 0, so a zero exit status certifies
-//! a well-formed, finite result — and fails (exit 1) when the engine-v2
-//! transform round is slower than v1 (speedup < 1.0).
+//! v2/v1 median speedup. The file is re-parsed and checked
+//! (`eplace_bench::report::GP`) before the program exits 0, so a zero exit
+//! status certifies a well-formed, finite result — and fails (exit 1) when
+//! the engine-v2 transform round is slower than v1 (speedup < 1.0).
 //!
 //! ```text
 //! cargo run --release --bin bench_gp              # full 3-size sweep
@@ -21,6 +21,7 @@
 //! `EPLACE_BENCH_THREADS` selects the execution layer width (default:
 //! serial, the configuration the golden trace pins down).
 
+use eplace_bench::report::{self, bench_exec, Args};
 use eplace_bench::timing::bench;
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::{
@@ -28,10 +29,10 @@ use eplace_core::{
 };
 use eplace_density::grid_dimension;
 use eplace_exec::ExecConfig;
-use eplace_obs::json::{parse_json, JsonValue};
 use eplace_obs::{Obs, Record};
 use eplace_spectral::{SpectralEngine, Transform2d};
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 
 const SUITE_SIZES: &[usize] = &[1_000, 4_000, 16_000];
 const WARMUP_STEPS: usize = 3;
@@ -39,43 +40,6 @@ const WARMUP_STEPS: usize = 3;
 /// production mGP grid size the spectral-engine-v2 speedup target is
 /// quoted at.
 const TRANSFORM_GRID: usize = 256;
-
-struct Options {
-    smoke: bool,
-    samples: usize,
-    out: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        smoke: false,
-        samples: 30,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--samples" => {
-                let v = args.next().expect("--samples needs a value");
-                opts.samples = v.parse().expect("bad --samples value");
-            }
-            "--out" => opts.out = Some(args.next().expect("--out needs a path")),
-            other => {
-                eprintln!("unknown flag {other}; see the module docs for usage");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
-
-fn bench_exec() -> ExecConfig {
-    match std::env::var("EPLACE_BENCH_THREADS") {
-        Ok(v) => ExecConfig::with_threads(v.parse().expect("bad EPLACE_BENCH_THREADS")),
-        Err(_) => ExecConfig::serial(),
-    }
-}
 
 /// Serializes a snapshot's spans as a JSON object keyed by span path.
 /// Span paths are `'static` identifiers joined with `/`, so they need no
@@ -143,7 +107,7 @@ fn bench_suite(cells: usize, samples: usize, exec: ExecConfig) -> String {
 /// Benchmarks one Poisson-solve transform round (analysis DCT-II plus the
 /// three syntheses) at `dim × dim` under both spectral engines and returns
 /// the comparison as a JSON object. The `speedup` field is the engine-v2
-/// gate: `validate` fails the run when it drops below 1.0.
+/// gate: the file's check fails the run when it drops below 1.0.
 ///
 /// v1 and v2 samples are interleaved (one of each per iteration) so that
 /// slow machine drift — thermal throttling, a neighbour landing on the
@@ -206,110 +170,37 @@ fn bench_transform(dim: usize, samples: usize, exec: ExecConfig) -> String {
         .into_line()
 }
 
-/// Fails with a message unless `doc` parses and every suite's timings are
-/// finite and positive.
-fn validate(doc: &str) -> Result<(), String> {
-    let parsed = parse_json(doc).map_err(|e| format!("BENCH_gp.json is not valid JSON: {e}"))?;
-    let suites = parsed
-        .get("suites")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing suites array")?;
-    if suites.is_empty() {
-        return Err("suites array is empty".into());
-    }
-    for suite in suites {
-        for key in ["median_step_ns", "min_step_ns", "mean_step_ns"] {
-            let v = suite
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("suite missing numeric {key}"))?;
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("{key} = {v} is not finite and positive"));
-            }
-        }
-        let spans = suite.get("spans").ok_or("suite missing spans object")?;
-        for path in ["nesterov_step", "nesterov_step/density_solve"] {
-            let total = spans
-                .get(path)
-                .and_then(|s| s.get("total_ns"))
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("missing span {path}"))?;
-            if !total.is_finite() || total <= 0.0 {
-                return Err(format!("span {path} total_ns = {total} is degenerate"));
-            }
-        }
-    }
-    let transform = parsed.get("transform").ok_or("missing transform object")?;
-    for key in ["v1_median_ns", "v2_median_ns"] {
-        let v = transform
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("transform missing numeric {key}"))?;
-        if !v.is_finite() || v <= 0.0 {
-            return Err(format!("transform {key} = {v} is not finite and positive"));
-        }
-    }
-    let speedup = transform
-        .get("speedup")
-        .and_then(JsonValue::as_f64)
-        .ok_or("transform missing numeric speedup")?;
-    if !speedup.is_finite() || speedup < 1.0 {
-        return Err(format!(
-            "engine v2 transform round regressed: v2/v1 speedup {speedup:.3} < 1.0"
-        ));
-    }
-    Ok(())
-}
-
-fn default_out_path() -> std::path::PathBuf {
-    // crates/bench → repository root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_gp.json")
-}
-
 fn main() {
-    let opts = parse_args();
-    let exec = bench_exec();
-    let sizes: &[usize] = if opts.smoke {
+    let (smoke, samples, out) = Args::from_env(&["smoke", "samples", "out"], |a| {
+        let samples = a.optional::<NonZeroUsize>("samples")?;
+        Ok((
+            a.switch("smoke")?,
+            samples.map_or(30, NonZeroUsize::get),
+            a.optional("out")?,
+        ))
+    });
+    let exec = bench_exec(ExecConfig::serial());
+    let sizes = if smoke {
         &SUITE_SIZES[..1]
     } else {
         SUITE_SIZES
     };
 
     println!(
-        "bench_gp: {} suite(s), {} samples each, threads={}",
+        "bench_gp: {} suite(s), {samples} samples each, threads={}",
         sizes.len(),
-        opts.samples,
         exec.threads()
     );
     let suites: Vec<String> = sizes
         .iter()
-        .map(|&cells| bench_suite(cells, opts.samples, exec))
+        .map(|&cells| bench_suite(cells, samples, exec))
         .collect();
-    let transform = bench_transform(TRANSFORM_GRID, opts.samples, exec);
-
-    let mut suites_json = String::from("[");
-    suites_json.push_str(&suites.join(","));
-    suites_json.push(']');
-    let doc = Record::new("bench_gp")
+    let transform = bench_transform(TRANSFORM_GRID, samples, exec);
+    let head = Record::new(report::GP.bin)
         .str_field("suite_family", "ispd05_like")
         .u64_field("threads", exec.threads() as u64)
         .u64_field("warmup_steps", WARMUP_STEPS as u64)
-        .bool_field("smoke", opts.smoke)
-        .raw_field("suites", &suites_json)
-        .raw_field("transform", &transform)
-        .into_line();
-
-    if let Err(e) = validate(&doc) {
-        eprintln!("bench_gp: self-validation failed: {e}");
-        std::process::exit(1);
-    }
-
-    let out = opts
-        .out
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(default_out_path);
-    eplace_obs::write_atomic(&out, format!("{doc}\n").as_bytes()).expect("writing BENCH_gp.json");
-    println!("bench_gp: validated result written to {}", out.display());
+        .bool_field("smoke", smoke)
+        .raw_field("transform", &transform);
+    report::emit(&report::GP, head, &suites, out);
 }

@@ -7,15 +7,15 @@
 //! suboptimality ratio `final legal HPWL / certified optimal HPWL` per
 //! placer and suite size into `BENCH_peko.json` at the repository root.
 //!
-//! Every placer gets the identical downstream treatment (Abacus
-//! legalization + detail passes, exactly what the ePlace flow's cDP runs),
-//! so the ratios compare global-placement quality on equal footing.
+//! Every placer gets the identical downstream treatment (`run_cdp`, the
+//! ePlace flow's own cDP), so the ratios compare global-placement quality
+//! on equal footing.
 //!
-//! The file is re-parsed with the journal's own JSON reader before the
-//! program exits 0, and every recorded ratio is checked to be finite and
-//! ≥ 1 (a "ratio" below 1 would mean a legal placement beat a certified
-//! optimum — a broken certificate, not a good placer). A zero exit status
-//! therefore certifies a well-formed, self-consistent result.
+//! The file is re-parsed before the program exits 0, and every recorded
+//! ratio is checked to be finite and ≥ 1 (a "ratio" below 1 would mean a
+//! legal placement beat a certified optimum — a broken certificate, not a
+//! good placer; `eplace_bench::report::PEKO`). A zero exit status therefore
+//! certifies a well-formed, self-consistent result.
 //!
 //! ```text
 //! cargo run --release -p eplace-bench --bin bench_peko              # full sweep
@@ -26,59 +26,15 @@
 //! default 3), `--out PATH` (output path override).
 
 use eplace_baselines::{CgPlacer, GlobalPlacer, MincutPlacer};
+use eplace_bench::report::{self, Args};
 use eplace_benchgen::{BenchmarkConfig, KnownOptimum};
-use eplace_core::{EplaceConfig, Placer};
-use eplace_legalize::{detail_place, global_swap, legalize, legalize_abacus};
-use eplace_netlist::Design;
-use eplace_obs::json::{parse_json, JsonValue};
+use eplace_core::{run_cdp, EplaceConfig, Placer};
 use eplace_obs::Record;
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 const SUITE_SIZES: &[usize] = &[240, 600, 1_500];
 const BASE_SEED: u64 = 9_000;
-
-struct Options {
-    smoke: bool,
-    seeds: u64,
-    out: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        smoke: false,
-        seeds: 3,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--seeds" => {
-                let v = args.next().expect("--seeds needs a value");
-                opts.seeds = v.parse().expect("bad --seeds value");
-                assert!(opts.seeds > 0, "--seeds must be positive");
-            }
-            "--out" => opts.out = Some(args.next().expect("--out needs a path")),
-            other => {
-                eprintln!("unknown flag {other}; see the module docs for usage");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
-
-/// The shared downstream finisher: the same legalization + detail stack the
-/// ePlace flow's cDP applies, with the Tetris fallback on Abacus failure.
-fn finish_legal(design: &mut Design) -> f64 {
-    if legalize_abacus(design).is_err() {
-        legalize(design).expect("even Tetris failed to legalize a half-utilization PEKO design");
-    }
-    detail_place(design, 1);
-    global_swap(design, 1);
-    detail_place(design, 1);
-    design.hpwl()
-}
 
 /// One placer's JSON fragment: `"name":{"hpwl":…,"ratio":…,"seconds":…}`.
 fn placer_json(name: &str, hpwl: f64, optimum: &KnownOptimum, seconds: f64) -> String {
@@ -98,7 +54,7 @@ fn bench_suite(cells: usize, seed: u64) -> String {
         known_optimum_hpwl: Some(optimum.hpwl),
         ..EplaceConfig::fast()
     };
-    let mut placer = Placer::new(design, eplace_cfg);
+    let mut placer = Placer::new(design, eplace_cfg.clone());
     let report = placer.run().expect("ePlace flow failed on a PEKO suite");
     let eplace_secs = t.elapsed().as_secs_f64();
     let eplace_hpwl = report.final_hpwl;
@@ -119,7 +75,9 @@ fn bench_suite(cells: usize, seed: u64) -> String {
         let t = Instant::now();
         placer.global_place(&mut design);
         design.remove_fillers();
-        let hpwl = finish_legal(&mut design);
+        run_cdp(&mut design, &eplace_cfg)
+            .expect("even Tetris failed to legalize a half-utilization PEKO design");
+        let hpwl = design.hpwl();
         fragments.push(placer_json(
             placer.name(),
             hpwl,
@@ -136,101 +94,30 @@ fn bench_suite(cells: usize, seed: u64) -> String {
         .into_line()
 }
 
-/// Fails with a message unless `doc` parses and every recorded ratio is a
-/// finite number ≥ 1 (within rounding) from a positive certified optimum.
-fn validate(doc: &str) -> Result<(), String> {
-    let parsed = parse_json(doc).map_err(|e| format!("BENCH_peko.json is not valid JSON: {e}"))?;
-    let suites = parsed
-        .get("suites")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing suites array")?;
-    if suites.is_empty() {
-        return Err("suites array is empty".into());
-    }
-    for suite in suites {
-        let optimum = suite
-            .get("optimal_hpwl")
-            .and_then(JsonValue::as_f64)
-            .ok_or("suite missing numeric optimal_hpwl")?;
-        if !optimum.is_finite() || optimum <= 0.0 {
-            return Err(format!(
-                "optimal_hpwl = {optimum} is not finite and positive"
-            ));
-        }
-        let placers = suite.get("placers").ok_or("suite missing placers object")?;
-        for name in ["eplace", "cg-fftpl", "mincut"] {
-            let entry = placers
-                .get(name)
-                .ok_or_else(|| format!("missing placer entry {name}"))?;
-            let ratio = entry
-                .get("ratio")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("{name} missing numeric ratio"))?;
-            if !ratio.is_finite() {
-                return Err(format!("{name} ratio = {ratio} is not finite"));
-            }
-            if ratio < 1.0 - 1e-9 {
-                return Err(format!(
-                    "{name} ratio = {ratio} < 1: a legal placement cannot beat a valid certificate"
-                ));
-            }
-            if ratio > 1e3 {
-                return Err(format!("{name} ratio = {ratio} is degenerate"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn default_out_path() -> std::path::PathBuf {
-    // crates/bench → repository root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_peko.json")
-}
-
 fn main() {
-    let opts = parse_args();
-    let sizes: &[usize] = if opts.smoke {
+    let (smoke, seeds, out) = Args::from_env(&["smoke", "seeds", "out"], |a| {
+        let seeds = a
+            .optional::<NonZeroU64>("seeds")?
+            .map_or(3, NonZeroU64::get);
+        Ok((a.switch("smoke")?, seeds, a.optional("out")?))
+    });
+    let sizes = if smoke {
         &SUITE_SIZES[..1]
     } else {
         SUITE_SIZES
     };
 
-    println!(
-        "bench_peko: {} size(s) x {} seed(s)",
-        sizes.len(),
-        opts.seeds
-    );
+    println!("bench_peko: {} size(s) x {seeds} seed(s)", sizes.len());
     let mut suites = Vec::new();
     for &cells in sizes {
-        for s in 0..opts.seeds {
-            let seed = BASE_SEED + s;
-            let line = bench_suite(cells, seed);
+        for seed in BASE_SEED..BASE_SEED + seeds {
+            suites.push(bench_suite(cells, seed));
             println!("  cells={cells} seed={seed} done");
-            suites.push(line);
         }
     }
-
-    let mut suites_json = String::from("[");
-    suites_json.push_str(&suites.join(","));
-    suites_json.push(']');
-    let doc = Record::new("bench_peko")
+    let head = Record::new(report::PEKO.bin)
         .str_field("suite_family", "peko_like")
-        .u64_field("seeds_per_size", opts.seeds)
-        .bool_field("smoke", opts.smoke)
-        .raw_field("suites", &suites_json)
-        .into_line();
-
-    if let Err(e) = validate(&doc) {
-        eprintln!("bench_peko: self-validation failed: {e}");
-        std::process::exit(1);
-    }
-
-    let out = opts
-        .out
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(default_out_path);
-    eplace_obs::write_atomic(&out, format!("{doc}\n").as_bytes()).expect("writing BENCH_peko.json");
-    println!("bench_peko: validated result written to {}", out.display());
+        .u64_field("seeds_per_size", seeds)
+        .bool_field("smoke", smoke);
+    report::emit(&report::PEKO, head, &suites, out);
 }

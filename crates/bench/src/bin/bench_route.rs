@@ -8,13 +8,13 @@
 //! inflation bought, and the HPWL it cost into `BENCH_route.json` at the
 //! repository root.
 //!
-//! The file is re-parsed with the journal's own JSON reader before the
-//! program exits 0, and the recorded invariants are re-checked: every score
-//! finite, overflow and congestion non-negative, the with-inflation
-//! overflow never above the without-inflation overflow (the loop only
-//! accepts improving rounds), and the HPWL cost within the configured
-//! budget. A zero exit status therefore certifies a well-formed,
-//! self-consistent result.
+//! The file is re-parsed before the program exits 0, and the recorded
+//! invariants are re-checked (`eplace_bench::report::ROUTE`): every score
+//! finite, routed wirelength positive, overflow non-negative, the
+//! with-inflation overflow never above the without-inflation overflow (the
+//! loop only accepts improving rounds), and the HPWL cost within the
+//! configured budget. A zero exit status therefore certifies a
+//! well-formed, self-consistent result.
 //!
 //! ```text
 //! cargo run --release -p eplace-bench --bin bench_route             # full sweep
@@ -24,48 +24,18 @@
 //! Flags: `--smoke` (smallest suite, one seed), `--seeds N` (seeds per
 //! size, default 3), `--out PATH` (output path override).
 
+use eplace_bench::report::{self, Args};
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::{EplaceConfig, Placer, RoutabilityConfig, RoutabilityOutcome};
-use eplace_obs::json::{parse_json, JsonValue};
 use eplace_obs::Record;
 use eplace_route::RouteConfig;
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 const SUITE_SIZES: &[usize] = &[240, 300, 400];
 const BASE_SEED: u64 = 91;
 /// Track-capacity fraction of the scarce routing model the sweep scores.
 const CAPACITY_SCALE: f64 = 0.5;
-
-struct Options {
-    smoke: bool,
-    seeds: u64,
-    out: Option<String>,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        smoke: false,
-        seeds: 3,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--seeds" => {
-                let v = args.next().expect("--seeds needs a value");
-                opts.seeds = v.parse().expect("bad --seeds value");
-                assert!(opts.seeds > 0, "--seeds must be positive");
-            }
-            "--out" => opts.out = Some(args.next().expect("--out needs a path")),
-            other => {
-                eprintln!("unknown flag {other}; see the module docs for usage");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
 
 fn routability_config(max_rounds: usize) -> RoutabilityConfig {
     RoutabilityConfig {
@@ -128,116 +98,32 @@ fn bench_suite(cells: usize, seed: u64) -> String {
         .into_line()
 }
 
-/// Fails with a message unless `doc` parses and every recorded scorecard
-/// satisfies the router's invariants.
-fn validate(doc: &str) -> Result<(), String> {
-    let parsed = parse_json(doc).map_err(|e| format!("BENCH_route.json is not valid JSON: {e}"))?;
-    let suites = parsed
-        .get("suites")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing suites array")?;
-    if suites.is_empty() {
-        return Err("suites array is empty".into());
-    }
-    let budget = RoutabilityConfig::default().max_hpwl_cost;
-    for suite in suites {
-        let arms = suite.get("arms").ok_or("suite missing arms object")?;
-        let mut overflow = [0.0f64; 2];
-        for (slot, name) in ["without_inflation", "with_inflation"].iter().enumerate() {
-            let arm = arms
-                .get(name)
-                .ok_or_else(|| format!("missing arm {name}"))?;
-            for field in [
-                "routed_wl",
-                "total_overflow",
-                "peak_congestion",
-                "hpwl",
-                "hpwl_cost",
-            ] {
-                let v = arm
-                    .get(field)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("{name} missing numeric {field}"))?;
-                if !v.is_finite() {
-                    return Err(format!("{name} {field} = {v} is not finite"));
-                }
-            }
-            let wl = arm.get("routed_wl").and_then(JsonValue::as_f64).unwrap();
-            if wl <= 0.0 {
-                return Err(format!("{name} routed_wl = {wl} must be positive"));
-            }
-            overflow[slot] = arm
-                .get("total_overflow")
-                .and_then(JsonValue::as_f64)
-                .unwrap();
-            if overflow[slot] < 0.0 {
-                return Err(format!("{name} total_overflow = {} < 0", overflow[slot]));
-            }
-            let cost = arm.get("hpwl_cost").and_then(JsonValue::as_f64).unwrap();
-            if cost > budget + 1e-9 {
-                return Err(format!(
-                    "{name} hpwl_cost = {cost} exceeds the {budget} budget"
-                ));
-            }
-        }
-        if overflow[1] > overflow[0] + 1e-9 {
-            return Err(format!(
-                "inflation made routing worse ({} -> {}): the loop must only accept improving rounds",
-                overflow[0], overflow[1]
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn default_out_path() -> std::path::PathBuf {
-    // crates/bench → repository root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_route.json")
-}
-
 fn main() {
-    let opts = parse_args();
-    let sizes: &[usize] = if opts.smoke {
+    let (smoke, seeds, out) = Args::from_env(&["smoke", "seeds", "out"], |a| {
+        let seeds = a
+            .optional::<NonZeroU64>("seeds")?
+            .map_or(3, NonZeroU64::get);
+        Ok((a.switch("smoke")?, seeds, a.optional("out")?))
+    });
+    let sizes = if smoke {
         &SUITE_SIZES[..1]
     } else {
         SUITE_SIZES
     };
-    let seeds = if opts.smoke { 1 } else { opts.seeds };
+    let seeds = if smoke { 1 } else { seeds };
 
     println!("bench_route: {} size(s) x {seeds} seed(s)", sizes.len());
     let mut suites = Vec::new();
     for &cells in sizes {
-        for s in 0..seeds {
-            let seed = BASE_SEED + s;
-            let line = bench_suite(cells, seed);
+        for seed in BASE_SEED..BASE_SEED + seeds {
+            suites.push(bench_suite(cells, seed));
             println!("  cells={cells} seed={seed} done");
-            suites.push(line);
         }
     }
-
-    let mut suites_json = String::from("[");
-    suites_json.push_str(&suites.join(","));
-    suites_json.push(']');
-    let doc = Record::new("bench_route")
+    let head = Record::new(report::ROUTE.bin)
         .str_field("suite_family", "ispd05_like")
         .f64_field("capacity_scale", CAPACITY_SCALE)
         .u64_field("seeds_per_size", seeds)
-        .bool_field("smoke", opts.smoke)
-        .raw_field("suites", &suites_json)
-        .into_line();
-
-    if let Err(e) = validate(&doc) {
-        eprintln!("bench_route: self-validation failed: {e}");
-        std::process::exit(1);
-    }
-
-    let out = opts
-        .out
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(default_out_path);
-    eplace_obs::write_atomic(&out, format!("{doc}\n").as_bytes())
-        .expect("writing BENCH_route.json");
-    println!("bench_route: validated result written to {}", out.display());
+        .bool_field("smoke", smoke);
+    report::emit(&report::ROUTE, head, &suites, out);
 }

@@ -14,7 +14,8 @@
 //!
 //! Usage: `repro_ablation [--scale N] [--which bktrk|precond|filler|all] [--circuits K]`
 
-use eplace_bench::{parse_args, run_eplace};
+use eplace_bench::report::Args;
+use eplace_bench::run_eplace;
 use eplace_benchgen::{BenchmarkConfig, BenchmarkSuite};
 use eplace_core::EplaceConfig;
 
@@ -52,17 +53,15 @@ const ABLATIONS: &[Ablation] = &[
 ];
 
 fn main() {
-    let (scale, _, extra) = parse_args(120);
-    let which = extra
-        .iter()
-        .find(|(k, _)| k == "which")
-        .map(|(_, v)| v.clone())
-        .unwrap_or_else(|| "all".into());
-    let take: usize = extra
-        .iter()
-        .find(|(k, _)| k == "circuits")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(6);
+    let (scale, which, take) = Args::from_env(&["scale", "which", "circuits"], |a| {
+        let which: String = a.value("which", "all".into())?;
+        if which != "all" && !ABLATIONS.iter().any(|ab| ab.key == which) {
+            return Err(format!(
+                "bad --which value `{which}`; expected bktrk, precond, filler or all"
+            ));
+        }
+        Ok((a.value("scale", 120)?, which, a.value("circuits", 6)?))
+    });
     let suite: Vec<BenchmarkConfig> = BenchmarkSuite::mms(scale).into_iter().take(take).collect();
     let base = EplaceConfig::fast();
 
@@ -76,18 +75,13 @@ fn main() {
         })
         .collect();
     // Backtracks-per-iteration statistic (paper: 1.037).
-    let mut bk_sum = 0.0;
-    let mut bk_n = 0;
-    for config in &suite {
-        let design = config.generate();
-        let mut placer = eplace_core::Placer::new(design, base.clone());
-        let report = placer.run().expect("placement diverged beyond recovery");
-        bk_sum += report.mgp_backtracks_per_iteration;
-        bk_n += 1;
-    }
+    let bk_sum: f64 = reference
+        .iter()
+        .map(|(_, r)| r.backtracks_per_iteration)
+        .sum();
     println!(
         "backtracks_per_iteration,{:.3}  (paper: 1.037)",
-        bk_sum / bk_n as f64
+        bk_sum / reference.len() as f64
     );
 
     println!("ablation,circuit,hpwl_full,hpwl_ablated,delta_pct,failed");

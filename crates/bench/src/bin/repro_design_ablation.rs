@@ -11,12 +11,13 @@
 //!
 //! Usage: `repro_design_ablation [--scale N]`
 
-use eplace_bench::{parse_args, run_eplace};
+use eplace_bench::report::Args;
+use eplace_bench::run_eplace;
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::EplaceConfig;
 
 fn main() {
-    let (scale, _, _) = parse_args(300);
+    let scale = Args::from_env(&["scale"], |a| a.value("scale", 300));
     let config = BenchmarkConfig::mms_like("design_abl", 4_000, 1.0, 8).scale(scale);
     let base = EplaceConfig::fast();
 

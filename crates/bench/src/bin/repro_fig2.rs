@@ -4,12 +4,13 @@
 //!
 //! Usage: `repro_fig2 [--scale N]`
 
-use eplace_bench::{design_after_full_flow, parse_args};
+use eplace_bench::design_after_full_flow;
+use eplace_bench::report::Args;
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::{trace_to_csv, EplaceConfig, Stage};
 
 fn main() {
-    let (scale, _, _) = parse_args(400);
+    let scale = Args::from_env(&["scale"], |a| a.value("scale", 400));
     let config = BenchmarkConfig::mms_like("adaptec1_mms", 3_000, 1.0, 12).scale(scale);
     eprintln!("Figure 2 reproduction on {} ({} cells)", config.name, scale);
     let (_, report) = design_after_full_flow(&config, &EplaceConfig::fast());

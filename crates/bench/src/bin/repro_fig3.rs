@@ -3,17 +3,15 @@
 //!
 //! Usage: `repro_fig3 [--scale N] [--snapshots K]`
 
-use eplace_bench::{design_after_full_flow, parse_args};
+use eplace_bench::design_after_full_flow;
+use eplace_bench::report::Args;
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::{EplaceConfig, Stage};
 
 fn main() {
-    let (scale, _, extra) = parse_args(400);
-    let snapshots: usize = extra
-        .iter()
-        .find(|(k, _)| k == "snapshots")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(6);
+    let (scale, snapshots) = Args::from_env(&["scale", "snapshots"], |a| {
+        Ok((a.value("scale", 400)?, a.value("snapshots", 6)?))
+    });
     let config = BenchmarkConfig::mms_like("adaptec1_mms", 3_000, 1.0, 12).scale(scale);
     eprintln!("Figure 3 reproduction on {}", config.name);
     let (_, report) = design_after_full_flow(&config, &EplaceConfig::fast());

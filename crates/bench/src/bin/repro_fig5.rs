@@ -3,12 +3,13 @@
 //!
 //! Usage: `repro_fig5 [--scale N]`
 
-use eplace_bench::{design_after_full_flow, parse_args};
+use eplace_bench::design_after_full_flow;
+use eplace_bench::report::Args;
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::EplaceConfig;
 
 fn main() {
-    let (scale, _, _) = parse_args(400);
+    let scale = Args::from_env(&["scale"], |a| a.value("scale", 400));
     let config = BenchmarkConfig::mms_like("adaptec1_mms", 3_000, 1.0, 12).scale(scale);
     eprintln!("Figure 5 reproduction on {}", config.name);
     let (_, report) = design_after_full_flow(&config, &EplaceConfig::fast());

@@ -4,17 +4,15 @@
 //!
 //! Usage: `repro_fig7 [--scale N] [--circuits K]`
 
-use eplace_bench::{design_after_full_flow, parse_args};
+use eplace_bench::design_after_full_flow;
+use eplace_bench::report::Args;
 use eplace_benchgen::BenchmarkSuite;
 use eplace_core::{EplaceConfig, Stage};
 
 fn main() {
-    let (scale, _, extra) = parse_args(150);
-    let take: usize = extra
-        .iter()
-        .find(|(k, _)| k == "circuits")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(4);
+    let (scale, take) = Args::from_env(&["scale", "circuits"], |a| {
+        Ok((a.value("scale", 150)?, a.value("circuits", 4)?))
+    });
     let suite: Vec<_> = BenchmarkSuite::mms(scale).into_iter().take(take).collect();
     eprintln!(
         "Figure 7 reproduction over {} MMS-like circuits",

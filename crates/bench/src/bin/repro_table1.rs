@@ -3,13 +3,12 @@
 //!
 //! Usage: `repro_table1 [--scale N] [--circuit NAME]`
 
-use eplace_bench::{filter_suite, format_table, parse_args, run_suite, Metric};
+use eplace_bench::{format_table, run_suite, table_suite, Metric};
 use eplace_benchgen::BenchmarkSuite;
 use eplace_core::EplaceConfig;
 
 fn main() {
-    let (scale, circuit, _) = parse_args(150);
-    let suite = filter_suite(BenchmarkSuite::ispd05(scale), &circuit);
+    let (scale, suite) = table_suite(150, BenchmarkSuite::ispd05);
     eprintln!(
         "Table I reproduction: {} circuits at base scale {scale}",
         suite.len()

@@ -4,13 +4,12 @@
 //!
 //! Usage: `repro_table3 [--scale N] [--circuit NAME]`
 
-use eplace_bench::{filter_suite, format_table, parse_args, run_suite, Metric};
+use eplace_bench::{format_table, run_suite, table_suite, Metric};
 use eplace_benchgen::BenchmarkSuite;
 use eplace_core::EplaceConfig;
 
 fn main() {
-    let (scale, circuit, _) = parse_args(120);
-    let suite = filter_suite(BenchmarkSuite::mms(scale), &circuit);
+    let (scale, suite) = table_suite(120, BenchmarkSuite::mms);
     eprintln!(
         "Table III reproduction: {} circuits at base scale {scale}",
         suite.len()

@@ -1,18 +1,18 @@
-//! Shared harness for the `repro_*` binaries: runs every placer through an
-//! identical flow on identical inputs and formats paper-style table rows.
+//! Shared harness for the `repro_*` and `bench_*` binaries: runs every
+//! placer through an identical flow on identical inputs and formats
+//! paper-style table rows.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §3 for the index); this library holds the plumbing so the
-//! binaries stay declarative.
+//! (see DESIGN.md §3 for the index) or writes one `BENCH_*.json` file; this
+//! library holds the plumbing so the binaries stay declarative. Their
+//! command-line parser and the BENCH writer live in [`report`].
 
+pub mod report;
 pub mod timing;
 
-use eplace_baselines::{
-    measure_overflow, BellshapePlacer, CgPlacer, GlobalPlacer, MincutPlacer, QuadraticPlacer,
-};
+use eplace_baselines::{BellshapePlacer, CgPlacer, GlobalPlacer, MincutPlacer, QuadraticPlacer};
 use eplace_benchgen::BenchmarkConfig;
-use eplace_core::{EplaceConfig, Placer};
-use eplace_legalize::{detail_place, legalize, legalize_abacus};
+use eplace_core::{measure_overflow, run_cdp, scaled_hpwl, EplaceConfig, Placer};
 use eplace_mlg::legalize_macros;
 use eplace_netlist::{CellKind, Design};
 use std::time::Instant;
@@ -34,6 +34,8 @@ pub struct FlowResult {
     pub seconds: f64,
     /// Seconds inside line search (CG-family solvers only).
     pub line_search_seconds: f64,
+    /// mGP backtracks per iteration (ePlace only; paper: 1.037).
+    pub backtracks_per_iteration: f64,
     /// `true` when legalization succeeded (placers can fail, as the paper's
     /// N/A entries show).
     pub ok: bool,
@@ -54,14 +56,14 @@ pub fn run_eplace(config: &BenchmarkConfig, eplace_cfg: &EplaceConfig) -> FlowRe
         overflow: report.final_overflow,
         seconds,
         line_search_seconds: 0.0,
+        backtracks_per_iteration: report.mgp_backtracks_per_iteration,
         ok: report.legalization.is_some(),
     }
 }
 
 /// Runs a baseline global placer followed by the *same* discrete finish
-/// ePlace uses (mLG when macros are movable, then legalization + detail
-/// placement), so the table rows compare global-placement algorithms under
-/// one protocol.
+/// ePlace uses (mLG when macros are movable, then [`run_cdp`]), so the
+/// table rows compare global-placement algorithms under one protocol.
 pub fn run_baseline(
     placer: &dyn GlobalPlacer,
     config: &BenchmarkConfig,
@@ -70,38 +72,14 @@ pub fn run_baseline(
     let mut design = config.generate();
     let t = Instant::now();
     let gp = placer.global_place(&mut design);
-    let has_movable_macros = design
+    if design
         .cells
         .iter()
-        .any(|c| c.kind == CellKind::Macro && c.is_movable());
-    if has_movable_macros {
-        // Same staging as the ePlace flow: std cells freeze during mLG.
-        let mut unfixed: Vec<usize> = Vec::new();
-        for (i, c) in design.cells.iter_mut().enumerate() {
-            if c.kind == CellKind::StdCell && !c.fixed {
-                c.fixed = true;
-                unfixed.push(i);
-            }
-        }
+        .any(|c| c.kind == CellKind::Macro && c.is_movable())
+    {
         legalize_macros(&mut design, &eplace_cfg.mlg);
-        for &i in &unfixed {
-            design.cells[i].fixed = false;
-        }
     }
-    let attempt = if eplace_cfg.use_abacus {
-        legalize_abacus(&mut design).or_else(|_| legalize(&mut design))
-    } else {
-        legalize(&mut design)
-    };
-    let ok = match attempt {
-        Ok(_) => {
-            detail_place(&mut design, eplace_cfg.detail_passes);
-            eplace_legalize::global_swap(&mut design, eplace_cfg.detail_passes);
-            detail_place(&mut design, 1);
-            true
-        }
-        Err(_) => false,
-    };
+    let ok = run_cdp(&mut design, eplace_cfg).is_ok();
     let seconds = t.elapsed().as_secs_f64();
     let overflow = measure_overflow(&design);
     let hpwl = design.hpwl();
@@ -109,10 +87,11 @@ pub fn run_baseline(
         placer: placer.name().into(),
         circuit: config.name.clone(),
         hpwl,
-        scaled_hpwl: hpwl * (1.0 + 0.01 * (overflow * 100.0)),
+        scaled_hpwl: scaled_hpwl(hpwl, overflow),
         overflow,
         seconds,
         line_search_seconds: gp.line_search_seconds,
+        backtracks_per_iteration: 0.0,
         ok,
     }
 }
@@ -174,64 +153,45 @@ pub fn format_table(results: &[FlowResult], metric: Metric) -> String {
         }
         out.push('\n');
     }
-    // Summary lines vs ePlace (paper's "Average HPWL" / "Average Runtime").
-    out.push_str(&format!("{:<18}", "avg metric vs eP"));
-    for p in &placers {
-        let mut ratio_sum = 0.0;
-        let mut n = 0;
-        for c in &circuits {
-            if let (Some(r), Some(e)) = (get(c, p), get(c, "ePlace")) {
-                if r.ok && e.ok && metric.of(e) > 0.0 {
-                    ratio_sum += metric.of(r) / metric.of(e);
-                    n += 1;
-                }
-            }
+    // Summary lines vs ePlace (paper's "Average HPWL" / "Average Runtime"):
+    // per placer, the mean ratio to ePlace over the circuits where it is
+    // defined.
+    type Summary = (
+        &'static str,
+        fn(Metric, &FlowResult, &FlowResult) -> Option<f64>,
+        fn(f64) -> String,
+    );
+    let summaries: [Summary; 3] = [
+        (
+            "avg metric vs eP",
+            |m, r, e| (r.ok && e.ok && m.of(e) > 0.0).then_some(m.of(r) / m.of(e)),
+            |mean| format!("{:>13.2}%", (mean - 1.0) * 100.0),
+        ),
+        (
+            "avg runtime vs eP",
+            |_, r, e| (e.seconds > 0.0).then_some(r.seconds / e.seconds),
+            |mean| format!("{mean:>13.2}x"),
+        ),
+        (
+            "avg overflow vs eP",
+            |_, r, e| (r.ok && e.ok && e.overflow > 1e-9).then_some(r.overflow / e.overflow),
+            |mean| format!("{mean:>13.2}x"),
+        ),
+    ];
+    for (label, ratio, fmt) in summaries {
+        out.push_str(&format!("{label:<18}"));
+        for p in &placers {
+            let ratios: Vec<f64> = circuits
+                .iter()
+                .filter_map(|c| ratio(metric, get(c, p)?, get(c, "ePlace")?))
+                .collect();
+            out.push_str(&match ratios.len() {
+                0 => format!("{:>14}", "-"),
+                n => fmt(ratios.iter().sum::<f64>() / n as f64),
+            });
         }
-        if n > 0 {
-            out.push_str(&format!("{:>13.2}%", (ratio_sum / n as f64 - 1.0) * 100.0));
-        } else {
-            out.push_str(&format!("{:>14}", "-"));
-        }
+        out.push('\n');
     }
-    out.push('\n');
-    out.push_str(&format!("{:<18}", "avg runtime vs eP"));
-    for p in &placers {
-        let mut ratio_sum = 0.0;
-        let mut n = 0;
-        for c in &circuits {
-            if let (Some(r), Some(e)) = (get(c, p), get(c, "ePlace")) {
-                if e.seconds > 0.0 {
-                    ratio_sum += r.seconds / e.seconds;
-                    n += 1;
-                }
-            }
-        }
-        if n > 0 {
-            out.push_str(&format!("{:>13.2}x", ratio_sum / n as f64));
-        } else {
-            out.push_str(&format!("{:>14}", "-"));
-        }
-    }
-    out.push('\n');
-    out.push_str(&format!("{:<18}", "avg overflow vs eP"));
-    for p in &placers {
-        let mut ratio_sum = 0.0;
-        let mut n = 0;
-        for c in &circuits {
-            if let (Some(r), Some(e)) = (get(c, p), get(c, "ePlace")) {
-                if r.ok && e.ok && e.overflow > 1e-9 {
-                    ratio_sum += r.overflow / e.overflow;
-                    n += 1;
-                }
-            }
-        }
-        if n > 0 {
-            out.push_str(&format!("{:>13.2}x", ratio_sum / n as f64));
-        } else {
-            out.push_str(&format!("{:>14}", "-"));
-        }
-    }
-    out.push('\n');
     out
 }
 
@@ -254,41 +214,24 @@ impl Metric {
     }
 }
 
-/// Parses `--scale N` / `--circuit NAME` style flags from `std::env::args`,
-/// returning `(scale, circuit_filter, extra)` with `default_scale` when
-/// absent. Unrecognized `--key value` pairs land in `extra`.
-pub fn parse_args(default_scale: usize) -> (usize, Option<String>, Vec<(String, String)>) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = default_scale;
-    let mut circuit = None;
-    let mut extra = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        let value = args.get(i + 1).cloned().unwrap_or_default();
-        match key.as_str() {
-            "--scale" => scale = value.parse().unwrap_or(default_scale),
-            "--circuit" => circuit = Some(value.clone()),
-            k if k.starts_with("--") => extra.push((k.trim_start_matches("--").into(), value)),
-            _ => {
-                i += 1;
-                continue;
-            }
-        }
-        i += 2;
-    }
-    (scale, circuit, extra)
-}
-
-/// Applies the optional `--circuit` filter to a suite.
-pub fn filter_suite(
-    mut configs: Vec<BenchmarkConfig>,
-    filter: &Option<String>,
-) -> Vec<BenchmarkConfig> {
-    if let Some(f) = filter {
+/// Reads a table binary's flags, `--scale N` (default `default_scale`) and
+/// `--circuit NAME`, and returns the scale with `suite(scale)` narrowed to
+/// the circuits whose name contains NAME.
+pub fn table_suite(
+    default_scale: usize,
+    suite: fn(usize) -> Vec<BenchmarkConfig>,
+) -> (usize, Vec<BenchmarkConfig>) {
+    let (scale, circuit) = report::Args::from_env(&["scale", "circuit"], |a| {
+        Ok((
+            a.value("scale", default_scale)?,
+            a.optional::<String>("circuit")?,
+        ))
+    });
+    let mut configs = suite(scale);
+    if let Some(f) = circuit {
         configs.retain(|c| c.name.contains(f.as_str()));
     }
-    configs
+    (scale, configs)
 }
 
 /// Generates a circuit, runs mIP+mGP only (the state Figures 3/5 start
@@ -302,4 +245,47 @@ pub fn design_after_full_flow(
     let mut placer = Placer::new(design, cfg.clone());
     let report = placer.run().expect("placement diverged beyond recovery");
     (placer.into_design(), report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(placer: &str, circuit: &str, hpwl: f64, seconds: f64, overflow: f64) -> FlowResult {
+        FlowResult {
+            placer: placer.into(),
+            circuit: circuit.into(),
+            hpwl,
+            scaled_hpwl: scaled_hpwl(hpwl, overflow),
+            overflow,
+            seconds,
+            line_search_seconds: 0.0,
+            backtracks_per_iteration: 0.0,
+            ok: hpwl > 0.0,
+        }
+    }
+
+    #[test]
+    fn table_averages_ratios_to_eplace_over_defined_rows() {
+        let results = [
+            row("mincut", "c1", 120.0, 1.0, 0.2),
+            row("failing", "c1", 0.0, 4.0, 0.0),
+            row("ePlace", "c1", 100.0, 2.0, 0.1),
+            row("mincut", "c2", 0.0, 3.0, 0.3),
+            row("failing", "c2", 0.0, 4.0, 0.0),
+            row("ePlace", "c2", 200.0, 2.0, 0.1),
+        ];
+        let table = format_table(&results, Metric::Hpwl);
+        let cells = |prefix: &str| -> Vec<String> {
+            let line = table.lines().find(|l| l.starts_with(prefix)).unwrap();
+            line[18..].split_whitespace().map(String::from).collect()
+        };
+        assert_eq!(cells("circuit"), ["mincut", "failing", "ePlace"]);
+        assert_eq!(cells("c1"), ["1.2000e2", "N/A", "1.0000e2"]);
+        assert_eq!(cells("c2"), ["N/A", "N/A", "2.0000e2"]);
+        // Failed runs are left out of the quality averages, not the runtime one.
+        assert_eq!(cells("avg metric"), ["20.00%", "-", "0.00%"]);
+        assert_eq!(cells("avg runtime"), ["1.00x", "2.00x", "1.00x"]);
+        assert_eq!(cells("avg overflow"), ["2.00x", "-", "1.00x"]);
+    }
 }

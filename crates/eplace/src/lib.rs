@@ -10,7 +10,7 @@
 //! mGP  — mixed-size global placement: Nesterov + eDensity        [gp]
 //! mLG  — annealing macro legalization                    [eplace_mlg]
 //! cGP  — std-cell global placement with λ rewind                 [gp]
-//! cDP  — legalization + detail placement            [eplace_legalize]
+//! cDP  — legalization + detail placement              [run_cdp]
 //! ```
 //!
 //! The optimizer is Nesterov's method (Algorithm 1) with the steplength
@@ -54,7 +54,7 @@ pub use fillers::insert_fillers;
 pub use gp::{resume_global_placement, run_global_placement, GpOutcome};
 pub use mip::{initial_placement, quadratic_solve, Anchor, MipReport};
 pub use nesterov::{Gradient, NesterovCheckpoint, NesterovOptimizer, StepInfo};
-pub use placer::{PlacementReport, Placer};
+pub use placer::{measure_overflow, run_cdp, scaled_hpwl, PlacementReport, Placer};
 pub use problem::PlacementProblem;
 pub use recover::{FaultKind, GpCheckpoint, GradientFault};
 pub use routability::{RoutabilityConfig, RoutabilityOutcome};

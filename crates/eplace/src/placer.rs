@@ -4,8 +4,11 @@ use crate::{
     initial_placement, insert_fillers, run_global_placement, EplaceConfig, MipReport, Obs,
     PlacementProblem,
 };
+use eplace_density::{grid_dimension, DensityGrid, DensityObject};
 use eplace_errors::EplaceError;
-use eplace_legalize::{detail_place, global_swap, legalize, legalize_abacus, LegalizeReport};
+use eplace_legalize::{
+    detail_place, global_swap, legalize, legalize_abacus, LegalizeError, LegalizeReport,
+};
 use eplace_mlg::{legalize_macros, MlgReport};
 use eplace_netlist::{CellKind, Design};
 use std::time::Instant;
@@ -16,10 +19,9 @@ use std::time::Instant;
 pub struct PlacementReport {
     /// HPWL after cDP (the tables' metric).
     pub final_hpwl: f64,
-    /// Scaled HPWL `HPWL·(1 + 0.01·τ_avg)` per the ISPD-2006 protocol,
-    /// with `τ_avg` the percentage density overflow at the final layout.
+    /// Scaled HPWL ([`scaled_hpwl`]) at the final layout.
     pub scaled_hpwl: f64,
-    /// Final density overflow τ (fraction).
+    /// Final density overflow τ (fraction), by [`measure_overflow`].
     pub final_overflow: f64,
     /// Absolute suboptimality ratio `final_hpwl / optimal_hpwl`, when the
     /// input carried a known-optimum certificate
@@ -202,20 +204,9 @@ fn run_flow(design: &mut Design, cfg: &EplaceConfig) -> Result<PlacementReport, 
     let mut mlg_report = None;
     let mut cgp_iterations = 0;
     if has_movable_macros {
-        // mLG: fix std cells, anneal macros, fix macros.
+        // mLG: anneal macros over the std-cell coverage, then fix them.
         let mlg = timed_stage(&mut timings, obs, Stage::Mlg, true, || {
-            let mut unfixed_std: Vec<usize> = Vec::new();
-            for (i, c) in design.cells.iter_mut().enumerate() {
-                if c.kind == CellKind::StdCell && !c.fixed {
-                    c.fixed = true;
-                    unfixed_std.push(i);
-                }
-            }
-            let mlg = in_span(obs, "mlg_anneal", || legalize_macros(design, &cfg.mlg));
-            for &i in &unfixed_std {
-                design.cells[i].fixed = false;
-            }
-            mlg
+            in_span(obs, "mlg_anneal", || legalize_macros(design, &cfg.mlg))
         });
         obs.add("mlg_outer_iterations", mlg.outer_iterations as u64);
         obs.add("mlg_moves_attempted", mlg.moves_attempted as u64);
@@ -275,47 +266,20 @@ fn run_flow(design: &mut Design, cfg: &EplaceConfig) -> Result<PlacementReport, 
     }
 
     // --- cDP ---------------------------------------------------------------
-    let (legal, legal_err, detail_gain) = timed_stage(&mut timings, obs, Stage::Cdp, true, || {
-        // Abacus is the quality choice; Tetris is the fallback when its
-        // greedy segment selection runs out of room.
-        let tetris = |design: &mut Design| in_span(obs, "legalize_tetris", || legalize(design));
-        let attempt = if cfg.use_abacus {
-            in_span(obs, "legalize_abacus", || legalize_abacus(design)).or_else(|_| tetris(design))
-        } else {
-            tetris(design)
-        };
-        let legal = match attempt {
-            Ok(r) => r,
-            Err(e) => return (None, Some(e.to_string()), 0.0),
-        };
-        obs.add("legalize_runs", 1);
-        obs.add("legalize_cells_placed", legal.placed as u64);
-        obs.set_gauge("legalize_total_displacement", legal.total_displacement);
-        obs.set_gauge("legalize_max_displacement", legal.max_displacement);
-        // In-row refinement, then the cross-row global-swap pass.
-        let detail = |design: &mut Design, passes| {
-            let gain = in_span(obs, "detail_place", || detail_place(design, passes));
-            obs.set_gauge("detail_place_gain", gain);
-            gain
-        };
-        let gain = detail(design, cfg.detail_passes);
-        let swap_gain = in_span(obs, "global_swap", || {
-            global_swap(design, cfg.detail_passes)
-        });
-        obs.set_gauge("global_swap_gain", swap_gain);
-        let gain = gain + swap_gain + detail(design, 1);
-        (Some(legal), None, gain)
-    });
+    let cdp = timed_stage(&mut timings, obs, Stage::Cdp, true, || run_cdp(design, cfg));
+    let (legal, legal_err, detail_gain) = match cdp {
+        Ok((legal, gain)) => (Some(legal), None, gain),
+        Err(e) => (None, Some(e.to_string()), 0.0),
+    };
 
     // --- Final scoring -------------------------------------------------------
     let final_hpwl = design.hpwl();
-    let final_overflow = final_overflow_of(design, cfg);
-    let scaled_hpwl = final_hpwl * (1.0 + 0.01 * (final_overflow * 100.0));
+    let final_overflow = measure_overflow(design);
     let suboptimality_ratio = cfg.known_optimum_hpwl.map(|opt| final_hpwl / opt);
 
     Ok(PlacementReport {
         final_hpwl,
-        scaled_hpwl,
+        scaled_hpwl: scaled_hpwl(final_hpwl, final_overflow),
         final_overflow,
         suboptimality_ratio,
         mip,
@@ -349,15 +313,59 @@ fn iterations_per_stage(trace: &[IterationRecord]) -> Vec<(Stage, usize)> {
     out
 }
 
-/// Density overflow of the final (filler-free) layout, measured on the same
-/// grid policy as global placement.
-fn final_overflow_of(design: &Design, cfg: &EplaceConfig) -> f64 {
-    use eplace_density::{grid_dimension, DensityGrid, DensityObject};
+/// cDP, the discrete finish of the flow: legalization, then
+/// [`EplaceConfig::detail_passes`] of in-row detail placement, as many
+/// cross-row global-swap passes, and one last detail pass. Returns the
+/// legalization report and the HPWL gained after legalization.
+///
+/// Abacus legalizes when [`EplaceConfig::use_abacus`] is set, with Tetris
+/// as the fallback when its greedy segment selection runs out of room;
+/// Tetris alone otherwise. [`Placer::run`] finishes with this, and so does
+/// every harness that scores another global placer, so all placers share
+/// one finish. Spans, counters and gauges go to [`EplaceConfig::obs`].
+///
+/// # Errors
+///
+/// The last legalizer's [`LegalizeError`] when no legalizer fits every
+/// cell; the design is then only partly legalized.
+pub fn run_cdp(
+    design: &mut Design,
+    cfg: &EplaceConfig,
+) -> Result<(LegalizeReport, f64), LegalizeError> {
+    let obs = &cfg.obs;
+    let tetris = |design: &mut Design| in_span(obs, "legalize_tetris", || legalize(design));
+    let legal = if cfg.use_abacus {
+        in_span(obs, "legalize_abacus", || legalize_abacus(design)).or_else(|_| tetris(design))
+    } else {
+        tetris(design)
+    }?;
+    obs.add("legalize_runs", 1);
+    obs.add("legalize_cells_placed", legal.placed as u64);
+    obs.set_gauge("legalize_total_displacement", legal.total_displacement);
+    obs.set_gauge("legalize_max_displacement", legal.max_displacement);
+    let detail = |design: &mut Design, passes| {
+        let gain = in_span(obs, "detail_place", || detail_place(design, passes));
+        obs.set_gauge("detail_place_gain", gain);
+        gain
+    };
+    let gain = detail(design, cfg.detail_passes);
+    let swap_gain = in_span(obs, "global_swap", || {
+        global_swap(design, cfg.detail_passes)
+    });
+    obs.set_gauge("global_swap_gain", swap_gain);
+    Ok((legal, gain + swap_gain + detail(design, 1)))
+}
+
+/// The overflow oracle: density overflow τ of the current (filler-free)
+/// layout on a grid of `√movables` bins a side, clamped to `[16, 512]`.
+/// Every placer is scored with it, ePlace included, so the reported τ and
+/// scaled HPWL do not depend on any placer's own grid settings.
+pub fn measure_overflow(design: &Design) -> f64 {
     let movables: Vec<usize> = design.movable_indices().collect();
     if movables.is_empty() {
         return 0.0;
     }
-    let dim = grid_dimension(movables.len(), cfg.grid_min, cfg.grid_max);
+    let dim = grid_dimension(movables.len(), 16, 512);
     let mut grid = DensityGrid::new(design.region, dim, dim, design.target_density);
     for c in design.cells.iter().filter(|c| c.fixed) {
         grid.add_fixed(c.rect());
@@ -369,6 +377,12 @@ fn final_overflow_of(design: &Design, cfg: &EplaceConfig) -> f64 {
     let pos: Vec<_> = movables.iter().map(|&i| design.cells[i].pos).collect();
     grid.deposit(&objects, &pos);
     grid.overflow()
+}
+
+/// Scaled HPWL per the ISPD-2006 protocol, `HPWL·(1 + 0.01·τ_avg)`, with
+/// `τ_avg` the percentage density overflow (`overflow` is a fraction).
+pub fn scaled_hpwl(hpwl: f64, overflow: f64) -> f64 {
+    hpwl * (1.0 + 0.01 * (overflow * 100.0))
 }
 
 #[cfg(test)]
@@ -484,6 +498,21 @@ mod tests {
             .generate();
         let report = Placer::new(design, EplaceConfig::fast()).run().unwrap();
         assert!(report.suboptimality_ratio.is_none());
+    }
+
+    #[test]
+    fn overflow_oracle_spread_vs_piled() {
+        let mut d = BenchmarkConfig::ispd05_like("o", 81).scale(200).generate();
+        // Generator scatters uniformly: moderate overflow.
+        let scattered = measure_overflow(&d);
+        // Pile everything up.
+        let center = d.region.center();
+        for c in d.cells.iter_mut().filter(|c| c.is_movable()) {
+            c.pos = center;
+        }
+        let piled = measure_overflow(&d);
+        assert!(piled > scattered);
+        assert!(piled > 0.5);
     }
 
     #[test]

@@ -119,9 +119,10 @@ impl CoverageGrid {
 }
 
 /// Legalizes all movable macros in `design` by direct-motion simulated
-/// annealing, then fixes them in place. Standard cells are treated as a
-/// static coverage map (the flow fixes them before calling mLG) and fixed
-/// blocks as hard overlap obstacles.
+/// annealing, then fixes them in place. Standard cells enter only through
+/// the static coverage map `D`: their positions and `fixed` flags are never
+/// touched, whether or not they are fixed. Fixed non-std blocks are hard
+/// overlap obstacles.
 pub fn legalize_macros(design: &mut Design, cfg: &MlgConfig) -> MlgReport {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let cover = CoverageGrid::build(design);
@@ -411,6 +412,39 @@ mod tests {
             report.wirelength_after < 2.0 * report.wirelength_before.max(1.0),
             "{report:?}"
         );
+    }
+
+    #[test]
+    fn std_cells_are_never_touched() {
+        let mut d = eplace_benchgen::BenchmarkConfig::mms_like("s", 18, 1.0, 6)
+            .scale(400)
+            .generate();
+        let std_cells = |d: &Design| -> Vec<(u64, u64, bool)> {
+            d.cells
+                .iter()
+                .filter(|c| c.kind == CellKind::StdCell)
+                .map(|c| (c.pos.x.to_bits(), c.pos.y.to_bits(), c.fixed))
+                .collect()
+        };
+        let before = std_cells(&d);
+        assert!(before.iter().any(|&(_, _, fixed)| !fixed));
+        // Freezing the std cells first changes nothing either.
+        let mut frozen = d.clone();
+        for c in frozen.cells.iter_mut() {
+            c.fixed |= c.kind == CellKind::StdCell;
+        }
+        let report = legalize_macros(&mut d, &MlgConfig::default());
+        assert!(report.moves_accepted > 0, "{report:?}");
+        assert_eq!(std_cells(&d), before);
+        assert_eq!(legalize_macros(&mut frozen, &MlgConfig::default()), report);
+        for (a, b) in d.cells.iter().zip(&frozen.cells) {
+            if a.kind != CellKind::StdCell {
+                assert_eq!(
+                    (a.pos.x.to_bits(), a.pos.y.to_bits()),
+                    (b.pos.x.to_bits(), b.pos.y.to_bits())
+                );
+            }
+        }
     }
 
     #[test]

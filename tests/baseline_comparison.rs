@@ -1,11 +1,11 @@
 //! The headline result as a CI check: on one small circuit under the shared
-//! protocol, ePlace's wirelength beats every non-eDensity baseline family
-//! (the Tables I–III shape, with generous margins for the reduced scale).
+//! protocol (every baseline finished by `run_cdp`, the ePlace flow's own
+//! cDP), ePlace's wirelength beats every non-eDensity baseline family (the
+//! Tables I–III shape, with generous margins for the reduced scale).
 
 use eplace_repro::baselines::{BellshapePlacer, GlobalPlacer, MincutPlacer, QuadraticPlacer};
 use eplace_repro::benchgen::BenchmarkConfig;
-use eplace_repro::core::{EplaceConfig, Placer};
-use eplace_repro::legalize::{detail_place, global_swap, legalize_abacus};
+use eplace_repro::core::{run_cdp, EplaceConfig, Placer};
 
 #[test]
 fn eplace_beats_every_non_edensity_family() {
@@ -18,13 +18,6 @@ fn eplace_beats_every_non_edensity_family() {
         report.final_hpwl
     };
 
-    let finish = |design: &mut eplace_repro::netlist::Design| {
-        legalize_abacus(design).expect("legalizable");
-        detail_place(design, 1);
-        global_swap(design, 1);
-        design.hpwl()
-    };
-
     let baselines: Vec<(&str, Box<dyn GlobalPlacer>)> = vec![
         ("mincut", Box::new(MincutPlacer::default())),
         ("quadratic", Box::new(QuadraticPlacer::default())),
@@ -33,7 +26,8 @@ fn eplace_beats_every_non_edensity_family() {
     for (name, placer) in baselines {
         let mut design = config.generate();
         placer.global_place(&mut design);
-        let hpwl = finish(&mut design);
+        run_cdp(&mut design, &EplaceConfig::fast()).expect("legalizable");
+        let hpwl = design.hpwl();
         assert!(
             eplace_hpwl < hpwl * 1.02,
             "{name} unexpectedly beat ePlace: {hpwl:.4e} vs {eplace_hpwl:.4e}"

@@ -5,16 +5,14 @@
 //! designs carry a `KnownOptimum` certificate, so here the flow is held to
 //! an *absolute* standard: the final legal HPWL divided by the certified
 //! optimum must stay under a pinned ceiling, and must beat both baseline
-//! global placers run through the identical legalization/detail finisher.
+//! global placers finished by the flow's own cDP (`run_cdp`).
 //!
 //! `bench_peko` measures the same ratios at larger scale; this suite pins
 //! the directions and bounds at test scale.
 
 use eplace_repro::baselines::{CgPlacer, GlobalPlacer, MincutPlacer};
 use eplace_repro::benchgen::BenchmarkConfig;
-use eplace_repro::core::{EplaceConfig, Placer};
-use eplace_repro::legalize::{detail_place, global_swap, legalize, legalize_abacus};
-use eplace_repro::netlist::Design;
+use eplace_repro::core::{run_cdp, EplaceConfig, Placer};
 
 const CELLS: usize = 240;
 const SEEDS: [u64; 3] = [9_000, 9_001, 9_002];
@@ -25,24 +23,13 @@ const SEEDS: [u64; 3] = [9_000, 9_001, 9_002];
 /// regime (ratios ≥ 2.5).
 const EPLACE_CEILING: f64 = 1.9;
 
-/// The downstream finisher every placer shares: the same legalization +
-/// detail stack the ePlace flow's cDP applies (Tetris fallback on Abacus
-/// failure), so ratios compare global-placement quality on equal footing.
-fn finish_legal(design: &mut Design) -> f64 {
-    if legalize_abacus(design).is_err() {
-        legalize(design).expect("even Tetris failed to legalize a half-utilization PEKO design");
-    }
-    detail_place(design, 1);
-    global_swap(design, 1);
-    detail_place(design, 1);
-    design.hpwl()
-}
-
 fn baseline_ratio(placer: &dyn GlobalPlacer, config: &BenchmarkConfig) -> f64 {
     let (mut design, optimum) = config.generate_known_optimum();
     placer.global_place(&mut design);
     design.remove_fillers();
-    optimum.ratio(finish_legal(&mut design))
+    run_cdp(&mut design, &EplaceConfig::fast())
+        .expect("even Tetris failed to legalize a half-utilization PEKO design");
+    optimum.ratio(design.hpwl())
 }
 
 #[test]
