@@ -5,7 +5,8 @@
 //! at three sizes, records the median per-iteration wall time plus the
 //! per-phase span breakdown from `eplace-obs`, and writes `BENCH_gp.json`
 //! at the repository root. A separate `transform` record times one Poisson
-//! transform round at grid 256 under both spectral engines and reports the
+//! transform round (the analysis DCT-II and the two field syntheses a
+//! solve runs) at grid 256 under both spectral engines and reports the
 //! v2/v1 median speedup. The file is re-parsed and checked
 //! (`eplace_bench::report::GP`) before the program exits 0, so a zero exit
 //! status certifies a well-formed, finite result — and fails (exit 1) when
@@ -105,7 +106,7 @@ fn bench_suite(cells: usize, samples: usize, exec: ExecConfig) -> String {
 }
 
 /// Benchmarks one Poisson-solve transform round (analysis DCT-II plus the
-/// three syntheses) at `dim × dim` under both spectral engines and returns
+/// ξx and ξy syntheses) at `dim × dim` under both spectral engines and returns
 /// the comparison as a JSON object. The `speedup` field is the engine-v2
 /// gate: the file's check fails the run when it drops below 1.0.
 ///
@@ -127,13 +128,11 @@ fn bench_transform(dim: usize, samples: usize, exec: ExecConfig) -> String {
     let round = |t: &mut Transform2d, data: &[f64]| {
         let mut a = data.to_vec();
         t.dct2(&mut a);
-        let mut psi = a.clone();
-        t.dct3(&mut psi);
         let mut fx = a.clone();
         t.dst3_x(&mut fx);
         let mut fy = a;
         t.dst3_y(&mut fy);
-        (psi, fx, fy)
+        (fx, fy)
     };
     // Warm up both engines (plan caches, scratch pools, branch predictors)
     // before any timed sample.

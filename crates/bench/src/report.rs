@@ -218,7 +218,11 @@ fn check_gp_suite(suite: &JsonValue) -> Result<(), String> {
         positive(suite, key)?;
     }
     let spans = field(suite, "spans")?;
-    for path in ["nesterov_step", "nesterov_step/density_solve"] {
+    for path in [
+        "nesterov_step",
+        "nesterov_step/density_solve",
+        "nesterov_step/density_sample",
+    ] {
         positive(field(spans, path)?, "total_ns").map_err(|e| format!("span {path}: {e}"))?;
     }
     Ok(())

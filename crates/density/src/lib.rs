@@ -10,15 +10,21 @@
 //! `O(n log n)` on an `nx × ny` bin grid:
 //!
 //! 1. deposit charge (cell area, with ePlace's small-cell inflation) into
-//!    bins — [`DensityGrid::deposit`];
+//!    bins — [`DensityGrid::deposit`], which keeps each object's stencil
+//!    (its bin ranges, overlap widths and density scale);
 //! 2. 2-D DCT of the density → cosine coefficients `a_{uv}`;
 //! 3. scale by the inverse Laplacian eigenvalues `w_u² + w_v²` (the `(0,0)`
 //!    term is dropped — that is the zero-frequency removal);
-//! 4. inverse cosine transform → potential ψ; mixed sine/cosine inverse
-//!    transforms → field ∂ψ/∂x, ∂ψ/∂y — [`DensityGrid::solve`];
-//! 5. per-object energy `q_i·ψ_i` and gradient `2·q_i·∂ψ/∂x` (paper Eq. 7–8)
-//!    by sampling the maps over each object's footprint —
-//!    [`DensityGrid::gradient`] / [`DensityGrid::energy`].
+//! 4. mixed sine/cosine inverse transforms → field ξ = (∂ψ/∂x, ∂ψ/∂y) —
+//!    [`DensityGrid::solve`]. The potential ψ itself (an inverse cosine
+//!    transform) is synthesized only on demand, by
+//!    [`DensityGrid::potential_map`], [`DensityGrid::energy`] or
+//!    [`DensityGrid::total_energy`]: Nesterov's method needs ∇N, never N;
+//! 5. per-object gradient `2·q_i·ξ` (paper Eq. 8) by sampling the field
+//!    over each object's footprint through its deposited stencil —
+//!    [`DensityGrid::deposited_gradient`]; [`DensityGrid::gradient`] and
+//!    [`DensityGrid::energy`] (`q_i·ψ_i`, Eq. 7) sample any object at any
+//!    position through a stencil built on the spot.
 //!
 //! The module also provides the **bell-shape** density model
 //! ([`BellShapeDensity`]) used by the APlace-family baseline placer, so the

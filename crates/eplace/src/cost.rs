@@ -28,8 +28,6 @@ pub struct EplaceCost<'a> {
     pub gamma: f64,
     /// Density overflow τ at the last gradient evaluation.
     pub last_overflow: f64,
-    /// Total potential energy N(v) at the last evaluation.
-    pub last_energy: f64,
     /// Smooth wirelength W̃(v) at the last evaluation.
     pub last_smooth_wl: f64,
     precondition: bool,
@@ -73,7 +71,6 @@ impl<'a> EplaceCost<'a> {
             lambda: 0.0,
             gamma: schedule.gamma(1.0),
             last_overflow: 1.0,
-            last_energy: 0.0,
             last_smooth_wl: 0.0,
             precondition,
             full_pos,
@@ -128,7 +125,8 @@ impl<'a> EplaceCost<'a> {
     /// WA model gets `wa_gradient`/`wa_eval` spans, the density grid gets
     /// `density_deposit`/`density_solve` spans plus the
     /// `spectral_solve_ns` histogram, and each combined gradient evaluation
-    /// bumps `grad_evals_total`.
+    /// bumps `grad_evals_total` and records its field sampling and
+    /// preconditioning as a `density_sample` span.
     pub fn set_obs(&mut self, obs: Obs) {
         self.wa.set_obs(obs.clone());
         self.grid.set_obs(obs.clone());
@@ -165,7 +163,7 @@ impl<'a> EplaceCost<'a> {
         for (k, &ci) in self.problem.movable.iter().enumerate() {
             let wg = self.full_grad[ci];
             wl_l1 += wg.x.abs() + wg.y.abs();
-            let dg = self.grid.gradient(&self.problem.objects[k], pos[k]);
+            let dg = self.grid.deposited_gradient(k);
             den_l1 += dg.x.abs() + dg.y.abs();
         }
         self.lambda = if den_l1 > 1e-30 && wl_l1 > 1e-30 {
@@ -217,13 +215,13 @@ impl<'a> EplaceCost<'a> {
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
-        self.last_energy = self.grid.total_energy();
+        let energy = self.grid.total_energy();
         self.density_time += t0.elapsed();
         let t1 = Instant::now();
         self.sync_full(pos);
         self.last_smooth_wl = self.wa.evaluate(self.design, &self.full_pos, self.gamma);
         self.wirelength_time += t1.elapsed();
-        self.last_smooth_wl + self.lambda * self.last_energy
+        self.last_smooth_wl + self.lambda * energy
     }
 
     /// Exact HPWL at a movable-solution `pos` (fixed cells at their design
@@ -251,11 +249,12 @@ impl Gradient for EplaceCost<'_> {
         self.evaluations += 1;
         self.obs.add("grad_evals_total", 1);
         // Density: deposit + spectral solve (57 % of mGP in the paper).
+        // Only the field enters ∇N (Eq. 8): the energy N(v) is never
+        // evaluated, so the potential ψ is never synthesized here.
         let t0 = Instant::now();
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
-        self.last_energy = self.grid.total_energy();
         self.density_time += t0.elapsed();
 
         // Wirelength (29 %).
@@ -266,22 +265,28 @@ impl Gradient for EplaceCost<'_> {
                 .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
         self.wirelength_time += t1.elapsed();
 
-        // Combine + precondition.
+        // Combine + precondition, sampling each object's field through
+        // the stencil its deposit built.
         let t2 = Instant::now();
-        for (k, &ci) in self.problem.movable.iter().enumerate() {
-            let wl = self.full_grad[ci];
-            let dg = self.grid.gradient(&self.problem.objects[k], pos[k]);
-            let mut g = wl + dg * self.lambda;
-            if self.precondition {
-                let h = (self.problem.degrees[k] + self.lambda * self.problem.charges[k]).max(1.0);
-                g = g * (1.0 / h);
+        {
+            let _span = self.obs.span("density_sample");
+            for (k, &ci) in self.problem.movable.iter().enumerate() {
+                let wl = self.full_grad[ci];
+                let dg = self.grid.deposited_gradient(k);
+                let mut g = wl + dg * self.lambda;
+                if self.precondition {
+                    let h =
+                        (self.problem.degrees[k] + self.lambda * self.problem.charges[k]).max(1.0);
+                    g = g * (1.0 / h);
+                }
+                if !g.is_finite() {
+                    // Do NOT sanitize: a non-finite force is a divergence
+                    // signal the recovery sentinel must see, not noise to
+                    // paper over.
+                    self.grad_nonfinite = true;
+                }
+                grad[k] = g;
             }
-            if !g.is_finite() {
-                // Do NOT sanitize: a non-finite force is a divergence signal
-                // the recovery sentinel must see, not noise to paper over.
-                self.grad_nonfinite = true;
-            }
-            grad[k] = g;
         }
         // Deterministic fault injection: poison one component once the
         // evaluation counter reaches the trigger (testing only).

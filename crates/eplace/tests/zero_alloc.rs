@@ -56,6 +56,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocation events during `steps` optimizer steps, counted after the
+/// caller's warm-up.
+fn count_allocs(steps: usize, mut step: impl FnMut()) -> usize {
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for _ in 0..steps {
+        step();
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    ALLOCS.load(Ordering::SeqCst)
+}
+
 #[test]
 fn steady_state_gp_iteration_allocates_nothing() {
     // A realistic mixed problem: movables, fillers, a density grid large
@@ -76,15 +88,9 @@ fn steady_state_gp_iteration_allocates_nothing() {
     for _ in 0..3 {
         optimizer.step(&mut cost);
     }
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    for _ in 0..5 {
+    let allocs = count_allocs(5, || {
         optimizer.step(&mut cost);
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-
+    });
     assert_eq!(
         allocs, 0,
         "steady-state optimizer steps performed {allocs} heap allocations; \
@@ -102,19 +108,49 @@ fn steady_state_gp_iteration_allocates_nothing() {
     for _ in 0..2 {
         optimizer.step(&mut cost);
     }
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    for _ in 0..3 {
+    let allocs = count_allocs(3, || {
         optimizer.step(&mut cost);
-    }
-    ARMED.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-
+    });
     assert_eq!(
         allocs, 0,
         "steady-state engine-v2 optimizer steps performed {allocs} heap \
          allocations; the mixed-radix spectral path must reuse the pooled \
          scratch buffers"
+    );
+    assert!(optimizer.solution().iter().all(|p| p.is_finite()));
+
+    // Movable macros span many bins and, as they move, touch a varying
+    // number of them. The deposit's stencil slots are sized from object and
+    // bin sizes alone at the first deposit, so no later position can
+    // outgrow them.
+    let mut design = BenchmarkConfig::mms_like("alloc-audit-mms", 42, 0.8, 6)
+        .scale(400)
+        .generate();
+    initial_placement(&mut design);
+    insert_fillers(&mut design, 42);
+    let problem = PlacementProblem::all_movables(&design);
+    let mut cost = EplaceCost::new(&design, &problem, 64, 64, true);
+    let bin = cost.bin_width();
+    assert!(
+        design
+            .cells
+            .iter()
+            .any(|c| !c.fixed && c.size.width > 2.0 * bin),
+        "the audit needs movable macros wider than two bins"
+    );
+    let pos = problem.positions(&design);
+    cost.init_lambda(&pos);
+    let mut optimizer = NesterovOptimizer::new(pos, &mut cost, 0.95, 10, true, 0.1 * bin);
+    for _ in 0..3 {
+        optimizer.step(&mut cost);
+    }
+    let allocs = count_allocs(8, || {
+        optimizer.step(&mut cost);
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state optimizer steps with movable macros performed \
+         {allocs} heap allocations; the stencil slots must not grow"
     );
     assert!(optimizer.solution().iter().all(|p| p.is_finite()));
 }

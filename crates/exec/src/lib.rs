@@ -106,8 +106,10 @@ pub fn deterministic_chunks(len: usize, min_chunk: usize, max_chunks: usize) -> 
     len.div_ceil(min_chunk.max(1)).clamp(1, max_chunks.max(1))
 }
 
-/// Splits `0..len` into `num_chunks` near-equal contiguous ranges.
-fn chunk_range(len: usize, num_chunks: usize, i: usize) -> Range<usize> {
+/// Chunk `i` of `0..len` split into `num_chunks` near-equal contiguous
+/// ranges — the range [`map_chunks`] and [`for_each_chunk_pooled`] hand to
+/// chunk `i`, so callers can split per-chunk output buffers to match.
+pub fn chunk_range(len: usize, num_chunks: usize, i: usize) -> Range<usize> {
     let base = len / num_chunks;
     let rem = len % num_chunks;
     let start = i * base + i.min(rem);
