@@ -1,6 +1,6 @@
 //! Minimal timing harness for the `benches/` programs (criterion is
 //! unavailable offline). The `[[bench]]` targets are `harness = false`, so
-//! each is a plain `main()` that calls [`bench`] and prints one table row
+//! each is a plain `main()` that calls [`bench()`] and prints one table row
 //! per measurement; `cargo bench` runs them all.
 
 use std::time::{Duration, Instant};

@@ -1,10 +1,9 @@
 use crate::SMOOTH_FACTOR;
-use eplace_exec::{chunk_range, deterministic_chunks, for_each_chunk_pooled, ExecConfig};
+use eplace_exec::{chunk_range, deterministic_chunks, for_each_chunk, ExecConfig};
 use eplace_geometry::{overlap_1d, Point, Rect, Size};
 use eplace_obs::{Obs, DURATION_NS_EDGES};
 use eplace_spectral::{SpectralEngine, Transform2d};
 use std::f64::consts::PI;
-use std::sync::{Mutex, PoisonError};
 
 /// Below this object count the deposit always runs serially: the per-chunk
 /// grid accumulators would cost more than the sweep itself.
@@ -274,28 +273,25 @@ impl Stencils {
         }
     }
 
-    /// The runs of the `chunks` deterministic deposit chunks, each behind
-    /// the lock its chunk alone takes.
-    fn chunk_runs(&mut self, chunks: usize) -> Vec<Mutex<StencilRun<'_>>> {
+    /// The runs of the `chunks` deterministic deposit chunks.
+    fn chunk_runs(&mut self, chunks: usize) -> impl Iterator<Item = StencilRun<'_>> {
         let len = self.stencils.len();
         let mut stencils = &mut self.stencils[..];
         let mut widths = &mut self.widths[..];
         let mut base = 0;
-        (0..chunks)
-            .map(|i| {
-                let (head, tail) =
-                    std::mem::take(&mut stencils).split_at_mut(chunk_range(len, chunks, i).len());
-                let end = tail.first().map_or(base + widths.len(), |s| s.off);
-                let (slots, rest) = std::mem::take(&mut widths).split_at_mut(end - base);
-                let run = StencilRun {
-                    stencils: head,
-                    widths: slots,
-                    base,
-                };
-                (stencils, widths, base) = (tail, rest, end);
-                Mutex::new(run)
-            })
-            .collect()
+        (0..chunks).map(move |i| {
+            let (head, tail) =
+                std::mem::take(&mut stencils).split_at_mut(chunk_range(len, chunks, i).len());
+            let end = tail.first().map_or(base + widths.len(), |s| s.off);
+            let (slots, rest) = std::mem::take(&mut widths).split_at_mut(end - base);
+            let run = StencilRun {
+                stencils: head,
+                widths: slots,
+                base,
+            };
+            (stencils, widths, base) = (tail, rest, end);
+            run
+        })
     }
 
     #[inline]
@@ -421,11 +417,9 @@ pub struct DensityGrid {
     field_x: Vec<f64>,
     /// ∂ψ/∂y per bin, in physical space.
     field_y: Vec<f64>,
-    /// Analysis transform, the ξy synthesis, and the on-demand ψ synthesis.
+    /// Analysis transform, the ξx/ξy syntheses, and the on-demand ψ
+    /// synthesis.
     transform: Transform2d,
-    /// Dedicated plan for the ξx synthesis on the parallel path (each
-    /// thread needs its own scratch space).
-    transform_fx: Transform2d,
     /// DCT coefficients of ρ from the last solve (ψ's synthesis input).
     coeff: Vec<f64>,
     /// Laplacian eigenfrequencies in bin-index space, `w_u = πu/nx`, and
@@ -489,7 +483,6 @@ impl DensityGrid {
             field_x: vec![0.0; cells],
             field_y: vec![0.0; cells],
             transform: Transform2d::new(nx, ny).unwrap_or_else(|e| panic!("{e}")),
-            transform_fx: Transform2d::new(nx, ny).unwrap_or_else(|e| panic!("{e}")),
             coeff: vec![0.0; cells],
             wx_tab,
             wy_tab,
@@ -511,7 +504,6 @@ impl DensityGrid {
     pub fn set_exec(&mut self, exec: ExecConfig) {
         self.exec = exec;
         self.transform.set_exec(exec);
-        self.transform_fx.set_exec(exec);
     }
 
     /// Builder-style [`DensityGrid::set_exec`].
@@ -527,7 +519,6 @@ impl DensityGrid {
     /// order, still bitwise invariant across thread counts.
     pub fn set_engine(&mut self, engine: SpectralEngine) {
         self.transform.set_engine(engine);
-        self.transform_fx.set_engine(engine);
     }
 
     /// Builder-style [`DensityGrid::set_engine`].
@@ -540,9 +531,8 @@ impl DensityGrid {
     /// span, solves a `density_solve` span plus the `spectral_solve_ns`
     /// histogram and the `density_solves` counter. The recorder never feeds
     /// back into the numerics, so results are bit-identical either way.
-    /// Does not propagate to the owned [`Transform2d`]s — transform-level
-    /// spans would land on solver worker threads as detached roots; the
-    /// solve-level span already covers them.
+    /// Does not propagate to the owned [`Transform2d`]: the solve-level
+    /// span already covers its transforms.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -673,33 +663,32 @@ impl DensityGrid {
     fn deposit_parallel(&mut self, objects: &[DensityObject], pos: &[Point]) {
         let bins = self.bins;
         let chunks = deterministic_chunks(objects.len(), DEPOSIT_MIN_CHUNK, DEPOSIT_MAX_CHUNKS);
-        let mut pool = std::mem::take(&mut self.deposit_pool);
-        let runs = self.stencils.chunk_runs(chunks);
-        for_each_chunk_pooled(
-            &self.exec,
-            objects.len(),
-            chunks,
-            &mut pool,
-            || DepositScratch::new(&bins),
-            |i, range, scratch| {
-                scratch.reset();
-                // Each lock is taken once, by its own chunk: never poisoned.
-                let mut run = runs[i].lock().unwrap_or_else(PoisonError::into_inner);
-                scratch.area = deposit_run(
-                    &bins,
-                    &objects[range.clone()],
-                    &pos[range],
-                    &mut run,
-                    &mut scratch.charge,
-                    &mut scratch.usage,
-                    &mut scratch.slot,
-                );
-            },
-        );
+        if self.deposit_pool.len() < chunks {
+            self.deposit_pool
+                .resize_with(chunks, || DepositScratch::new(&bins));
+        }
+        let mut states: Vec<_> = self
+            .stencils
+            .chunk_runs(chunks)
+            .zip(&mut self.deposit_pool)
+            .collect();
+        for_each_chunk(&self.exec, &mut states, |i, (run, scratch)| {
+            let range = chunk_range(objects.len(), chunks, i);
+            scratch.reset();
+            scratch.area = deposit_run(
+                &bins,
+                &objects[range.clone()],
+                &pos[range],
+                run,
+                &mut scratch.charge,
+                &mut scratch.usage,
+                &mut scratch.slot,
+            );
+        });
         self.charge.copy_from_slice(&self.fixed_charge);
         self.usage.iter_mut().for_each(|v| *v = 0.0);
         self.movable_area = 0.0;
-        for scratch in pool.iter().take(chunks) {
+        for scratch in &self.deposit_pool[..chunks] {
             for (dst, src) in self.charge.iter_mut().zip(&scratch.charge) {
                 *dst += *src;
             }
@@ -708,7 +697,6 @@ impl DensityGrid {
             }
             self.movable_area += scratch.area;
         }
-        self.deposit_pool = pool;
     }
 
     /// The inflated footprint and density scale used when depositing `obj`
@@ -759,26 +747,8 @@ impl DensityGrid {
         let inv_norm = self.inv_norm();
         let scale_x = -inv_norm / self.bins.bin_w;
         let scale_y = -inv_norm / self.bins.bin_h;
-
-        // The two syntheses are independent — the paper's §VIII names
-        // "acceleration via parallel computation" as future work, and this
-        // is its lowest-hanging fruit: on large grids run them on separate
-        // threads (each with its own transform plan). Each synthesis writes
-        // only its own buffer, so the spawn changes scheduling, never
-        // arithmetic: results are bit-identical to the serial ordering.
-        const PARALLEL_BINS: usize = 128 * 128;
-        if !self.exec.is_serial() && nx * ny >= PARALLEL_BINS {
-            let fx_t = &mut self.transform_fx;
-            let (fx, fy) = (&mut self.field_x, &mut self.field_y);
-            let fy_t = &mut self.transform;
-            std::thread::scope(|scope| {
-                scope.spawn(|| fx_t.dst3_x_scaled(fx, scale_x));
-                fy_t.dst3_y_scaled(fy, scale_y);
-            });
-        } else {
-            self.transform.dst3_x_scaled(&mut self.field_x, scale_x);
-            self.transform.dst3_y_scaled(&mut self.field_y, scale_y);
-        }
+        self.transform.dst3_x_scaled(&mut self.field_x, scale_x);
+        self.transform.dst3_y_scaled(&mut self.field_y, scale_y);
         self.solved = true;
         self.psi_pending = true;
         if let Some(t0) = t0 {

@@ -5,7 +5,7 @@ use crate::{EplaceConfig, NesterovOptimizer, PlacementProblem};
 use eplace_density::{grid_dimension, CongestionMap};
 use eplace_errors::{DivergenceReport, EplaceError, Severity, ValidationIssue};
 use eplace_netlist::Design;
-use eplace_obs::{Record, BACKTRACK_EDGES};
+use eplace_obs::{Obs, Record, BACKTRACK_EDGES};
 
 /// Grid dimension of the per-iteration RUDY congestion gauges (observability
 /// only — never fed back into the optimizer).
@@ -20,6 +20,21 @@ fn iter_counter(stage: Stage) -> &'static str {
         Stage::FillerOnly => "iters_fillergp",
         Stage::RouteRefine => "iters_routegp",
         Stage::Mip | Stage::Mlg | Stage::Cdp => "iters_other",
+    }
+}
+
+/// Journals why a GP stage stopped: `{"type":"stop","stage","iter","reason"}`
+/// with `reason` one of `target`, `stagnation`, `iteration_cap`,
+/// `cancelled` and `diverged`, and `iter` the index of the stage's last
+/// iteration.
+fn journal_stop(obs: &Obs, stage: Stage, iter: usize, reason: &str) {
+    if obs.journal_active() {
+        obs.journal(
+            Record::new("stop")
+                .str_field("stage", stage.key())
+                .u64_field("iter", iter as u64)
+                .str_field("reason", reason),
+        );
     }
 }
 
@@ -60,7 +75,7 @@ pub struct GpOutcome {
 ///
 /// The loop is guarded: every iteration a read-only sentinel checks for
 /// non-finite gradients/metrics, steplength collapse, and HPWL explosion
-/// (see [`crate::recover`]). On a trip the loop rewinds to the last
+/// (see the `recover` module). On a trip the loop rewinds to the last
 /// checkpoint, clamps the steplength by
 /// [`EplaceConfig::recovery_alpha_scale`], re-anchors λ/γ, and retries.
 ///
@@ -255,6 +270,7 @@ fn run_guarded(
     let mut converged = false;
     let mut recoveries = 0usize;
     let mut spent = 0usize;
+    let mut stop = "iteration_cap";
     while spent < max_iters {
         // Cooperative cancellation, polled at the iteration boundary only:
         // a single relaxed load on the healthy path, so cancel-free runs
@@ -262,6 +278,9 @@ fn run_guarded(
         // best placement seen is committed before returning, like the
         // diverged exit.
         if cfg.cancel.is_cancelled() {
+            if spent > 0 {
+                journal_stop(&obs, stage, iter.saturating_sub(1), "cancelled");
+            }
             drop(cost);
             problem.apply(design, &best_pos);
             return Err(EplaceError::Cancelled {
@@ -300,6 +319,7 @@ fn run_guarded(
             if recoveries > cfg.recovery_retries {
                 // Retry budget exhausted: commit the best placement seen and
                 // surface a structured report instead of poisoned positions.
+                journal_stop(&obs, stage, iter, "diverged");
                 let best_hpwl = cost.hpwl(&best_pos);
                 drop(cost);
                 problem.apply(design, &best_pos);
@@ -400,20 +420,14 @@ fn run_guarded(
         if overflow <= cfg.target_overflow && iter + 1 >= cfg.min_iterations {
             converged = true;
             best_pos.copy_from_slice(optimizer.solution());
+            stop = "target";
             iter += 1;
             break;
         }
         if iter > best_iter + stall_window {
             // Stagnated above the target — keep the best snapshot.
             obs.add("stagnation_stops", 1);
-            if obs.journal_active() {
-                obs.journal(
-                    Record::new("stop")
-                        .str_field("stage", stage.key())
-                        .u64_field("iter", iter as u64)
-                        .str_field("reason", "stagnation"),
-                );
-            }
+            stop = "stagnation";
             iter += 1;
             break;
         }
@@ -434,6 +448,9 @@ fn run_guarded(
         }
     }
 
+    if spent > 0 {
+        journal_stop(&obs, stage, iter.saturating_sub(1), stop);
+    }
     let final_ck = snapshot(
         iter,
         &cost,
@@ -735,6 +752,81 @@ mod tests {
         assert!((d_pct + w_pct + o_pct - 100.0).abs() < 1e-6);
     }
 
+    /// Keeps journal lines and cancels `token` once `after` iteration
+    /// records are written, so a run is cancelled at a known iteration.
+    struct CancellingSink {
+        lines: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
+        token: crate::CancelToken,
+        after: usize,
+    }
+
+    impl eplace_obs::JournalSink for CancellingSink {
+        fn write_line(&mut self, line: &str) {
+            let mut lines = self.lines.lock().unwrap();
+            lines.push(line.to_string());
+            let iters = lines.iter().filter(|l| l.contains(r#""type":"iter""#));
+            if iters.count() == self.after {
+                self.token.cancel();
+            }
+        }
+    }
+
+    /// Runs a 200-cell mGP capped at `cap` iterations, cancelled after
+    /// `cancel_after` of them; returns whether it ended `Ok` and its stop
+    /// records.
+    fn stop_records(cap: usize, cancel_after: usize) -> (bool, Vec<String>) {
+        let lines = std::sync::Arc::default();
+        let token = crate::CancelToken::new();
+        let sink = CancellingSink {
+            lines: std::sync::Arc::clone(&lines),
+            token: token.clone(),
+            after: cancel_after,
+        };
+        let mut d = BenchmarkConfig::ispd05_like("stop", 5)
+            .scale(200)
+            .generate();
+        initial_placement(&mut d);
+        let problem = PlacementProblem::all_movables(&d);
+        let cfg = EplaceConfig {
+            obs: Obs::with_sink(Box::new(sink)),
+            cancel: token,
+            ..EplaceConfig::fast()
+        };
+        let out = run_global_placement(
+            &mut d,
+            &problem,
+            &cfg,
+            Stage::Mgp,
+            None,
+            Some(cap),
+            &mut Vec::new(),
+        );
+        let stops = lines
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|l| l.contains(r#""type":"stop""#))
+            .cloned()
+            .collect();
+        (out.is_ok(), stops)
+    }
+
+    #[test]
+    fn capped_and_cancelled_stages_journal_their_stop() {
+        let (ok, stops) = stop_records(5, usize::MAX);
+        assert!(ok);
+        assert_eq!(
+            stops,
+            [r#"{"type":"stop","stage":"mgp","iter":4,"reason":"iteration_cap"}"#]
+        );
+        let (ok, stops) = stop_records(50, 3);
+        assert!(!ok, "the token cancels the run");
+        assert_eq!(
+            stops,
+            [r#"{"type":"stop","stage":"mgp","iter":2,"reason":"cancelled"}"#]
+        );
+    }
+
     /// The `threads` knob must never make the placer nondeterministic:
     /// threads = 1 is bit-identical to the default serial config, and any
     /// parallel setting gives identical trajectories run after run (the
@@ -742,41 +834,56 @@ mod tests {
     /// of scheduling).
     #[test]
     fn threads_config_is_run_to_run_deterministic() {
-        let run_with = |threads: usize| {
-            let mut d = BenchmarkConfig::ispd05_like("det", 67)
-                .scale(250)
-                .generate();
-            initial_placement(&mut d);
-            insert_fillers(&mut d, 67);
-            let problem = PlacementProblem::all_movables(&d);
-            let mut trace = Vec::new();
-            let cfg = EplaceConfig {
-                threads,
-                ..EplaceConfig::fast()
+        // Both designs place more objects (fillers included) than the
+        // density deposit's 1 024-object parallel threshold, so threads ≥ 2
+        // run the chunked deposit; the mms_like macros are wide enough to
+        // take heap stencil slots.
+        let designs = [
+            BenchmarkConfig::ispd05_like("det", 67).scale(700),
+            BenchmarkConfig::mms_like("det", 67, 0.8, 12).scale(600),
+        ];
+        for base in designs {
+            let run_with = |threads: usize| {
+                let mut d = base.generate();
+                initial_placement(&mut d);
+                insert_fillers(&mut d, 67);
+                let problem = PlacementProblem::all_movables(&d);
+                assert!(
+                    problem.len() > 1024,
+                    "{} objects do not reach the parallel deposit",
+                    problem.len()
+                );
+                let mut trace = Vec::new();
+                let cfg = EplaceConfig {
+                    threads,
+                    ..EplaceConfig::fast()
+                };
+                run_global_placement(
+                    &mut d,
+                    &problem,
+                    &cfg,
+                    Stage::Mgp,
+                    None,
+                    Some(25),
+                    &mut trace,
+                )
+                .unwrap();
+                trace
+                    .iter()
+                    .map(|r| (r.hpwl.to_bits(), r.overflow.to_bits(), r.lambda.to_bits()))
+                    .collect::<Vec<_>>()
             };
-            run_global_placement(
-                &mut d,
-                &problem,
-                &cfg,
-                Stage::Mgp,
-                None,
-                Some(25),
-                &mut trace,
-            )
-            .unwrap();
-            trace
-                .iter()
-                .map(|r| (r.hpwl.to_bits(), r.overflow.to_bits(), r.lambda.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        let serial = run_with(1);
-        assert_eq!(serial, run_with(1), "serial run must be reproducible");
-        let par = run_with(4);
-        assert_eq!(par, run_with(4), "parallel run must be reproducible");
-        assert_eq!(
-            par,
-            run_with(2),
-            "trajectory must not depend on thread count"
-        );
+            let serial = run_with(1);
+            assert_eq!(serial, run_with(1), "serial run must be reproducible");
+            let par = run_with(2);
+            assert_eq!(par, run_with(2), "parallel run must be reproducible");
+            for threads in [3, 4] {
+                assert_eq!(
+                    par,
+                    run_with(threads),
+                    "trajectory must not depend on thread count ({threads})"
+                );
+            }
+        }
     }
 }

@@ -37,6 +37,8 @@ pub struct PlacementReport {
     pub mgp_backtracks_per_iteration: f64,
     /// Whether mGP reached the overflow target.
     pub mgp_converged: bool,
+    /// Density overflow τ of mGP's committed placement.
+    pub mgp_overflow: f64,
     /// Divergence-sentinel trips recovered by rollback, summed across all
     /// global-placement stages. 0 on a healthy run.
     pub recoveries: usize,
@@ -286,6 +288,7 @@ fn run_flow(design: &mut Design, cfg: &EplaceConfig) -> Result<PlacementReport, 
         mgp_iterations: mgp.iterations,
         mgp_backtracks_per_iteration: mgp.backtracks_per_iteration,
         mgp_converged: mgp.converged,
+        mgp_overflow: mgp.final_overflow,
         recoveries,
         mlg: mlg_report,
         cgp_iterations,

@@ -21,7 +21,7 @@ const SWAP_CANDIDATES: usize = 6;
 /// total HPWL improvement (≥ 0); only strictly improving swaps are taken.
 ///
 /// A pass scans each cell's same-footprint bucket once, keeping the
-/// [`SWAP_CANDIDATES`] nearest partners in a bounded insertion list, so the
+/// `SWAP_CANDIDATES` (6) nearest partners in a bounded insertion list, so the
 /// cost is O(passes · movable · bucket size) with no sort and no per-cell
 /// allocation: the scratch buffers are sized once per call. On single
 /// footprint designs (PEKO-style suites) the bucket is every movable cell.

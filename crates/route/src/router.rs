@@ -5,7 +5,7 @@ use crate::decompose::{decompose, Segment};
 use crate::grid::{CapacityGrid, DemandSink};
 use crate::maze::{deposit_path, maze_search, MazeScratch};
 use crate::prob::deposit_probabilistic;
-use eplace_exec::{deterministic_chunks, map_chunks, ExecConfig};
+use eplace_exec::{chunk_range, deterministic_chunks, for_each_chunk, ExecConfig};
 use eplace_netlist::Design;
 
 /// Routing model parameters. The defaults route the synthetic suites at
@@ -120,13 +120,13 @@ pub fn route_design(design: &Design, cfg: &RouteConfig, exec: &ExecConfig) -> Ro
 
     // --- Phase 1: probabilistic bulk, parallel over fixed chunks ---------
     let chunks = deterministic_chunks(segments.len(), 256, 16);
-    let partials = map_chunks(exec, segments.len(), chunks, |_, range| {
-        let mut sink = DemandSink::for_grid(&grid);
-        let mut wl = 0.0;
-        for seg in &segments[range] {
-            wl += deposit_probabilistic(seg, &mut sink, bin_w, bin_h, 1.0);
+    let mut partials: Vec<(DemandSink, f64)> = (0..chunks)
+        .map(|_| (DemandSink::for_grid(&grid), 0.0))
+        .collect();
+    for_each_chunk(exec, &mut partials, |i, (sink, wl)| {
+        for seg in &segments[chunk_range(segments.len(), chunks, i)] {
+            *wl += deposit_probabilistic(seg, sink, bin_w, bin_h, 1.0);
         }
-        (sink, wl)
     });
     let mut routed_wl = 0.0;
     for (sink, wl) in &partials {

@@ -13,8 +13,7 @@
 //! * [`DctPlan`] — DCT-II / DCT-III / DST-III via Makhoul's N-point-FFT
 //!   repacking, plus exact inverses.
 //! * [`SpectralPlan`] — process-wide per-size cache of shared [`DctPlan`]s,
-//!   so twiddle/cosine tables are computed once per grid size; each cached
-//!   entry also carries precomputed parallel chunk schedules.
+//!   so twiddle/cosine tables are computed once per grid size.
 //! * [`Transform2d`] — separable two-dimensional transforms in the exact
 //!   basis mix the Poisson solver needs (cos·cos, sin·cos, cos·sin).
 //! * [`mod@reference`] — naive `O(N²)` reference transforms used by the tests.

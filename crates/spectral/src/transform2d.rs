@@ -1,9 +1,8 @@
 use crate::dct::DctScratch;
 use crate::{DctPlan, Pow2, SpectralEngine, SpectralPlan};
 use eplace_errors::EplaceError;
-use eplace_exec::{for_each_unit_scheduled, ExecConfig, UnitSchedule};
+use eplace_exec::{for_each_unit, ExecConfig};
 use eplace_obs::Obs;
-use std::sync::Arc;
 
 /// Which 1-D kernel a pass applies along an axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,12 +22,12 @@ enum Kernel {
 /// * synthesis [`Transform2d::dst3_y`] — field ξy (`cos` in x, `sin` in y).
 ///
 /// The per-axis plans come from the process-wide [`SpectralPlan`] cache, so
-/// constructing a `Transform2d` for an already-seen size costs two `Arc`
-/// bumps instead of rebuilding twiddle tables. The object owns all scratch
+/// constructing a `Transform2d` for an already-seen size costs two cache
+/// lookups instead of rebuilding twiddle tables. The object owns all scratch
 /// (including the [`DctScratch`] FFT workspace and, for parallel runs, a
-/// per-worker scratch pool), so steady-state calls are allocation-free; this
-/// matters because the placer transforms the grid four times per optimizer
-/// iteration.
+/// per-worker scratch pool), so steady-state serial calls are
+/// allocation-free; this matters because the placer transforms the grid
+/// three times per optimizer iteration.
 ///
 /// Rows transform in place; columns transform directly through the strided
 /// kernel entry points ([`DctPlan::dct2_strided`] and friends) — the same
@@ -41,12 +40,10 @@ enum Kernel {
 /// computing the identical `v·scale` products.
 ///
 /// With [`Transform2d::set_exec`] the row pass, both transposes, and the
-/// column pass run on scoped worker threads. Every parallel unit (one row or
-/// one column) is written by exactly one worker, so the result is bitwise
-/// identical for every thread count, including the serial default. The
-/// worker split itself is not recomputed per call: each cached plan carries
-/// its [`UnitSchedule`] per thread count, fetched once in
-/// [`Transform2d::set_exec`] and replayed by every pass.
+/// column pass run through [`eplace_exec::for_each_unit`] on scoped worker
+/// threads. Every parallel unit (one row or one column) is written by
+/// exactly one worker, so the result is bitwise identical for every thread
+/// count, including the serial default.
 ///
 /// [`Transform2d::set_engine`] selects the transform engine: the default
 /// [`SpectralEngine::V1`] reproduces historical bits exactly, while
@@ -83,12 +80,6 @@ pub struct Transform2d {
     /// persistent across calls.
     pool_x: Vec<DctScratch>,
     pool_y: Vec<DctScratch>,
-    /// Plan-carried worker split for the passes with `ny` units (the row
-    /// transform and the transpose-back), shared via `plan_y`'s cache entry.
-    sched_rows: Arc<UnitSchedule>,
-    /// Plan-carried worker split for the passes with `nx` units (the
-    /// transpose-in and the column transform), shared via `plan_x`'s entry.
-    sched_cols: Arc<UnitSchedule>,
     exec: ExecConfig,
     engine: SpectralEngine,
     obs: Obs,
@@ -112,9 +103,6 @@ impl Transform2d {
         let plan_x = SpectralPlan::for_pow2(nx);
         let plan_y = SpectralPlan::for_pow2(ny);
         let (nx, ny) = (nx.get(), ny.get());
-        let exec = ExecConfig::serial();
-        let sched_rows = plan_y.schedule(&exec);
-        let sched_cols = plan_x.schedule(&exec);
         Transform2d {
             nx,
             ny,
@@ -125,21 +113,15 @@ impl Transform2d {
             scratch_y: DctScratch::new(ny),
             pool_x: Vec::new(),
             pool_y: Vec::new(),
-            sched_rows,
-            sched_cols,
-            exec,
+            exec: ExecConfig::serial(),
             engine: SpectralEngine::default(),
             obs: Obs::disabled(),
         }
     }
 
-    /// Sets the execution configuration for subsequent transforms, fetching
-    /// the plan-carried [`UnitSchedule`]s for the new thread count (computed
-    /// at most once per `(size, threads)` pair process-wide).
+    /// Sets the execution configuration for subsequent transforms.
     pub fn set_exec(&mut self, exec: ExecConfig) {
         self.exec = exec;
-        self.sched_rows = self.plan_y.schedule(&exec);
-        self.sched_cols = self.plan_x.schedule(&exec);
     }
 
     /// Builder form of [`Transform2d::set_exec`].
@@ -325,7 +307,7 @@ impl Transform2d {
     /// The multi-threaded path. Each parallel unit (row, column, or
     /// transpose line) is written by exactly one worker with its own
     /// pooled scratch, so the output is bitwise identical to the serial
-    /// path and steady-state calls are allocation-free.
+    /// path and steady-state calls build no new scratch.
     fn apply_parallel(&mut self, data: &mut [f64], kernel_x: Kernel, kernel_y: Kernel, scale: f64) {
         let (nx, ny) = (self.nx, self.ny);
         self.transpose_buf.resize(nx * ny, 0.0);
@@ -334,9 +316,10 @@ impl Transform2d {
         // never touches the heap, so building one per call stays
         // allocation-free.
         let mut unit_pool: Vec<()> = Vec::new();
+        let exec = self.exec;
         let plan_x = &self.plan_x;
-        for_each_unit_scheduled(
-            &self.sched_rows,
+        for_each_unit(
+            &exec,
             data,
             nx,
             &mut self.pool_x,
@@ -345,8 +328,8 @@ impl Transform2d {
         );
         {
             let src: &[f64] = data;
-            for_each_unit_scheduled(
-                &self.sched_cols,
+            for_each_unit(
+                &exec,
                 &mut self.transpose_buf,
                 ny,
                 &mut unit_pool,
@@ -359,8 +342,8 @@ impl Transform2d {
             );
         }
         let plan_y = &self.plan_y;
-        for_each_unit_scheduled(
-            &self.sched_cols,
+        for_each_unit(
+            &exec,
             &mut self.transpose_buf,
             ny,
             &mut self.pool_y,
@@ -371,8 +354,8 @@ impl Transform2d {
         // `v·scale` is the identical product the separate post-pass would
         // compute, and `·1.0` is a bitwise identity for the unscaled calls.
         let src: &[f64] = &self.transpose_buf;
-        for_each_unit_scheduled(
-            &self.sched_rows,
+        for_each_unit(
+            &exec,
             data,
             nx,
             &mut unit_pool,
@@ -728,24 +711,5 @@ mod tests {
                 assert_eq!(bits(&expect), bits(&fused), "{name} threads {threads}");
             }
         }
-    }
-
-    #[test]
-    fn set_exec_adopts_plan_carried_schedules() {
-        // The schedules a transform consumes are the plan cache's shared
-        // objects for the configured thread count, not per-call recomputes.
-        let mut t = Transform2d::new(16, 32).unwrap();
-        assert_eq!(t.sched_rows.workers(), 1);
-        assert_eq!(t.sched_cols.workers(), 1);
-        let exec = eplace_exec::ExecConfig::with_threads(3);
-        t.set_exec(exec);
-        assert_eq!(t.sched_rows.units(), 32);
-        assert_eq!(t.sched_cols.units(), 16);
-        assert_eq!(t.sched_rows.workers(), 3);
-        assert!(Arc::ptr_eq(&t.sched_rows, &t.plan_y.schedule(&exec)));
-        assert!(Arc::ptr_eq(&t.sched_cols, &t.plan_x.schedule(&exec)));
-        // And the transform still works after the swap.
-        let mut w = grid(16, 32);
-        t.dct2(&mut w);
     }
 }

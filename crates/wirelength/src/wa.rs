@@ -1,5 +1,5 @@
 use crate::SmoothWirelength;
-use eplace_exec::{deterministic_chunks, for_each_chunk_pooled, ExecConfig};
+use eplace_exec::{chunk_range, deterministic_chunks, for_each_chunk, ExecConfig};
 use eplace_geometry::Point;
 use eplace_netlist::{Design, Net};
 use eplace_obs::Obs;
@@ -274,31 +274,28 @@ impl WaModel {
         let want = grad.is_some();
         let slots = grad.as_deref().map_or(0, |g| g.len());
         let max_degree = self.max_degree;
-        let exec = self.exec;
-        for_each_chunk_pooled(
-            &exec,
-            n_nets,
-            chunks,
-            &mut self.chunk_pool,
-            || WaChunkScratch::new(max_degree),
-            |_, range, state| {
-                state.reset(want.then_some(slots));
-                let WaChunkScratch {
-                    scratch,
-                    grad,
-                    total,
-                } = state;
-                let mut local = want.then_some(&mut grad[..]);
-                for net in &design.nets[range] {
-                    if net.pins.len() < 2 {
-                        continue;
-                    }
-                    *total += scratch.net_value(net, pos, gamma, local.as_deref_mut());
+        if self.chunk_pool.len() < chunks {
+            self.chunk_pool
+                .resize_with(chunks, || WaChunkScratch::new(max_degree));
+        }
+        let states = &mut self.chunk_pool[..chunks];
+        for_each_chunk(&self.exec, states, |i, state| {
+            state.reset(want.then_some(slots));
+            let WaChunkScratch {
+                scratch,
+                grad,
+                total,
+            } = state;
+            let mut local = want.then_some(&mut grad[..]);
+            for net in &design.nets[chunk_range(n_nets, chunks, i)] {
+                if net.pins.len() < 2 {
+                    continue;
                 }
-            },
-        );
+                *total += scratch.net_value(net, pos, gamma, local.as_deref_mut());
+            }
+        });
         let mut total = 0.0;
-        for state in self.chunk_pool.iter().take(chunks) {
+        for state in &self.chunk_pool[..chunks] {
             total += state.total;
             if let Some(g) = grad.as_deref_mut() {
                 for (dst, src) in g.iter_mut().zip(&state.grad) {

@@ -2,7 +2,8 @@
 //!
 //! Journal mode (default) checks that every line parses as JSON, that
 //! `iter` records carry the full finite metric set, that `recovery` and
-//! `stop` records name a stage, iteration and reason, and that the journal
+//! `stop` records name a stage, iteration and reason (a stop's reason one
+//! of [`STOP_REASONS`]), and that the journal
 //! ends with exactly one `summary` record whose phase seconds are
 //! consistent with its total. CI runs this over the journal produced by a
 //! `--journal` run.
@@ -23,6 +24,15 @@
 
 use eplace_repro::obs::json::{parse_json, JsonValue};
 use std::process::ExitCode;
+
+/// Why a GP stage may stop, as its `stop` record says.
+const STOP_REASONS: [&str; 5] = [
+    "target",
+    "stagnation",
+    "iteration_cap",
+    "cancelled",
+    "diverged",
+];
 
 struct Stats {
     iters: u64,
@@ -229,9 +239,12 @@ fn check(path: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
             }
             "recovery" | "stop" => {
                 str_field(&value, "stage", no)?;
-                str_field(&value, "reason", no)?;
+                let reason = str_field(&value, "reason", no)?;
                 u64_field(&value, "iter", no)?;
                 if kind == "stop" {
+                    if !STOP_REASONS.contains(&reason) {
+                        return Err(format!("line {no}: unknown stop reason `{reason}`"));
+                    }
                     stats.stops += 1;
                 } else {
                     stats.recoveries += 1;

@@ -140,6 +140,7 @@ fn main() -> ExitCode {
         EplaceConfig::default()
     };
     config.threads = args.threads;
+    let target_overflow = config.target_overflow;
     if args.routability {
         config.routability = Some(eplace_repro::core::RoutabilityConfig::default());
     }
@@ -171,6 +172,12 @@ fn main() -> ExitCode {
         "mGP               : {} iterations, converged: {}",
         report.mgp_iterations, report.mgp_converged
     );
+    if !report.mgp_converged {
+        eprintln!(
+            "warning: mGP missed the density target: overflow {:.4} > {} after {} iterations",
+            report.mgp_overflow, target_overflow, report.mgp_iterations
+        );
+    }
     if let Some(mlg) = &report.mlg {
         println!(
             "mLG               : O_m {:.3e} -> {:.3e} (legal: {})",

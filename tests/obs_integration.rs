@@ -146,9 +146,23 @@ fn mixed_flow_reports_every_stage() {
         .map(|&(s, _)| s)
         .collect();
     assert_eq!(stages, vec![Stage::Mgp, Stage::FillerOnly, Stage::Cgp]);
+    // Every GP stage journals exactly one stop record, saying why it
+    // stopped; a converged mGP stopped on the target.
+    assert!(report.mgp_converged, "tau={}", report.final_overflow);
+    let records = records(&journal);
+    let stops: Vec<(&str, &str)> = records
+        .iter()
+        .filter(|r| kind(r) == "stop")
+        .map(|r| {
+            let field = |key| r.get(key).and_then(JsonValue::as_str).unwrap();
+            (field("stage"), field("reason"))
+        })
+        .collect();
+    let stop_stages: Vec<&str> = stops.iter().map(|&(stage, _)| stage).collect();
+    assert_eq!(stop_stages, vec!["mgp", "fillergp", "cgp"], "{stops:?}");
+    assert_eq!(stops[0].1, "target");
     // The journal's summary record carries every phase and the counters
     // the mIP, mLG and legalizer stages record.
-    let records = records(&journal);
     let summary = &records[*summary_indices(&records).last().unwrap()];
     let phases: Vec<&str> = summary
         .get("phases")
@@ -207,6 +221,11 @@ fn failed_run_journal_ends_with_its_summary() {
     let records = records(&journal);
     assert_eq!(summary_indices(&records), vec![records.len() - 1]);
     assert!(records.iter().any(|r| kind(r) == "recovery"));
+    let stop = records.iter().rfind(|r| kind(r) == "stop").unwrap();
+    assert_eq!(
+        stop.get("reason").and_then(JsonValue::as_str),
+        Some("diverged")
+    );
 }
 
 #[test]
@@ -223,7 +242,9 @@ fn stagnation_stop_is_counted_and_journaled() {
     assert!(!report.mgp_converged);
     let stops: Vec<JsonValue> = records(&journal)
         .into_iter()
-        .filter(|r| kind(r) == "stop")
+        .filter(|r| {
+            kind(r) == "stop" && r.get("reason").and_then(JsonValue::as_str) == Some("stagnation")
+        })
         .collect();
     assert!(!stops.is_empty(), "no stop record");
     assert_eq!(
