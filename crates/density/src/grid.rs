@@ -1,7 +1,7 @@
 use crate::SMOOTH_FACTOR;
 use eplace_exec::{chunk_range, deterministic_chunks, for_each_chunk, ExecConfig};
 use eplace_geometry::{overlap_1d, Point, Rect, Size};
-use eplace_obs::{Obs, DURATION_NS_EDGES};
+use eplace_obs::Obs;
 use eplace_spectral::{SpectralEngine, Transform2d};
 use std::f64::consts::PI;
 
@@ -528,19 +528,12 @@ impl DensityGrid {
     }
 
     /// Sets the observability recorder: deposits record a `density_deposit`
-    /// span, solves a `density_solve` span plus the `spectral_solve_ns`
-    /// histogram and the `density_solves` counter. The recorder never feeds
-    /// back into the numerics, so results are bit-identical either way.
-    /// Does not propagate to the owned [`Transform2d`]: the solve-level
-    /// span already covers its transforms.
+    /// span, solves a `density_solve` span (which times the solve's
+    /// transforms too) and the `density_solves` counter. The recorder never
+    /// feeds back into the numerics, so results are bit-identical either
+    /// way.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Builder-style [`DensityGrid::set_obs`].
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.set_obs(obs);
-        self
     }
 
     /// The current execution policy.
@@ -716,7 +709,7 @@ impl DensityGrid {
     /// Panics if called before any deposit.
     pub fn solve(&mut self) {
         let _span = self.obs.span("density_solve");
-        let t0 = self.obs.is_enabled().then(std::time::Instant::now);
+        self.obs.add("density_solves", 1);
         let bin_area = self.bins.bin_w * self.bins.bin_h;
         // ρ per bin (dimensionless utilization); analysis transform.
         for (c, rho) in self.charge.iter().zip(self.coeff.iter_mut()) {
@@ -751,14 +744,6 @@ impl DensityGrid {
         self.transform.dst3_y_scaled(&mut self.field_y, scale_y);
         self.solved = true;
         self.psi_pending = true;
-        if let Some(t0) = t0 {
-            self.obs.add("density_solves", 1);
-            self.obs.observe(
-                "spectral_solve_ns",
-                DURATION_NS_EDGES,
-                t0.elapsed().as_nanos() as f64,
-            );
-        }
     }
 
     /// The exact-inverse normalization `4/(nx·ny)` of the syntheses.

@@ -252,9 +252,9 @@ fn rudy_clips_at_region_edges_without_losing_finiteness() {
 #[test]
 fn rudy_with_identity_positions_matches_rudy() {
     check("rudy_with_identity_positions_matches_rudy", CASES, |g| {
-        // The position-override constructor used by the in-loop gauges must
-        // agree bit-for-bit with the plain one when fed the design's own
-        // positions.
+        // The position-override constructor behind the journal's RUDY
+        // fields must agree bit-for-bit with the plain one when fed the
+        // design's own positions.
         let d = arb_congestion_design(g);
         let movable: Vec<usize> = (0..d.cells.len()).collect();
         let positions: Vec<Point> = d.cells.iter().map(|c| c.pos).collect();

@@ -219,23 +219,7 @@ fn decode(bytes: &[u8]) -> Result<GpCheckpoint, String> {
     let total_backtracks = cur.take_usize("total_backtracks")?;
     cur.done()?;
 
-    let n = best_pos.len();
-    for (name, vec) in [
-        ("optimizer.u", &u),
-        ("optimizer.v", &v),
-        ("optimizer.v_prev", &v_prev),
-        ("optimizer.g", &g),
-        ("optimizer.g_prev", &g_prev),
-    ] {
-        if vec.len() != n {
-            return Err(format!(
-                "{name} holds {} points but best_pos holds {n}",
-                vec.len()
-            ));
-        }
-    }
-
-    Ok(GpCheckpoint {
+    let ck = GpCheckpoint {
         iteration,
         lambda,
         gamma,
@@ -256,7 +240,12 @@ fn decode(bytes: &[u8]) -> Result<GpCheckpoint, String> {
             steps,
             total_backtracks,
         },
-    })
+    };
+    let n = ck.best_pos.len();
+    match ck.size_mismatch(n) {
+        Some((name, len)) => Err(format!("{name} holds {len} points but best_pos holds {n}")),
+        None => Ok(ck),
+    }
 }
 
 /// Persists `ck` to `path` atomically (write temp + fsync + rename): a crash

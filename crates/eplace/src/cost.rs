@@ -122,11 +122,11 @@ impl<'a> EplaceCost<'a> {
     }
 
     /// Sets the observability recorder for the cost and both kernels: the
-    /// WA model gets `wa_gradient`/`wa_eval` spans, the density grid gets
-    /// `density_deposit`/`density_solve` spans plus the
-    /// `spectral_solve_ns` histogram, and each combined gradient evaluation
-    /// bumps `grad_evals_total` and records its field sampling and
-    /// preconditioning as a `density_sample` span.
+    /// WA model gets `wa_gradient`/`wa_eval` spans and the `wa_gradients`
+    /// counter, the density grid gets `density_deposit`/`density_solve`
+    /// spans and the `density_solves` counter, and each combined gradient
+    /// evaluation bumps `grad_evals_total` and records its field sampling
+    /// and preconditioning as a `density_sample` span.
     pub fn set_obs(&mut self, obs: Obs) {
         self.wa.set_obs(obs.clone());
         self.grid.set_obs(obs.clone());

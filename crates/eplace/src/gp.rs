@@ -1,15 +1,18 @@
 use crate::cost::EplaceCost;
-use crate::recover::{sentinel_check, GpCheckpoint};
+use crate::recover::{
+    sentinel_check, GpCheckpoint, CHECKPOINT_INTERVAL, DIVERGENCE_HPWL_FACTOR,
+    DIVERGENCE_MIN_ALPHA, RECOVERY_ALPHA_SCALE, RECOVERY_RETRIES,
+};
 use crate::trace::{IterationRecord, RuntimeProfile, Stage};
 use crate::{EplaceConfig, NesterovOptimizer, PlacementProblem};
 use eplace_density::{grid_dimension, CongestionMap};
 use eplace_errors::{DivergenceReport, EplaceError, Severity, ValidationIssue};
 use eplace_netlist::Design;
-use eplace_obs::{Obs, Record, BACKTRACK_EDGES};
+use eplace_obs::{Obs, Record};
 
-/// Grid dimension of the per-iteration RUDY congestion gauges (observability
-/// only — never fed back into the optimizer).
-const RUDY_GAUGE_DIM: usize = 16;
+/// Grid dimension of the RUDY congestion map summarized by each journaled
+/// `iter` record (observability only — never fed back into the optimizer).
+const RUDY_JOURNAL_DIM: usize = 16;
 
 /// Span / counter names need `&'static str`; formatting per iteration would
 /// allocate in the hot loop.
@@ -76,17 +79,16 @@ pub struct GpOutcome {
 /// The loop is guarded: every iteration a read-only sentinel checks for
 /// non-finite gradients/metrics, steplength collapse, and HPWL explosion
 /// (see the `recover` module). On a trip the loop rewinds to the last
-/// checkpoint, clamps the steplength by
-/// [`EplaceConfig::recovery_alpha_scale`], re-anchors λ/γ, and retries.
+/// checkpoint (taken every 10 iterations), scales the steplength by 0.1,
+/// re-anchors λ/γ, and retries.
 ///
 /// # Errors
 ///
-/// [`EplaceError::Diverged`] when the sentinel trips more than
-/// [`EplaceConfig::recovery_retries`] times; the best placement seen is
-/// committed to `design` before returning and the report carries its
-/// HPWL/overflow. [`EplaceError::Cancelled`] when the config's
-/// [`crate::CancelToken`] fires — also after committing the best placement
-/// seen.
+/// [`EplaceError::Diverged`] when the sentinel trips more than 3 times;
+/// the best placement seen is committed to `design` before returning and
+/// the report carries its HPWL/overflow. [`EplaceError::Cancelled`] when
+/// the config's [`crate::CancelToken`] fires — also after committing the
+/// best placement seen.
 pub fn run_global_placement(
     design: &mut Design,
     problem: &PlacementProblem,
@@ -120,7 +122,8 @@ pub fn run_global_placement(
 ///
 /// # Errors
 ///
-/// [`EplaceError::Validation`] when the checkpoint does not match the
+/// [`EplaceError::Validation`] when any of the checkpoint's position
+/// vectors (best positions, u, v, v_prev, g, g_prev) does not match the
 /// problem size; [`EplaceError::Diverged`] as for [`run_global_placement`].
 pub fn resume_global_placement(
     design: &mut Design,
@@ -131,14 +134,13 @@ pub fn resume_global_placement(
     max_iterations: Option<usize>,
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
-    if checkpoint.optimizer.u.len() != problem.len() || checkpoint.best_pos.len() != problem.len() {
+    if let Some((name, len)) = checkpoint.size_mismatch(problem.len()) {
         return Err(EplaceError::Validation {
             issues: vec![ValidationIssue {
                 severity: Severity::Error,
                 subject: "resume checkpoint".into(),
                 message: format!(
-                    "checkpoint holds {} movables but the problem has {}",
-                    checkpoint.optimizer.u.len(),
+                    "checkpoint {name} holds {len} points but the problem has {} movables",
                     problem.len()
                 ),
                 repaired: false,
@@ -264,7 +266,7 @@ fn run_guarded(
     );
     let mut ck_trace_len = trace.len();
 
-    let hpwl_limit = cfg.divergence_hpwl_factor * hpwl_init;
+    let hpwl_limit = DIVERGENCE_HPWL_FACTOR * hpwl_init;
     let stall_window = (cfg.min_iterations * 4).max(60);
     let mut iterations = 0;
     let mut converged = false;
@@ -299,7 +301,7 @@ fn run_guarded(
         if let Some(reason) = sentinel_check(
             cost.take_grad_nonfinite(),
             info.alpha,
-            cfg.divergence_min_alpha,
+            DIVERGENCE_MIN_ALPHA,
             hpwl,
             overflow,
             cost.lambda,
@@ -316,7 +318,7 @@ fn run_guarded(
                         .u64_field("trip", recoveries as u64),
                 );
             }
-            if recoveries > cfg.recovery_retries {
+            if recoveries > RECOVERY_RETRIES {
                 // Retry budget exhausted: commit the best placement seen and
                 // surface a structured report instead of poisoned positions.
                 journal_stop(&obs, stage, iter, "diverged");
@@ -327,7 +329,7 @@ fn run_guarded(
                     stage: stage.to_string(),
                     iteration: iter,
                     trips: recoveries,
-                    retry_budget: cfg.recovery_retries,
+                    retry_budget: RECOVERY_RETRIES,
                     reason,
                     best_hpwl,
                     best_overflow,
@@ -336,7 +338,7 @@ fn run_guarded(
             // Roll back to the last good checkpoint, clamp the steplength,
             // re-anchor λ/γ, and replay.
             optimizer.restore(&ck.optimizer);
-            optimizer.scale_alpha(cfg.recovery_alpha_scale);
+            optimizer.scale_alpha(RECOVERY_ALPHA_SCALE);
             cost.lambda = ck.lambda;
             cost.gamma = ck.gamma;
             prev_hpwl = ck.prev_hpwl;
@@ -358,47 +360,33 @@ fn run_guarded(
             alpha: info.alpha,
             backtracks: info.backtracks,
         });
-        if obs.is_enabled() {
-            obs.add(iter_counter(stage), 1);
-            obs.set_gauge("hpwl", hpwl);
-            obs.set_gauge("overflow", overflow);
-            obs.set_gauge("alpha", info.alpha);
-            obs.set_gauge("lambda", cost.lambda);
-            obs.set_gauge("gamma", cost.gamma);
-            // RUDY congestion of the in-flight placement (read-only: the
-            // map is built from the optimizer's solution and never feeds
-            // back, so obs-on trajectories stay bit-identical to obs-off).
+        obs.add(iter_counter(stage), 1);
+        if obs.journal_active() {
+            // RUDY congestion of the in-flight placement, built only for the
+            // journal (read-only: the map comes from the optimizer's solution
+            // and never feeds back, so journaled trajectories stay
+            // bit-identical to unrecorded ones).
             let rudy = CongestionMap::rudy_with_positions(
                 design,
-                RUDY_GAUGE_DIM,
-                RUDY_GAUGE_DIM,
+                RUDY_JOURNAL_DIM,
+                RUDY_JOURNAL_DIM,
                 1.0,
                 &problem.movable,
                 optimizer.solution(),
             );
-            let (rudy_peak, rudy_mean) = (rudy.peak(), rudy.mean());
-            obs.set_gauge("congestion_peak", rudy_peak);
-            obs.set_gauge("congestion_mean", rudy_mean);
-            obs.observe(
-                "backtracks_per_iter",
-                BACKTRACK_EDGES,
-                info.backtracks as f64,
+            obs.journal(
+                Record::new("iter")
+                    .str_field("stage", stage.key())
+                    .u64_field("iter", iter as u64)
+                    .f64_field("hpwl", hpwl)
+                    .f64_field("overflow", overflow)
+                    .f64_field("alpha", info.alpha)
+                    .f64_field("lambda", cost.lambda)
+                    .f64_field("gamma", cost.gamma)
+                    .f64_field("rudy_peak", rudy.peak())
+                    .f64_field("rudy_mean", rudy.mean())
+                    .u64_field("backtracks", info.backtracks as u64),
             );
-            if obs.journal_active() {
-                obs.journal(
-                    Record::new("iter")
-                        .str_field("stage", stage.key())
-                        .u64_field("iter", iter as u64)
-                        .f64_field("hpwl", hpwl)
-                        .f64_field("overflow", overflow)
-                        .f64_field("alpha", info.alpha)
-                        .f64_field("lambda", cost.lambda)
-                        .f64_field("gamma", cost.gamma)
-                        .f64_field("rudy_peak", rudy_peak)
-                        .f64_field("rudy_mean", rudy_mean)
-                        .u64_field("backtracks", info.backtracks as u64),
-                );
-            }
         }
         // Best-solution snapshot: when the overflow stops improving (the
         // grid's noise floor on small instances, or a diverging run), λ
@@ -432,7 +420,7 @@ fn run_guarded(
             break;
         }
         iter += 1;
-        if cfg.checkpoint_interval > 0 && iter % cfg.checkpoint_interval == 0 {
+        if iter % CHECKPOINT_INTERVAL == 0 {
             ck = snapshot(
                 iter,
                 &cost,
@@ -734,13 +722,25 @@ mod tests {
             &mut trace,
         )
         .unwrap();
-        let mut ck = out.checkpoint.unwrap();
-        ck.best_pos.pop();
-        ck.optimizer.u.pop();
-        let err =
-            resume_global_placement(&mut d, &problem, &cfg, Stage::Mgp, &ck, None, &mut trace)
-                .unwrap_err();
-        assert!(matches!(err, EplaceError::Validation { .. }));
+        let ck = out.checkpoint.unwrap();
+        // Shorten each of the six position vectors in turn: every one must
+        // be rejected with a typed error before the optimizer indexes it.
+        let shorten: [fn(&mut GpCheckpoint) -> &mut Vec<eplace_geometry::Point>; 6] = [
+            |c| &mut c.best_pos,
+            |c| &mut c.optimizer.u,
+            |c| &mut c.optimizer.v,
+            |c| &mut c.optimizer.v_prev,
+            |c| &mut c.optimizer.g,
+            |c| &mut c.optimizer.g_prev,
+        ];
+        for field in shorten {
+            let mut bad = ck.clone();
+            field(&mut bad).pop();
+            let err =
+                resume_global_placement(&mut d, &problem, &cfg, Stage::Mgp, &bad, None, &mut trace)
+                    .unwrap_err();
+            assert!(matches!(err, EplaceError::Validation { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -132,24 +132,6 @@ pub struct EplaceConfig {
     /// transforms faster with a different last-ulps rounding order while
     /// staying bitwise invariant across thread counts within themselves.
     pub spectral_engine: SpectralEngine,
-    /// Iterations between rollback checkpoints of the guarded
-    /// global-placement loop (0 disables periodic snapshots; the pre-loop
-    /// state is always kept).
-    pub checkpoint_interval: usize,
-    /// Divergence-sentinel trips tolerated (each one triggering a
-    /// checkpoint rollback) before the stage gives up with
-    /// [`eplace_errors::EplaceError::Diverged`].
-    pub recovery_retries: usize,
-    /// Steplength clamp applied on each rollback: the restored optimizer's
-    /// α is multiplied by this factor so the replay re-enters the trust
-    /// region more conservatively.
-    pub recovery_alpha_scale: f64,
-    /// HPWL explosion threshold, as a multiple of the stage-initial HPWL
-    /// (legitimate spreading stays within ~20×; see the gp tests).
-    pub divergence_hpwl_factor: f64,
-    /// Steplengths below this trip the sentinel as a collapse (a healthy
-    /// backtracked α sits many orders of magnitude above).
-    pub divergence_min_alpha: f64,
     /// Certified optimal HPWL of the input design, when one is known
     /// (PEKO-style benchmarks, `eplace_benchgen`'s
     /// `BenchmarkConfig::generate_known_optimum`). Purely observational:
@@ -164,7 +146,7 @@ pub struct EplaceConfig {
     /// Observability recorder threaded through every stage and kernel
     /// ([`eplace_obs`]). The disabled default costs one branch per
     /// instrumentation point and records nothing; an enabled recorder
-    /// gathers spans/metrics (and journal lines, if it carries a sink)
+    /// gathers spans and counters (and journal lines, if it carries a sink)
     /// without ever feeding back into the numerics — traces stay
     /// bit-identical either way.
     pub obs: Obs,
@@ -209,11 +191,6 @@ impl Default for EplaceConfig {
             delta_hpwl_ref_frac: 0.03,
             threads: 1,
             spectral_engine: SpectralEngine::V1,
-            checkpoint_interval: 10,
-            recovery_retries: 3,
-            recovery_alpha_scale: 0.1,
-            divergence_hpwl_factor: 1e3,
-            divergence_min_alpha: 1e-30,
             known_optimum_hpwl: None,
             fault: None,
             obs: Obs::disabled(),

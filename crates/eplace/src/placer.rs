@@ -325,7 +325,7 @@ fn iterations_per_stage(trace: &[IterationRecord]) -> Vec<(Stage, usize)> {
 /// as the fallback when its greedy segment selection runs out of room;
 /// Tetris alone otherwise. [`Placer::run`] finishes with this, and so does
 /// every harness that scores another global placer, so all placers share
-/// one finish. Spans, counters and gauges go to [`EplaceConfig::obs`].
+/// one finish. Spans and counters go to [`EplaceConfig::obs`].
 ///
 /// # Errors
 ///
@@ -344,18 +344,12 @@ pub fn run_cdp(
     }?;
     obs.add("legalize_runs", 1);
     obs.add("legalize_cells_placed", legal.placed as u64);
-    obs.set_gauge("legalize_total_displacement", legal.total_displacement);
-    obs.set_gauge("legalize_max_displacement", legal.max_displacement);
-    let detail = |design: &mut Design, passes| {
-        let gain = in_span(obs, "detail_place", || detail_place(design, passes));
-        obs.set_gauge("detail_place_gain", gain);
-        gain
-    };
+    let detail =
+        |design: &mut Design, passes| in_span(obs, "detail_place", || detail_place(design, passes));
     let gain = detail(design, cfg.detail_passes);
     let swap_gain = in_span(obs, "global_swap", || {
         global_swap(design, cfg.detail_passes)
     });
-    obs.set_gauge("global_swap_gain", swap_gain);
     Ok((legal, gain + swap_gain + detail(design, 1)))
 }
 

@@ -5,12 +5,13 @@
 //! Eq. (10) can overshoot, λ can ratchet a trajectory into a region where
 //! the WA exponentials overflow, and a single non-finite gradient component
 //! poisons every later iterate. The guarded loop in [`crate::gp`] snapshots
-//! its state every [`crate::EplaceConfig::checkpoint_interval`] iterations
-//! as a [`GpCheckpoint`]; a read-only sentinel inspects each iteration and,
-//! on a trip, the loop rewinds to the last checkpoint, clamps the
-//! steplength, re-anchors λ/γ, and resumes — up to
-//! [`crate::EplaceConfig::recovery_retries`] times before giving up with a
-//! structured [`eplace_errors::EplaceError::Diverged`].
+//! its state every [`CHECKPOINT_INTERVAL`] iterations as a
+//! [`GpCheckpoint`]; a read-only sentinel inspects each iteration and, on a
+//! trip, the loop rewinds to the last checkpoint, scales the steplength by
+//! [`RECOVERY_ALPHA_SCALE`], re-anchors λ/γ, and resumes — up to
+//! [`RECOVERY_RETRIES`] times before giving up with a structured
+//! [`eplace_errors::EplaceError::Diverged`]. The recovery settings are
+//! constants: no caller has needed other values.
 //!
 //! [`GradientFault`] is the deterministic fault-injection hook the tests use
 //! to exercise this machinery; in production it is always `None` and the
@@ -89,7 +90,7 @@ impl GradientFault {
 /// iteration: the optimizer trajectory plus the scheduler state (λ, γ, the
 /// μ-rule's previous HPWL) and the best-solution tracker.
 ///
-/// Produced every `checkpoint_interval` iterations by
+/// Produced every 10 iterations by
 /// [`crate::run_global_placement`] (the final one is returned in
 /// [`crate::GpOutcome::checkpoint`]) and consumed either internally on
 /// rollback or externally by [`crate::resume_global_placement`], which
@@ -117,6 +118,48 @@ pub struct GpCheckpoint {
     /// Optimizer trajectory state.
     pub optimizer: NesterovCheckpoint,
 }
+
+impl GpCheckpoint {
+    /// The first of the six position vectors (best positions, then the
+    /// optimizer's u, v, v_prev, g, g_prev) that does not hold `n` points,
+    /// as `(name, length)`; `None` when all do. The checkpoint decoder and
+    /// [`crate::resume_global_placement`] both reject a checkpoint on it,
+    /// so an inconsistent one never reaches the optimizer's indexing.
+    pub(crate) fn size_mismatch(&self, n: usize) -> Option<(&'static str, usize)> {
+        let opt = &self.optimizer;
+        [
+            ("best_pos", self.best_pos.len()),
+            ("optimizer.u", opt.u.len()),
+            ("optimizer.v", opt.v.len()),
+            ("optimizer.v_prev", opt.v_prev.len()),
+            ("optimizer.g", opt.g.len()),
+            ("optimizer.g_prev", opt.g_prev.len()),
+        ]
+        .into_iter()
+        .find(|&(_, len)| len != n)
+    }
+}
+
+/// Iterations between rollback checkpoints of the guarded loop (the
+/// pre-loop state is always kept as well).
+pub(crate) const CHECKPOINT_INTERVAL: usize = 10;
+
+/// Sentinel trips tolerated (each one triggering a checkpoint rollback)
+/// before a stage gives up with [`eplace_errors::EplaceError::Diverged`].
+pub(crate) const RECOVERY_RETRIES: usize = 3;
+
+/// Steplength clamp applied on each rollback: the restored optimizer's α is
+/// multiplied by this factor so the replay re-enters the trust region more
+/// conservatively.
+pub(crate) const RECOVERY_ALPHA_SCALE: f64 = 0.1;
+
+/// HPWL explosion threshold, as a multiple of the stage-initial HPWL
+/// (legitimate spreading stays within ~20×; see the gp tests).
+pub(crate) const DIVERGENCE_HPWL_FACTOR: f64 = 1e3;
+
+/// Steplengths below this trip the sentinel as a collapse (a healthy
+/// backtracked α sits many orders of magnitude above).
+pub(crate) const DIVERGENCE_MIN_ALPHA: f64 = 1e-30;
 
 /// Read-only divergence sentinel: examines one iteration's health and
 /// returns the reason to trip, or `None` when the iteration is sound.

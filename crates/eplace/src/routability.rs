@@ -245,7 +245,7 @@ pub(crate) fn run_routability_loop(
 
     restore_widths(design, &orig_widths);
     let hpwl_after = design.hpwl();
-    let outcome = RoutabilityOutcome {
+    Ok(RoutabilityOutcome {
         initial,
         final_report: accepted,
         rounds,
@@ -253,14 +253,7 @@ pub(crate) fn run_routability_loop(
         hpwl_before,
         hpwl_after,
         recoveries,
-    };
-    obs.set_gauge("route_overflow", outcome.final_report.total_overflow);
-    obs.set_gauge(
-        "route_peak_congestion",
-        outcome.final_report.peak_congestion,
-    );
-    obs.set_gauge("routed_wl", outcome.final_report.routed_wl);
-    Ok(outcome)
+    })
 }
 
 /// Samples a cell's local congestion: its own gcell at full weight, the 8

@@ -12,8 +12,9 @@
 //!    (flow → stage → iteration → kernel). [`Obs::span`] returns a guard;
 //!    dropping it records wall-clock and call count under a `/`-joined path
 //!    derived from the active span stack of the current thread.
-//! 2. **Metrics** — typed counters, gauges and fixed-bucket histograms with
-//!    a deterministic [`Obs::snapshot`] (all maps are ordered).
+//! 2. **Counters** — named event counts (`iters_mgp`, `backtracks_total`,
+//!    …), read back through a deterministic [`Obs::snapshot`] (all maps are
+//!    ordered).
 //! 3. **Run journal** — JSONL records ([`Record`]) written to a pluggable
 //!    [`JournalSink`] (file, in-memory, or nothing), plus an end-of-run
 //!    [`Summary`] with a per-phase time breakdown.
@@ -25,18 +26,19 @@
 //! allocation — so instrumented hot paths cost ~nothing when observability
 //! is off and golden traces stay bit-identical (the recorder never feeds
 //! back into the computation, so even *enabled* runs change no numerics).
-//! [`Obs::metrics`] records spans/metrics but drops journal lines;
+//! [`Obs::metrics`] records spans and counters but drops journal lines;
 //! [`Obs::to_file`] / [`Obs::memory`] add a JSONL sink.
 //!
 //! Instrumentation granularity is bounded below at "one kernel call": spans
-//! and metrics are recorded per deposit / solve / gradient evaluation /
-//! iteration, never per cell or per net.
+//! and counters are recorded per deposit / solve / gradient evaluation /
+//! iteration, never per cell or per net. Per-iteration values (HPWL, τ, α,
+//! λ, γ, backtracks) travel in journal records, not in the registry.
 //!
 //! # Thread safety
 //!
 //! [`Obs`] is a cheap-to-clone handle (`Arc` inside) and is `Send + Sync`;
-//! recording locks a per-category mutex for the duration of one map update,
-//! following the same bounded-critical-section discipline as `eplace-exec`.
+//! recording locks one mutex (spans, counters or the journal sink) for the
+//! duration of one map update or line write.
 //! The span *stack* is thread-local: spans opened on a worker thread nest
 //! under whatever is open on that worker, not under the spawner.
 //!
@@ -68,7 +70,7 @@ mod report;
 
 pub use fsutil::write_atomic;
 pub use journal::{FileSink, JournalSink, MemoryJournal, MemorySink, Record};
-pub use metrics::{Histogram, HistogramSnapshot, Snapshot, SpanStat};
+pub use metrics::{Snapshot, SpanStat};
 pub use report::{PhaseTime, Summary};
 
 use std::cell::RefCell;
@@ -77,14 +79,6 @@ use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Fixed bucket edges (nanoseconds) for kernel-duration histograms such as
-/// `spectral_solve_ns`: 1 µs … 10 s in decades.
-pub const DURATION_NS_EDGES: &[f64] = &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
-
-/// Fixed bucket edges for the `backtracks_per_iter` histogram (the paper
-/// reports 1.037 average; anything past 10 is the config cap).
-pub const BACKTRACK_EDGES: &[f64] = &[0.0, 1.0, 2.0, 3.0, 5.0, 10.0];
-
 thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
@@ -92,8 +86,6 @@ thread_local! {
 struct Inner {
     spans: Mutex<BTreeMap<String, (u64, u64)>>, // path -> (calls, total_ns)
     counters: Mutex<BTreeMap<&'static str, u64>>,
-    gauges: Mutex<BTreeMap<&'static str, f64>>,
-    histograms: Mutex<BTreeMap<&'static str, Histogram>>,
     /// `None` for metrics-only recorders: journal lines are dropped without
     /// being built.
     journal: Option<Mutex<Box<dyn JournalSink>>>,
@@ -144,12 +136,12 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// Records spans and metrics; journal records are dropped unbuilt.
+    /// Records spans and counters; journal records are dropped unbuilt.
     pub fn metrics() -> Self {
         Obs::with_journal(None)
     }
 
-    /// Records spans, metrics, and journal lines into `sink`.
+    /// Records spans, counters, and journal lines into `sink`.
     pub fn with_sink(sink: Box<dyn JournalSink>) -> Self {
         Obs::with_journal(Some(sink))
     }
@@ -179,8 +171,6 @@ impl Obs {
             inner: Some(Arc::new(Inner {
                 spans: Mutex::new(BTreeMap::new()),
                 counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
                 journal: journal.map(Mutex::new),
             })),
         }
@@ -227,27 +217,6 @@ impl Obs {
     pub fn add(&self, name: &'static str, n: u64) {
         if let Some(inner) = &self.inner {
             *lock(&inner.counters).entry(name).or_insert(0) += n;
-        }
-    }
-
-    /// Sets the gauge `name` to `value` (last write wins).
-    #[inline]
-    pub fn set_gauge(&self, name: &'static str, value: f64) {
-        if let Some(inner) = &self.inner {
-            lock(&inner.gauges).insert(name, value);
-        }
-    }
-
-    /// Records `value` into the fixed-bucket histogram `name`, creating it
-    /// with `edges` on first use (later calls must pass the same edges —
-    /// the schema is static by design).
-    #[inline]
-    pub fn observe(&self, name: &'static str, edges: &'static [f64], value: f64) {
-        if let Some(inner) = &self.inner {
-            lock(&inner.histograms)
-                .entry(name)
-                .or_insert_with(|| Histogram::new(edges))
-                .observe(value);
         }
     }
 
@@ -311,14 +280,6 @@ impl Obs {
                     }
                     counters
                 },
-                gauges: lock(&inner.gauges)
-                    .iter()
-                    .map(|(&k, &v)| (k.to_string(), v))
-                    .collect(),
-                histograms: lock(&inner.histograms)
-                    .iter()
-                    .map(|(&k, h)| h.snapshot(k))
-                    .collect(),
             },
         }
     }
@@ -363,8 +324,6 @@ mod tests {
         {
             let _s = obs.span("flow");
             obs.add("c", 3);
-            obs.set_gauge("g", 1.0);
-            obs.observe("h", BACKTRACK_EDGES, 1.0);
             obs.journal(Record::new("iter"));
         }
         let snap = obs.snapshot();
@@ -407,12 +366,9 @@ mod tests {
         let obs = Obs::metrics();
         obs.add("backtracks_total", 2);
         obs.add("backtracks_total", 3);
-        obs.set_gauge("hpwl", 1.0);
-        obs.set_gauge("hpwl", 2.5);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("backtracks_total"), 5);
         assert_eq!(snap.counter("missing"), 0);
-        assert_eq!(snap.gauge("hpwl"), Some(2.5));
     }
 
     #[test]
@@ -430,8 +386,8 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic_under_threads() {
-        // Counter values, span call counts, and histogram bucket counts
-        // must not depend on scheduling — only span *durations* may vary.
+        // Counter values and span call counts must not depend on
+        // scheduling — only span *durations* may vary.
         let run = || {
             let obs = Obs::metrics();
             std::thread::scope(|scope| {
@@ -441,19 +397,16 @@ mod tests {
                         for i in 0..100 {
                             let _s = obs.span("worker");
                             obs.add("events", 1);
-                            obs.observe("h", BACKTRACK_EDGES, (i % 7) as f64);
-                            let _ = t;
+                            obs.add(["even", "odd"][i % 2], t + 1);
                         }
                     });
                 }
             });
             let snap = obs.snapshot();
-            let h = &snap.histograms[0];
             (
                 snap.counter("events"),
                 snap.span("worker").unwrap().calls,
-                h.counts.clone(),
-                h.count,
+                snap.counters.clone(),
             )
         };
         assert_eq!(run(), run());

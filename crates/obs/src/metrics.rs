@@ -1,104 +1,5 @@
-//! The metrics registry's value types: fixed-bucket histograms and the
-//! deterministic point-in-time [`Snapshot`].
-
-/// A fixed-bucket histogram. Bucket `i` counts observations `v` with
-/// `edges[i-1] < v <= edges[i]` (bucket 0: `v <= edges[0]`); one implicit
-/// overflow bucket catches `v > edges.last()`. Also tracks count, sum, min
-/// and max, so averages survive even when the buckets are coarse.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    edges: Vec<f64>,
-    /// `edges.len() + 1` counts; the last is the overflow bucket.
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// A histogram over `edges`, which must be strictly increasing.
-    pub fn new(edges: &[f64]) -> Self {
-        debug_assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must be strictly increasing: {edges:?}"
-        );
-        Histogram {
-            edges: edges.to_vec(),
-            counts: vec![0; edges.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
-        let bucket = self.edges.partition_point(|&e| value > e);
-        self.counts[bucket] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    pub(crate) fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        HistogramSnapshot {
-            name: name.to_string(),
-            edges: self.edges.clone(),
-            counts: self.counts.clone(),
-            count: self.count,
-            sum: self.sum,
-            min: if self.count == 0 { 0.0 } else { self.min },
-            max: if self.count == 0 { 0.0 } else { self.max },
-        }
-    }
-}
-
-/// One histogram's state inside a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Bucket upper edges.
-    pub edges: Vec<f64>,
-    /// Per-bucket counts (`edges.len() + 1`, last = overflow).
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation (0 when empty).
-    pub min: f64,
-    /// Largest observation (0 when empty).
-    pub max: f64,
-}
-
-impl HistogramSnapshot {
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
+//! The registry's value types: span aggregates and the deterministic
+//! point-in-time [`Snapshot`].
 
 /// One span's aggregate inside a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,10 +33,6 @@ pub struct Snapshot {
     pub spans: Vec<SpanStat>,
     /// Counters, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauges (last written value), sorted by name.
-    pub gauges: Vec<(String, f64)>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 impl Snapshot {
@@ -147,59 +44,15 @@ impl Snapshot {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// The gauge's last value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
     /// The span aggregate at exactly `path`.
     pub fn span(&self, path: &str) -> Option<&SpanStat> {
         self.spans.iter().find(|s| s.path == path)
-    }
-
-    /// The histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_edges_are_inclusive_upper_bounds() {
-        let mut h = Histogram::new(&[0.0, 1.0, 2.0, 5.0]);
-        h.observe(-3.0); // <= 0        -> bucket 0
-        h.observe(0.0); //  <= 0        -> bucket 0
-        h.observe(0.5); //  (0, 1]      -> bucket 1
-        h.observe(1.0); //  (0, 1]      -> bucket 1
-        h.observe(1.0 + f64::EPSILON); // (1, 2] -> bucket 2
-        h.observe(5.0); //  (2, 5]      -> bucket 3
-        h.observe(5.1); //  > 5         -> overflow
-        let s = h.snapshot("h");
-        assert_eq!(s.counts, vec![2, 2, 1, 1, 1]);
-        assert_eq!(s.count, 7);
-        assert_eq!(s.min, -3.0);
-        assert_eq!(s.max, 5.1);
-    }
-
-    #[test]
-    fn empty_histogram_snapshot_is_zeroed() {
-        let s = Histogram::new(&[1.0]).snapshot("h");
-        assert_eq!(s.count, 0);
-        assert_eq!((s.min, s.max), (0.0, 0.0));
-        assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn mean_tracks_sum() {
-        let mut h = Histogram::new(&[10.0]);
-        h.observe(1.0);
-        h.observe(3.0);
-        assert_eq!(h.mean(), 2.0);
-        assert_eq!(h.count(), 2);
-    }
 
     #[test]
     fn span_stat_leaf_name() {
@@ -227,13 +80,9 @@ mod tests {
                 total_ns: 5,
             }],
             counters: vec![("a".into(), 2)],
-            gauges: vec![("g".into(), 0.5)],
-            histograms: vec![Histogram::new(&[1.0]).snapshot("h")],
         };
         assert_eq!(snap.counter("a"), 2);
-        assert_eq!(snap.gauge("g"), Some(0.5));
         assert!(snap.span("flow").is_some());
-        assert!(snap.histogram("h").is_some());
         assert!(snap.span("nope").is_none());
     }
 }

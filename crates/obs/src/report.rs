@@ -180,8 +180,6 @@ mod tests {
         Snapshot {
             spans,
             counters: vec![("iters_mgp".into(), 42)],
-            gauges: vec![],
-            histograms: vec![],
         }
     }
 

@@ -2,7 +2,6 @@ use crate::dct::DctScratch;
 use crate::{DctPlan, Pow2, SpectralEngine, SpectralPlan};
 use eplace_errors::EplaceError;
 use eplace_exec::{for_each_unit, ExecConfig};
-use eplace_obs::Obs;
 
 /// Which 1-D kernel a pass applies along an axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +81,6 @@ pub struct Transform2d {
     pool_y: Vec<DctScratch>,
     exec: ExecConfig,
     engine: SpectralEngine,
-    obs: Obs,
 }
 
 impl Transform2d {
@@ -115,7 +113,6 @@ impl Transform2d {
             pool_y: Vec::new(),
             exec: ExecConfig::serial(),
             engine: SpectralEngine::default(),
-            obs: Obs::disabled(),
         }
     }
 
@@ -146,19 +143,6 @@ impl Transform2d {
     #[inline]
     pub fn engine(&self) -> SpectralEngine {
         self.engine
-    }
-
-    /// Sets the observability recorder: each transform call records one
-    /// `spectral_transform` span and bumps the `spectral_transforms`
-    /// counter. Recording never touches the transform's arithmetic.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// Builder form of [`Transform2d::set_obs`].
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
     }
 
     /// Grid width (number of columns / x-bins).
@@ -254,8 +238,6 @@ impl Transform2d {
             self.nx,
             self.ny
         );
-        let _span = self.obs.span("spectral_transform");
-        self.obs.add("spectral_transforms", 1);
         if self.exec.is_serial() {
             self.apply_serial(data, kernel_x, kernel_y, scale);
         } else {

@@ -215,12 +215,6 @@ impl WaModel {
         self.obs = obs;
     }
 
-    /// Builder form of [`WaModel::set_obs`].
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
     fn run(
         &mut self,
         design: &Design,

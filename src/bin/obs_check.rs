@@ -3,10 +3,11 @@
 //! Journal mode (default) checks that every line parses as JSON, that
 //! `iter` records carry the full finite metric set, that `recovery` and
 //! `stop` records name a stage, iteration and reason (a stop's reason one
-//! of [`STOP_REASONS`]), and that the journal
-//! ends with exactly one `summary` record whose phase seconds are
-//! consistent with its total. CI runs this over the journal produced by a
-//! `--journal` run.
+//! of [`STOP_REASONS`]), that `route` records (one per routability round)
+//! carry their integer counts and finite scores, and that the journal ends
+//! with exactly one `summary` record whose phase seconds are consistent
+//! with its total. CI runs this over the journals of a `--journal` run and
+//! a `--routability --journal` run.
 //!
 //! `--ledger` mode validates an `eplace-serve` job ledger instead: globally
 //! strictly-increasing sequence numbers, every per-job event stream obeying
@@ -38,6 +39,7 @@ struct Stats {
     iters: u64,
     recoveries: u64,
     stops: u64,
+    routes: u64,
     total_seconds: f64,
     phases: usize,
 }
@@ -88,8 +90,13 @@ fn main() -> ExitCode {
     match check(&path, expect_iters) {
         Ok(stats) => {
             println!(
-                "{path}: OK — {} iter records, {} recoveries, {} stops, {} phases, {:.3}s total",
-                stats.iters, stats.recoveries, stats.stops, stats.phases, stats.total_seconds
+                "{path}: OK — {} iter records, {} recoveries, {} stops, {} route rounds, {} phases, {:.3}s total",
+                stats.iters,
+                stats.recoveries,
+                stats.stops,
+                stats.routes,
+                stats.phases,
+                stats.total_seconds
             );
             ExitCode::SUCCESS
         }
@@ -218,6 +225,7 @@ fn check(path: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
         iters: 0,
         recoveries: 0,
         stops: 0,
+        routes: 0,
         total_seconds: 0.0,
         phases: 0,
     };
@@ -249,6 +257,15 @@ fn check(path: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
                 } else {
                     stats.recoveries += 1;
                 }
+            }
+            "route" => {
+                for key in ["round", "segments", "rerouted", "overflowed_bins"] {
+                    u64_field(&value, key, no)?;
+                }
+                for key in ["routed_wl", "total_overflow", "peak_congestion"] {
+                    finite_field(&value, key, no)?;
+                }
+                stats.routes += 1;
             }
             "summary" => {
                 summaries += 1;

@@ -65,7 +65,7 @@ pub use eplace_baselines as baselines;
 /// divergence reports, validation issues).
 pub use eplace_errors as errors;
 
-/// Observability: spans, metrics, and the JSONL run journal
+/// Observability: spans, counters, and the JSONL run journal
 /// ([`Obs`](eplace_obs::Obs)).
 pub use eplace_obs as obs;
 

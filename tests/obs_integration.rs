@@ -82,7 +82,11 @@ fn journal_iter_lines_match_reported_iterations() {
 
 #[test]
 fn journaling_never_perturbs_the_trajectory() {
+    // All three recorder modes take different paths through the GP loop
+    // (the journaling one also builds a RUDY map per iteration); none may
+    // move a bit of the trajectory.
     let baseline = run_with(small_design(82), Obs::disabled());
+    let metrics = run_with(small_design(82), Obs::metrics());
     let (obs, _journal) = Obs::memory();
     let journaled = run_with(small_design(82), obs);
     let key = |r: &eplace_repro::core::PlacementReport| {
@@ -98,11 +102,10 @@ fn journaling_never_perturbs_the_trajectory() {
             })
             .collect::<Vec<_>>()
     };
-    assert_eq!(key(&baseline), key(&journaled));
-    assert_eq!(
-        baseline.final_hpwl.to_bits(),
-        journaled.final_hpwl.to_bits()
-    );
+    for recorded in [&metrics, &journaled] {
+        assert_eq!(key(&baseline), key(recorded));
+        assert_eq!(baseline.final_hpwl.to_bits(), recorded.final_hpwl.to_bits());
+    }
 }
 
 #[test]
@@ -262,11 +265,11 @@ fn stagnation_stop_is_counted_and_journaled() {
 }
 
 #[test]
-fn journal_iter_lines_carry_rudy_congestion_gauges() {
+fn journal_iter_lines_carry_rudy_congestion() {
     // Satellite of the routability subsystem: every journaled iteration
-    // reports the RUDY congestion of the in-flight placement. The gauges
-    // are read-only — `journaling_never_perturbs_the_trajectory` above
-    // proves the numerics cannot see them.
+    // reports the RUDY congestion of the in-flight placement. The map is
+    // read-only — `journaling_never_perturbs_the_trajectory` above proves
+    // the numerics cannot see it.
     let (obs, journal) = Obs::memory();
     run_with(small_design(86), obs);
     let mut iter_lines = 0;

@@ -10,6 +10,9 @@ use eplace_repro::benchgen::BenchmarkConfig;
 use eplace_repro::core::{EplaceConfig, Placer, RoutabilityConfig, RouteConfig, Stage};
 use eplace_repro::legalize::check_legal;
 use eplace_repro::netlist::Design;
+use eplace_repro::obs::Obs;
+use std::path::Path;
+use std::process::{Command, Output};
 
 fn congested_design(seed: u64) -> Design {
     BenchmarkConfig::ispd05_like("routability", seed)
@@ -162,4 +165,57 @@ fn refinement_rounds_appear_in_trace_and_timings() {
             .find(|(s, _)| *s == Stage::RouteRefine);
         assert!(counted.is_some(), "per-stage iteration accounting");
     }
+}
+
+/// Runs the `obs_check` journal validator on `path`.
+fn obs_check(path: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_obs_check"))
+        .arg(path)
+        .output()
+        .expect("obs_check runs")
+}
+
+#[test]
+fn routability_journal_passes_obs_check() {
+    let dir = std::env::temp_dir().join(format!("eplace_route_journal_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("route.jsonl");
+    let cfg = EplaceConfig {
+        routability: Some(scarce_routability()),
+        obs: Obs::to_file(journal.to_str().unwrap()).unwrap(),
+        ..EplaceConfig::fast()
+    };
+    // Dropping the placer drops the recorder's last handle, which moves
+    // the finished journal into place.
+    Placer::new(congested_design(91), cfg).run().unwrap();
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let is_route = |line: &str| line.starts_with(r#"{"type":"route","#);
+    assert!(text.lines().any(is_route), "the loop journals its rounds");
+    let out = obs_check(&journal);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // The same journal with one route record missing `total_overflow`.
+    let mut renamed = false;
+    let broken: Vec<String> = text
+        .lines()
+        .map(|line| {
+            if is_route(line) && !renamed {
+                renamed = true;
+                line.replacen(r#""total_overflow":"#, r#""overflow":"#, 1)
+            } else {
+                line.to_string()
+            }
+        })
+        .collect();
+    let broken_path = dir.join("broken.jsonl");
+    std::fs::write(&broken_path, broken.join("\n") + "\n").unwrap();
+    let out = obs_check(&broken_path);
+    assert!(!out.status.success(), "a route record lacks total_overflow");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("total_overflow"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
