@@ -9,7 +9,7 @@
 use eplace_bench::report::bench_exec;
 use eplace_bench::timing::{bench, report_speedup};
 use eplace_exec::ExecConfig;
-use eplace_spectral::{Complex, DctPlan, FftPlan, SpectralEngine, Transform2d};
+use eplace_spectral::{Complex, DctPlan, DctScratch, FftPlan, SpectralEngine, Transform2d};
 use std::hint::black_box;
 
 fn bench_fft() {
@@ -31,8 +31,13 @@ fn bench_dct() {
     println!("dct2");
     for &n in &[256usize, 1024] {
         let plan = DctPlan::new(n).unwrap();
+        let mut scratch = DctScratch::new(n);
         let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        bench(&format!("dct2/{n}"), 50, || plan.dct2(black_box(&data)));
+        bench(&format!("dct2/{n}"), 50, || {
+            let mut line = data.clone();
+            plan.dct2_strided(black_box(&mut line), 0, 1, &mut scratch);
+            line
+        });
     }
 }
 

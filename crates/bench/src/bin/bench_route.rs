@@ -44,7 +44,6 @@ fn routability_config(max_rounds: usize) -> RoutabilityConfig {
             ..RouteConfig::default()
         },
         max_rounds,
-        ..RoutabilityConfig::default()
     }
 }
 

@@ -3,7 +3,7 @@
 //! `BENCH_*.json` writer ([`emit`]) with each file's checks ([`GP`],
 //! [`PEKO`], [`ROUTE`]).
 
-use eplace_core::RoutabilityConfig;
+use eplace_core::MAX_HPWL_COST;
 use eplace_exec::ExecConfig;
 use eplace_obs::json::{parse_json, JsonValue};
 use eplace_obs::Record;
@@ -260,7 +260,7 @@ fn check_peko_suite(suite: &JsonValue) -> Result<(), String> {
 }
 
 fn check_route_suite(suite: &JsonValue) -> Result<(), String> {
-    let budget = RoutabilityConfig::default().max_hpwl_cost;
+    let budget = MAX_HPWL_COST;
     let arms = field(suite, "arms")?;
     let mut overflow = [0.0f64; 2];
     for (slot, name) in ["without_inflation", "with_inflation"]

@@ -84,11 +84,12 @@ pub struct GpOutcome {
 ///
 /// # Errors
 ///
-/// [`EplaceError::Diverged`] when the sentinel trips more than 3 times;
-/// the best placement seen is committed to `design` before returning and
-/// the report carries its HPWL/overflow. [`EplaceError::Cancelled`] when
-/// the config's [`crate::CancelToken`] fires — also after committing the
-/// best placement seen.
+/// [`EplaceError::Validation`] when `design.target_density` (ρ_t) is not in
+/// `(0, 1]`, before any work. [`EplaceError::Diverged`] when the sentinel
+/// trips more than 3 times; the best placement seen is committed to
+/// `design` before returning and the report carries its HPWL/overflow.
+/// [`EplaceError::Cancelled`] when the config's [`crate::CancelToken`]
+/// fires — also after committing the best placement seen.
 pub fn run_global_placement(
     design: &mut Design,
     problem: &PlacementProblem,
@@ -124,7 +125,8 @@ pub fn run_global_placement(
 ///
 /// [`EplaceError::Validation`] when any of the checkpoint's position
 /// vectors (best positions, u, v, v_prev, g, g_prev) does not match the
-/// problem size; [`EplaceError::Diverged`] as for [`run_global_placement`].
+/// problem size, or for ρ_t as in [`run_global_placement`];
+/// [`EplaceError::Diverged`] as for [`run_global_placement`].
 pub fn resume_global_placement(
     design: &mut Design,
     problem: &PlacementProblem,
@@ -170,6 +172,14 @@ fn run_guarded(
     resume: Option<&GpCheckpoint>,
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
+    let rho = design.target_density;
+    // `!(..)` rejects NaN too.
+    if !(rho > 0.0 && rho <= 1.0) {
+        return Err(EplaceError::invalid(
+            "target_density",
+            format!("target density must be in (0, 1], got {rho}"),
+        ));
+    }
     let start = std::time::Instant::now();
     let obs = cfg.obs.clone();
     let _stage_span = obs.span(stage.key());

@@ -57,7 +57,7 @@ pub use nesterov::{Gradient, NesterovCheckpoint, NesterovOptimizer, StepInfo};
 pub use placer::{measure_overflow, run_cdp, scaled_hpwl, PlacementReport, Placer};
 pub use problem::PlacementProblem;
 pub use recover::{FaultKind, GpCheckpoint, GradientFault};
-pub use routability::{RoutabilityConfig, RoutabilityOutcome};
+pub use routability::{RoutabilityConfig, RoutabilityOutcome, MAX_HPWL_COST};
 pub use trace::{
     trace_endpoints, trace_to_csv, trace_to_csv_checked, validate_trace, IterationRecord,
     RuntimeProfile, Stage, StageTiming,

@@ -128,9 +128,11 @@ impl Placer {
     ///
     /// # Errors
     ///
-    /// [`EplaceError::Diverged`] when a global-placement stage exhausts its
-    /// divergence-recovery budget (see [`crate::run_global_placement`]);
-    /// the design then holds the best placement seen before the failure.
+    /// [`EplaceError::Validation`] when the design's target density ρ_t is
+    /// not in `(0, 1]`. [`EplaceError::Diverged`] when a global-placement
+    /// stage exhausts its divergence-recovery budget (see
+    /// [`crate::run_global_placement`]); the design then holds the best
+    /// placement seen before the failure.
     pub fn run(&mut self) -> Result<PlacementReport, EplaceError> {
         let obs = &self.config.obs;
         let flow_span = obs.span("flow");
@@ -387,6 +389,20 @@ mod tests {
     use super::*;
     use eplace_benchgen::BenchmarkConfig;
     use eplace_legalize::check_legal;
+
+    #[test]
+    fn out_of_range_target_density_is_a_validation_error() {
+        for rho in [1.5, 0.0, f64::NAN] {
+            let mut design = BenchmarkConfig::ispd05_like("rho", 3).scale(120).generate();
+            design.target_density = rho;
+            let err = Placer::new(design, EplaceConfig::fast()).run().unwrap_err();
+            assert!(
+                matches!(err, EplaceError::Validation { .. }),
+                "rho {rho}: {err}"
+            );
+            assert!(err.to_string().contains("target density"), "{err}");
+        }
+    }
 
     #[test]
     fn stdcell_flow_end_to_end() {

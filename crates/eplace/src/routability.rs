@@ -38,36 +38,44 @@ use eplace_route::{route_design, CapacityGrid, RoutabilityReport, RouteConfig};
 /// cells back toward the pre-round placement.
 const BLEND_ALPHAS: [f64; 9] = [1.0, 0.85, 0.7, 0.55, 0.45, 0.35, 0.25, 0.15, 0.1];
 
+/// Iteration cap of each refinement global-placement round.
+const REFINE_ITERATIONS: usize = 80;
+
+/// Per-round cap on a cell's width scale factor.
+const ROUND_INFLATION_MAX: f64 = 1.5;
+
+/// Cumulative cap on a cell's width relative to its original width.
+const TOTAL_INFLATION_MAX: f64 = 2.5;
+
+/// Fraction of the usable placement capacity
+/// (`region area × ρ_t − fixed area`) the inflated movable area may occupy;
+/// proposed inflation beyond it is scaled back uniformly so the density
+/// system stays feasible.
+const AREA_BUDGET_FRAC: f64 = 0.9;
+
+/// Weight of the 8 neighboring gcells when a cell's local congestion is
+/// sampled (hotspot dilation): a cell is inflated when
+/// `max(own, frac × neighbors) > overflow_threshold`.
+const NEIGHBOR_CONGESTION_FRAC: f64 = 0.8;
+
+/// Cumulative HPWL increase (fraction of the HPWL entering the loop) a
+/// refinement round may pay; the blend search only accepts rounds within
+/// this budget.
+pub const MAX_HPWL_COST: f64 = 0.05;
+
+/// Routing overflow (track units) at or below which the loop stops.
+const STOP_OVERFLOW: f64 = 0.0;
+
 /// Settings of the congestion-driven inflation loop
-/// ([`crate::EplaceConfig::routability`]; `None` disables the mode).
+/// ([`crate::EplaceConfig::routability`]; `None` disables the mode). The
+/// loop's caps and budgets are constants, among them the HPWL budget
+/// [`MAX_HPWL_COST`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutabilityConfig {
     /// Routing model handed to [`eplace_route::route_design`].
     pub route: RouteConfig,
     /// Inflation/refinement rounds attempted before giving up.
     pub max_rounds: usize,
-    /// Iteration cap of each refinement global-placement round.
-    pub refine_iterations: usize,
-    /// Per-round cap on a cell's width scale factor.
-    pub round_inflation_max: f64,
-    /// Cumulative cap on a cell's width relative to its original width.
-    pub total_inflation_max: f64,
-    /// Fraction of the usable placement capacity
-    /// (`region area × ρ_t − fixed area`) the inflated movable area may
-    /// occupy; proposed inflation beyond it is scaled back uniformly so the
-    /// density system stays feasible.
-    pub area_budget_frac: f64,
-    /// Weight of the 8 neighboring gcells when a cell's local congestion is
-    /// sampled (hotspot dilation): a cell is inflated when
-    /// `max(own, frac × neighbors) > overflow_threshold`. 0 disables
-    /// dilation.
-    pub neighbor_congestion_frac: f64,
-    /// Cumulative HPWL increase (fraction of the HPWL entering the loop) a
-    /// refinement round may pay; the blend search only accepts rounds
-    /// within this budget.
-    pub max_hpwl_cost: f64,
-    /// Routing overflow (track units) at or below which the loop stops.
-    pub stop_overflow: f64,
 }
 
 impl Default for RoutabilityConfig {
@@ -75,13 +83,6 @@ impl Default for RoutabilityConfig {
         RoutabilityConfig {
             route: RouteConfig::default(),
             max_rounds: 3,
-            refine_iterations: 80,
-            round_inflation_max: 1.5,
-            total_inflation_max: 2.5,
-            area_budget_frac: 0.9,
-            neighbor_congestion_frac: 0.8,
-            max_hpwl_cost: 0.05,
-            stop_overflow: 0.0,
         }
     }
 }
@@ -149,7 +150,7 @@ pub(crate) fn run_routability_loop(
     let mut inflated_cells = 0;
     let mut recoveries = 0;
 
-    while rounds < rcfg.max_rounds && accepted.total_overflow > rcfg.stop_overflow {
+    while rounds < rcfg.max_rounds && accepted.total_overflow > STOP_OVERFLOW {
         // Hotspot selection + inflation from the last accepted routing.
         let (hot, inflated) = inflate(design, &result.grid, rcfg, &orig_widths);
         if inflated == 0 {
@@ -175,7 +176,7 @@ pub(crate) fn run_routability_loop(
             cfg,
             Stage::RouteRefine,
             None, // fresh λ ramp: refinement re-derives its own density pressure
-            Some(rcfg.refine_iterations),
+            Some(REFINE_ITERATIONS),
             trace,
         );
         for (c, &f) in design.cells.iter_mut().zip(&saved_fixed) {
@@ -216,7 +217,7 @@ pub(crate) fn run_routability_loop(
                 && best
                     .as_ref()
                     .is_none_or(|(_, b)| routed.report.total_overflow < b.report.total_overflow);
-            if hpwl_cost <= rcfg.max_hpwl_cost && improves {
+            if hpwl_cost <= MAX_HPWL_COST && improves {
                 best = Some((alpha, routed));
             }
         }
@@ -257,22 +258,21 @@ pub(crate) fn run_routability_loop(
 }
 
 /// Samples a cell's local congestion: its own gcell at full weight, the 8
-/// neighbors damped by `neighbor_congestion_frac` (hotspot dilation — cells
-/// just outside an overflowed bin must also make room).
-fn local_congestion(grid: &CapacityGrid, pos: Point, frac: f64) -> f64 {
+/// neighbors damped by [`NEIGHBOR_CONGESTION_FRAC`] (hotspot dilation —
+/// cells just outside an overflowed bin must also make room).
+fn local_congestion(grid: &CapacityGrid, pos: Point) -> f64 {
     let (gx, gy) = grid.gcell_of(pos);
     let mut cong = grid.congestion(gx, gy);
-    if frac > 0.0 {
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let nx = gx as i64 + dx;
-                let ny = gy as i64 + dy;
-                if nx >= 0 && ny >= 0 && (nx as usize) < grid.nx() && (ny as usize) < grid.ny() {
-                    cong = cong.max(frac * grid.congestion(nx as usize, ny as usize));
-                }
+    for dx in -1i64..=1 {
+        for dy in -1i64..=1 {
+            if dx == 0 && dy == 0 {
+                continue;
+            }
+            let nx = gx as i64 + dx;
+            let ny = gy as i64 + dy;
+            if nx >= 0 && ny >= 0 && (nx as usize) < grid.nx() && (ny as usize) < grid.ny() {
+                cong =
+                    cong.max(NEIGHBOR_CONGESTION_FRAC * grid.congestion(nx as usize, ny as usize));
             }
         }
     }
@@ -297,13 +297,13 @@ fn inflate(
         if c.fixed || c.kind != CellKind::StdCell {
             continue;
         }
-        let congestion = local_congestion(grid, c.pos, rcfg.neighbor_congestion_frac);
+        let congestion = local_congestion(grid, c.pos);
         if congestion <= rcfg.route.overflow_threshold {
             continue;
         }
         hot[i] = true;
-        let factor = congestion.clamp(1.0, rcfg.round_inflation_max);
-        let new_w = (c.size.width * factor).min(orig_widths[i] * rcfg.total_inflation_max);
+        let factor = congestion.clamp(1.0, ROUND_INFLATION_MAX);
+        let new_w = (c.size.width * factor).min(orig_widths[i] * TOTAL_INFLATION_MAX);
         if new_w > c.size.width {
             delta_area += (new_w - c.size.width) * c.size.height;
             proposals.push((i, new_w));
@@ -314,7 +314,7 @@ fn inflate(
     }
 
     // Global feasibility guard: inflation may not push the movable area
-    // past the configured fraction of the usable capacity.
+    // past a fixed fraction of the usable capacity.
     let capacity = design.region.area() * design.target_density;
     let fixed_area: f64 = design
         .cells
@@ -328,7 +328,7 @@ fn inflate(
         .filter(|c| !c.fixed && c.kind != CellKind::Filler)
         .map(|c| c.area())
         .sum();
-    let budget = (rcfg.area_budget_frac * (capacity - fixed_area) - movable_area).max(0.0);
+    let budget = (AREA_BUDGET_FRAC * (capacity - fixed_area) - movable_area).max(0.0);
     let scale = if delta_area > budget {
         budget / delta_area
     } else {

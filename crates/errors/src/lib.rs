@@ -14,7 +14,6 @@
 //!   exhausted its rollback/retry budget; the [`DivergenceReport`] carries
 //!   the trip reason and the best solution metrics observed (the design is
 //!   left at that best-so-far placement);
-//! * [`EplaceError::Legalize`] — cDP could not fit every cell;
 //! * [`EplaceError::EmptyTrace`] — a global-placement stage was asked to run
 //!   but produced no iterations (zero iteration budget on a non-empty
 //!   problem).
@@ -143,13 +142,6 @@ pub enum EplaceError {
     },
     /// Global placement diverged beyond its rollback/retry budget.
     Diverged(DivergenceReport),
-    /// Legalization could not fit every cell.
-    Legalize {
-        /// First cell that could not be placed.
-        cell: String,
-        /// Explanation.
-        message: String,
-    },
     /// A placement stage executed zero iterations on a non-empty problem.
     EmptyTrace {
         /// Stage name.
@@ -171,14 +163,6 @@ pub enum EplaceError {
         job: String,
         /// Explanation.
         message: String,
-    },
-    /// A job exceeded its per-job wall-clock deadline and was stopped at an
-    /// iteration boundary.
-    DeadlineExceeded {
-        /// Job name.
-        job: String,
-        /// Configured wall-clock budget in seconds.
-        limit_secs: f64,
     },
     /// A placement stage observed a tripped
     /// cancellation token and stopped cooperatively at an iteration
@@ -219,9 +203,6 @@ impl fmt::Display for EplaceError {
                 report.best_hpwl,
                 report.best_overflow
             ),
-            EplaceError::Legalize { cell, message } => {
-                write!(f, "cannot legalize `{cell}`: {message}")
-            }
             EplaceError::EmptyTrace { stage } => {
                 write!(f, "{stage} produced no iterations (empty trace)")
             }
@@ -229,9 +210,6 @@ impl fmt::Display for EplaceError {
                 write!(f, "corrupt checkpoint {path}: {message}")
             }
             EplaceError::Job { job, message } => write!(f, "job `{job}`: {message}"),
-            EplaceError::DeadlineExceeded { job, limit_secs } => {
-                write!(f, "job `{job}` exceeded its {limit_secs}s deadline")
-            }
             EplaceError::Cancelled { stage, iteration } => {
                 write!(f, "{stage} cancelled at iteration {iteration}")
             }
@@ -363,11 +341,6 @@ mod tests {
         );
         let job = EplaceError::job("adaptec1", "manifest unreadable");
         assert!(job.to_string().contains("adaptec1"));
-        let dl = EplaceError::DeadlineExceeded {
-            job: "j1".into(),
-            limit_secs: 2.5,
-        };
-        assert!(dl.to_string().contains("2.5s deadline"));
         let c = EplaceError::Cancelled {
             stage: "mGP".into(),
             iteration: 17,

@@ -5,41 +5,47 @@ use std::f64::consts::PI;
 
 /// A reusable plan for cosine/sine transforms of one fixed power-of-two size.
 ///
-/// All transforms run in `O(N log N)` via Makhoul's repacking onto a single
-/// `N`-point complex FFT:
+/// Each transform is one in-place kernel per engine
+/// ([`crate::SpectralEngine`]) over the strided line
+/// `data[offset + i·stride]`: a contiguous line at offset 0 and stride 1,
+/// or one column of a row-major grid at stride `nx`.
 ///
-/// * [`DctPlan::dct2`] — forward DCT-II (the analysis step of the Poisson
-///   solve),
-/// * [`DctPlan::idct2`] — exact inverse of `dct2`,
-/// * [`DctPlan::dct3`] — DCT-III synthesis (`(N/2)·idct2`), used for the
-///   potential ψ,
-/// * [`DctPlan::dst3`] — DST-III-style synthesis, used for the field ξ.
+/// | transform | V1 | V2 |
+/// |---|---|---|
+/// | DCT-II analysis (the Poisson solve's forward step) | [`DctPlan::dct2_strided`] | [`DctPlan::dct2_v2`] |
+/// | DCT-III synthesis (the potential ψ) | [`DctPlan::dct3_strided`] | [`DctPlan::dct3_v2`] |
+/// | DST-III synthesis (the field ξ) | [`DctPlan::dst3_strided`] | [`DctPlan::dst3_v2`] |
 ///
-/// The hot-path structure exploits the real-valued input end to end while
-/// staying bit-for-bit identical to the textbook pipeline it replaces:
+/// The synthesis kernels fuse a caller's elementwise `·scale` into their
+/// final store (`1.0` for none); DCT-III scaled by `2/N` inverts the
+/// DCT-II.
 ///
-/// * the forward path loads the real input through a precomputed
+/// V1 runs in `O(N log N)` via Makhoul's repacking onto a single `N`-point
+/// complex FFT, bit-for-bit identical to the textbook pipeline it replaces:
+///
+/// * the forward kernel loads the real line through a precomputed
 ///   permutation that fuses Makhoul's even/odd reorder with the FFT's
 ///   bit-reversal (a real-to-complex gather; no separate pack or swap pass),
 ///   and the post-twiddle keeps only the real component each output needs;
-/// * the synthesis paths rebuild the Hermitian spectrum directly in
+/// * the synthesis kernels rebuild the Hermitian spectrum directly in
 ///   bit-reversed order from precomputed conjugate twiddles, run the raw
 ///   inverse butterflies, and fuse the `1/N` normalization (and the DCT-III
 ///   `N/2` scale / DST sign flips) into the unpacking store;
-/// * the `*_inplace` variants read the whole line into scratch before any
-///   store, so each row/column of a 2-D pass transforms without a bounce
-///   buffer.
+/// * every kernel reads the whole line into scratch before its first
+///   store, so a row or column transforms without a bounce buffer.
 ///
 /// # Examples
 ///
 /// ```
-/// use eplace_spectral::DctPlan;
+/// use eplace_spectral::{DctPlan, DctScratch};
 ///
 /// let plan = DctPlan::new(16).unwrap();
+/// let mut scratch = DctScratch::new(16);
 /// let x: Vec<f64> = (0..16).map(|i| i as f64).collect();
-/// let c = plan.dct2(&x);
-/// let y = plan.dct3(&c);
-/// for (a, b) in x.iter().zip(&y) {
+/// let mut line = x.clone();
+/// plan.dct2_strided(&mut line, 0, 1, &mut scratch);
+/// plan.dct3_strided(&mut line, 0, 1, 1.0, &mut scratch);
+/// for (a, b) in x.iter().zip(&line) {
 ///     assert!((8.0 * a - b).abs() < 1e-9); // dct3∘dct2 = (N/2)·id
 /// }
 /// ```
@@ -78,11 +84,11 @@ pub struct DctPlan {
     refold: Vec<Complex>,
 }
 
-/// Reusable work buffers for the `*_scratch` transform variants.
+/// Work buffers for the [`DctPlan`] kernels of one plan size.
 ///
-/// The `*_into` entry points allocate these buffers on every call; a hot
-/// loop (the placer runs four grid transforms per Nesterov iteration)
-/// constructs one `DctScratch` per plan size and reuses it instead.
+/// A caller builds one per plan size and passes it to every kernel call,
+/// so repeated transforms are allocation-free (the placer transforms the
+/// grid three times per Nesterov iteration).
 #[derive(Debug, Clone)]
 pub struct DctScratch {
     /// Complex FFT workspace (v1 full-size path).
@@ -120,15 +126,23 @@ impl DctScratch {
     }
 }
 
-/// Which fused post-pass a synthesis store applies.
+/// Which synthesis a kernel runs.
 #[derive(Clone, Copy)]
 enum Synth {
-    /// `1/N` normalization only (exact inverse of `dct2`).
-    Idct2,
     /// `1/N` then `N/2` — the DCT-III scale.
     Dct3,
-    /// DCT-III scale plus the DST's alternating sign flip on odd outputs.
+    /// Coefficients read mirrored, the DCT-III scale, then the DST's
+    /// alternating sign flip on odd outputs.
     Dst3,
+}
+
+impl Synth {
+    fn name(self) -> &'static str {
+        match self {
+            Synth::Dct3 => "dct3",
+            Synth::Dst3 => "dst3",
+        }
+    }
 }
 
 impl DctPlan {
@@ -214,69 +228,16 @@ impl DctPlan {
         assert_eq!(len, self.size, "{what} length mismatch");
     }
 
-    /// Forward DCT-II: `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from the plan size.
-    pub fn dct2(&self, input: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.size];
-        self.dct2_into(input, &mut out);
-        out
+    fn check_strided(&self, len: usize, offset: usize, stride: usize, what: &str) {
+        assert!(stride > 0, "{what} stride must be positive");
+        assert!(
+            offset + (self.size - 1) * stride < len,
+            "{what} strided line (offset {offset}, stride {stride}) exceeds buffer length {len}"
+        );
     }
 
-    /// [`DctPlan::dct2`] writing into a caller-provided buffer (allocates
-    /// scratch; prefer [`DctPlan::dct2_scratch`] in loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn dct2_into(&self, input: &[f64], out: &mut [f64]) {
-        self.dct2_scratch(input, out, &mut DctScratch::new(self.size));
-    }
-
-    /// [`DctPlan::dct2`] using caller-owned scratch, so repeated transforms
-    /// are allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice or scratch length differs from the plan size.
-    pub fn dct2_scratch(&self, input: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
-        self.check(input.len(), "dct2 input");
-        self.check(out.len(), "dct2 output");
-        self.check(scratch.len(), "dct2 scratch");
-        if self.size == 1 {
-            out[0] = input[0];
-            return;
-        }
-        self.dct2_load(input, &mut scratch.freq);
-        self.fft.butterflies(&mut scratch.freq, false);
-        self.dct2_store(&scratch.freq, out);
-    }
-
-    /// [`DctPlan::dct2`] transforming `data` in place (the input is fully
-    /// gathered into scratch before the first store).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice or scratch length differs from the plan size.
-    pub fn dct2_inplace(&self, data: &mut [f64], scratch: &mut DctScratch) {
-        self.check(data.len(), "dct2 input");
-        self.check(scratch.len(), "dct2 scratch");
-        if self.size == 1 {
-            return;
-        }
-        self.dct2_load(data, &mut scratch.freq);
-        self.fft.butterflies(&mut scratch.freq, false);
-        self.dct2_store(&scratch.freq, data);
-    }
-
-    /// [`DctPlan::dct2_inplace`] over the strided line
-    /// `data[offset + i·stride]` — one column of a row-major 2-D grid
-    /// transforms directly, with no bounce through a contiguous staging
-    /// buffer. The element values and every operation on them are identical
-    /// to gather → contiguous transform → scatter, so the output bits are
-    /// too.
+    /// Forward DCT-II `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))` of the strided
+    /// line `x[i] = data[offset + i·stride]`, in place.
     ///
     /// # Panics
     ///
@@ -298,16 +259,24 @@ impl DctPlan {
             *slot = Complex::from(data[offset + src as usize * stride]);
         }
         self.fft.butterflies(&mut scratch.freq, false);
-        for (u, (z, t)) in scratch.freq.iter().zip(&self.fwd_twiddles).enumerate() {
-            data[offset + u * stride] = z.re * t.re - z.im * t.im;
+        // Post-twiddle keeping only the real component: the identical
+        // multiply-subtract the full complex product performs for its real
+        // part.
+        let mut i = offset;
+        for (z, t) in scratch.freq.iter().zip(&self.fwd_twiddles) {
+            data[i] = z.re * t.re - z.im * t.im;
+            i += stride;
         }
     }
 
-    /// [`DctPlan::dct3_inplace`] over the strided line
-    /// `data[offset + i·stride]`, with `scale` multiplying every stored
-    /// output — the caller's elementwise post-scale pass fused into the
-    /// store (`v·scale` exactly as the separate pass computes it; pass
-    /// `1.0` for none).
+    /// DCT-III synthesis `y[n] = X[0]/2 + Σ_{u≥1} X[u]·cos(π·u·(2n+1)/(2N))`
+    /// of the strided line `X[u] = data[offset + u·stride]`, in place, with
+    /// `scale` multiplying every stored output — a caller's elementwise
+    /// post-scale pass fused into the store (`v·scale` exactly as the
+    /// separate pass computes it; pass `1.0` for none).
+    ///
+    /// DCT-III after [`DctPlan::dct2_strided`] is `(N/2)·x`, so `scale`
+    /// `2/N` inverts the DCT-II.
     ///
     /// # Panics
     ///
@@ -321,21 +290,20 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_strided(
-            data,
-            offset,
-            stride,
-            scale,
-            scratch,
-            Synth::Dct3,
-            false,
-            "dct3",
-        )
+        self.synth_strided(data, offset, stride, scale, scratch, Synth::Dct3)
     }
 
-    /// [`DctPlan::dst3_inplace`] over the strided line
-    /// `data[offset + i·stride]`, with `scale` fused into the store (see
-    /// [`DctPlan::dct3_strided`]).
+    /// DST-III-style synthesis used for the electric field,
+    /// `y[n] = Σ_{u=1}^{N-1} b[u]·sin(π·u·(2n+1)/(2N))`, of the strided line
+    /// `b[u] = data[offset + u·stride]`, in place, with `scale` fused into
+    /// the store (see [`DctPlan::dct3_strided`]).
+    ///
+    /// `b[0]` multiplies the identically-zero basis function `sin(0)` and is
+    /// therefore ignored. The identity
+    /// `sin(πu(2n+1)/(2N)) = (−1)ⁿ·cos(π(N−u)(2n+1)/(2N))` turns the sine
+    /// synthesis into a coefficient-reversed DCT-III followed by alternating
+    /// sign flips; the reversal is fused into the spectrum rebuild and the
+    /// sign flips into the unpacking store, so no extra passes run.
     ///
     /// # Panics
     ///
@@ -349,27 +317,17 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_strided(
-            data,
-            offset,
-            stride,
-            scale,
-            scratch,
-            Synth::Dst3,
-            true,
-            "dst3",
-        )
+        self.synth_strided(data, offset, stride, scale, scratch, Synth::Dst3)
     }
 
-    fn check_strided(&self, len: usize, offset: usize, stride: usize, what: &str) {
-        assert!(stride > 0, "{what} stride must be positive");
-        assert!(
-            offset + (self.size - 1) * stride < len,
-            "{what} strided line (offset {offset}, stride {stride}) exceeds buffer length {len}"
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// V1 synthesis core. Rebuilds the Hermitian FFT spectrum
+    /// `V[u] = e^{iπu/(2N)}·(X[u] − i·X[N−u])` (with `X[N] ≡ 0`) directly in
+    /// bit-reversed order, so the inverse butterflies run with no separate
+    /// permutation pass; the DST reads the coefficients mirrored
+    /// (`X'[u] = X[N−u]`, `X'[0] = 0`) instead of materializing them in a
+    /// second buffer. The store unpacks the even/odd interleave, every
+    /// output performing the identical `re·(1/N)·(N/2)` chain (then the DST
+    /// sign flip, then `·scale`) the historical separate passes performed.
     fn synth_strided(
         &self,
         data: &mut [f64],
@@ -378,60 +336,58 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
         mode: Synth,
-        reversed: bool,
-        what: &str,
     ) {
-        self.check_strided(data.len(), offset, stride, what);
-        self.check(scratch.len(), what);
+        self.check_strided(data.len(), offset, stride, mode.name());
+        self.check(scratch.len(), mode.name());
         let n = self.size;
         if n == 1 {
             data[offset] = self.synth_size_one(data[offset], mode) * scale;
             return;
         }
-        if reversed {
-            for (slot, &ju) in scratch.freq.iter_mut().zip(self.fft.bit_rev_table()) {
-                let u = ju as usize;
-                *slot = if u == 0 {
-                    Complex::ZERO
-                } else {
-                    Complex::new(data[offset + (n - u) * stride], -data[offset + u * stride])
-                        * self.inv_twiddles[u]
-                };
+        let end = offset + n * stride;
+        match mode {
+            Synth::Dct3 => {
+                for (slot, &ju) in scratch.freq.iter_mut().zip(self.fft.bit_rev_table()) {
+                    let u = ju as usize;
+                    let us = u * stride;
+                    *slot = if u == 0 {
+                        Complex::from(data[offset])
+                    } else {
+                        Complex::new(data[offset + us], -data[end - us]) * self.inv_twiddles[u]
+                    };
+                }
             }
-        } else {
-            for (slot, &ju) in scratch.freq.iter_mut().zip(self.fft.bit_rev_table()) {
-                let u = ju as usize;
-                *slot = if u == 0 {
-                    Complex::from(data[offset])
-                } else {
-                    Complex::new(data[offset + u * stride], -data[offset + (n - u) * stride])
-                        * self.inv_twiddles[u]
-                };
+            Synth::Dst3 => {
+                for (slot, &ju) in scratch.freq.iter_mut().zip(self.fft.bit_rev_table()) {
+                    let u = ju as usize;
+                    let us = u * stride;
+                    *slot = if u == 0 {
+                        Complex::ZERO
+                    } else {
+                        Complex::new(data[end - us], -data[offset + us]) * self.inv_twiddles[u]
+                    };
+                }
             }
         }
         self.fft.butterflies(&mut scratch.freq, true);
         let inv_n = 1.0 / n as f64;
         let half_n = n as f64 / 2.0;
+        let (lo, hi) = scratch.freq.split_at(n / 2);
+        let pairs = lo.iter().zip(hi.iter().rev());
+        let mut i = offset;
         match mode {
-            Synth::Idct2 => {
-                for i in 0..n / 2 {
-                    data[offset + 2 * i * stride] = (scratch.freq[i].re * inv_n) * scale;
-                    data[offset + (2 * i + 1) * stride] =
-                        (scratch.freq[n - 1 - i].re * inv_n) * scale;
-                }
-            }
             Synth::Dct3 => {
-                for i in 0..n / 2 {
-                    data[offset + 2 * i * stride] = ((scratch.freq[i].re * inv_n) * half_n) * scale;
-                    data[offset + (2 * i + 1) * stride] =
-                        ((scratch.freq[n - 1 - i].re * inv_n) * half_n) * scale;
+                for (a, b) in pairs {
+                    data[i] = ((a.re * inv_n) * half_n) * scale;
+                    data[i + stride] = ((b.re * inv_n) * half_n) * scale;
+                    i += 2 * stride;
                 }
             }
             Synth::Dst3 => {
-                for i in 0..n / 2 {
-                    data[offset + 2 * i * stride] = ((scratch.freq[i].re * inv_n) * half_n) * scale;
-                    data[offset + (2 * i + 1) * stride] =
-                        (-((scratch.freq[n - 1 - i].re * inv_n) * half_n)) * scale;
+                for (a, b) in pairs {
+                    data[i] = ((a.re * inv_n) * half_n) * scale;
+                    data[i + stride] = (-((b.re * inv_n) * half_n)) * scale;
+                    i += 2 * stride;
                 }
             }
         }
@@ -444,8 +400,8 @@ impl DctPlan {
     /// (Makhoul pack of even/odd samples into real/imaginary lanes), runs
     /// the mixed-radix half-size kernel, then unfolds each conjugate bin
     /// pair back to two DCT outputs. Same transform convention as
-    /// [`DctPlan::dct2`], but the restructured arithmetic rounds differently
-    /// at the last ulps — see [`crate::SpectralEngine`].
+    /// [`DctPlan::dct2_strided`], but the restructured arithmetic rounds
+    /// differently at the last ulps — see [`crate::SpectralEngine`].
     ///
     /// # Panics
     ///
@@ -517,38 +473,11 @@ impl DctPlan {
         }
     }
 
-    /// Engine-v2 exact inverse of the DCT-II over the strided line
-    /// `data[offset + i·stride]`, in place. Same convention as
-    /// [`DctPlan::idct2`]; rounds differently from v1 at the last ulps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn idct2_v2(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scratch: &mut DctScratch,
-    ) {
-        self.synth_v2(
-            data,
-            offset,
-            stride,
-            1.0,
-            scratch,
-            Synth::Idct2,
-            false,
-            "idct2",
-        )
-    }
-
     /// Engine-v2 DCT-III synthesis over the strided line
     /// `data[offset + i·stride]`, with `scale` fused into the store as
     /// `(value)·scale` — bitwise identical to synthesizing with scale `1.0`
-    /// and scaling afterwards. Same convention as [`DctPlan::dct3`]; rounds
-    /// differently from v1 at the last ulps.
+    /// and scaling afterwards. Same convention as [`DctPlan::dct3_strided`];
+    /// rounds differently from v1 at the last ulps.
     ///
     /// # Panics
     ///
@@ -562,22 +491,13 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_v2(
-            data,
-            offset,
-            stride,
-            scale,
-            scratch,
-            Synth::Dct3,
-            false,
-            "dct3",
-        )
+        self.synth_v2(data, offset, stride, scale, scratch, Synth::Dct3)
     }
 
     /// Engine-v2 DST-III synthesis over the strided line
     /// `data[offset + i·stride]`, with `scale` fused into the store (see
-    /// [`DctPlan::dct3_v2`]). Same convention as [`DctPlan::dst3`]; rounds
-    /// differently from v1 at the last ulps.
+    /// [`DctPlan::dct3_v2`]). Same convention as [`DctPlan::dst3_strided`];
+    /// rounds differently from v1 at the last ulps.
     ///
     /// # Panics
     ///
@@ -591,16 +511,7 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_v2(
-            data,
-            offset,
-            stride,
-            scale,
-            scratch,
-            Synth::Dst3,
-            true,
-            "dst3",
-        )
+        self.synth_v2(data, offset, stride, scale, scratch, Synth::Dst3)
     }
 
     /// Engine-v2 synthesis core: rebuild the natural-order Hermitian
@@ -608,12 +519,10 @@ impl DctPlan {
     /// refold the even/odd halves into one half-size inverse input
     /// `Zc[u] = (Vh[u] + conj(Vh[H−u])) + i·e^{2πiu/N}·(Vh[u] − conj(Vh[H−u]))`,
     /// run the unscaled half-size inverse FFT, and unpack
-    /// `y[2m] = Re(z[m])·post`, `y[2m+1] = Im(z[m])·post` through the
-    /// inverse Makhoul permutation fused into the store. `post` is `1/N` for
-    /// the exact idct2 and `1/2` (= `(1/N)·(N/2)`) for the DCT-III/DST-III
-    /// scale; the store computes `(value·post)·scale` so a fused `scale` is
-    /// bitwise identical to a separate scaling pass.
-    #[allow(clippy::too_many_arguments)]
+    /// `y[2m] = Re(z[m])·½`, `y[2m+1] = Im(z[m])·½` through the inverse
+    /// Makhoul permutation fused into the store, `½ = (1/N)·(N/2)` being the
+    /// DCT-III scale. The store computes `(value·½)·scale` so a fused
+    /// `scale` is bitwise identical to a separate scaling pass.
     fn synth_v2(
         &self,
         data: &mut [f64],
@@ -622,11 +531,9 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
         mode: Synth,
-        reversed: bool,
-        what: &str,
     ) {
-        self.check_strided(data.len(), offset, stride, what);
-        self.check(scratch.len(), what);
+        self.check_strided(data.len(), offset, stride, mode.name());
+        self.check(scratch.len(), mode.name());
         let n = self.size;
         if n == 1 {
             data[offset] = self.synth_size_one(data[offset], mode) * scale;
@@ -636,19 +543,22 @@ impl DctPlan {
         let vh = &mut scratch.vh;
         let mut iu = offset + stride;
         let mut ib = offset + (n - 1) * stride;
-        if reversed {
-            vh[0] = Complex::ZERO;
-            for (slot, w) in vh[1..].iter_mut().zip(&self.inv_twiddles[1..=h]) {
-                *slot = Complex::new(data[ib], -data[iu]) * *w;
-                iu += stride;
-                ib -= stride;
+        match mode {
+            Synth::Dct3 => {
+                vh[0] = Complex::from(data[offset]);
+                for (slot, w) in vh[1..].iter_mut().zip(&self.inv_twiddles[1..=h]) {
+                    *slot = Complex::new(data[iu], -data[ib]) * *w;
+                    iu += stride;
+                    ib -= stride;
+                }
             }
-        } else {
-            vh[0] = Complex::from(data[offset]);
-            for (slot, w) in vh[1..].iter_mut().zip(&self.inv_twiddles[1..=h]) {
-                *slot = Complex::new(data[iu], -data[ib]) * *w;
-                iu += stride;
-                ib -= stride;
+            Synth::Dst3 => {
+                vh[0] = Complex::ZERO;
+                for (slot, w) in vh[1..].iter_mut().zip(&self.inv_twiddles[1..=h]) {
+                    *slot = Complex::new(data[ib], -data[iu]) * *w;
+                    iu += stride;
+                    ib -= stride;
+                }
             }
         }
         let vh = &scratch.vh;
@@ -664,10 +574,6 @@ impl DctPlan {
             let vo = *w * (vu - vc);
             *slot = ve + vo.mul_i();
         }
-        let post = match mode {
-            Synth::Idct2 => 1.0 / n as f64,
-            Synth::Dct3 | Synth::Dst3 => 0.5,
-        };
         if n == 2 {
             let in_b = self
                 .half
@@ -678,292 +584,65 @@ impl DctPlan {
                 &scratch.half_a
             };
             // H = 1: slot 0 lands on even output 0, slot 1 on odd output 1.
-            data[offset] = (z[0].re * post) * scale;
-            let odd = z[0].im * post;
+            data[offset] = (z[0].re * 0.5) * scale;
+            let odd = z[0].im * 0.5;
             data[offset + stride] = match mode {
+                Synth::Dct3 => odd * scale,
                 Synth::Dst3 => (-odd) * scale,
-                _ => odd * scale,
             };
             return;
         }
         // For n ≥ 4, H is even: pairs with m < H/2 land on even output
         // slots (4m, 4m+2); pairs with m ≥ H/2 land on odd slots
         // (2N−1−4m, 2N−3−4m) — the mirror of the forward fold gather. The
-        // inverse-Makhoul store (with post/scale and the DST sign flip on
-        // odd outputs) is fused into the half-FFT's final pass.
+        // inverse-Makhoul store (with ½·scale and the DST sign flip on odd
+        // outputs) is fused into the half-FFT's final pass.
         self.half.run_refolded_inv(
             &mut scratch.half_a,
             &mut scratch.half_b,
             data,
             offset,
             stride,
-            post,
             scale,
             matches!(mode, Synth::Dst3),
         );
     }
 
-    /// Real-to-complex gather through the fused Makhoul + bit-reversal
-    /// permutation.
-    fn dct2_load(&self, input: &[f64], freq: &mut [Complex]) {
-        for (slot, &src) in freq.iter_mut().zip(&self.packed_rev) {
-            *slot = Complex::from(input[src as usize]);
-        }
-    }
-
-    /// Post-twiddle keeping only the real component:
-    /// `out[u] = Re(freq[u]·w[u])` — the identical multiply-subtract the
-    /// full complex product performs for its real part.
-    fn dct2_store(&self, freq: &[Complex], out: &mut [f64]) {
-        for ((o, z), t) in out.iter_mut().zip(freq).zip(&self.fwd_twiddles) {
-            *o = z.re * t.re - z.im * t.im;
-        }
-    }
-
-    /// Exact inverse of [`DctPlan::dct2`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len()` differs from the plan size.
-    pub fn idct2(&self, coeffs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.size];
-        self.idct2_into(coeffs, &mut out);
-        out
-    }
-
-    /// [`DctPlan::idct2`] writing into a caller-provided buffer (allocates
-    /// scratch; prefer [`DctPlan::idct2_scratch`] in loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn idct2_into(&self, coeffs: &[f64], out: &mut [f64]) {
-        self.idct2_scratch(coeffs, out, &mut DctScratch::new(self.size));
-    }
-
-    /// [`DctPlan::idct2`] using caller-owned scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice or scratch length differs from the plan size.
-    pub fn idct2_scratch(&self, coeffs: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_scratch(coeffs, out, scratch, Synth::Idct2, false, "idct2")
-    }
-
-    /// [`DctPlan::idct2`] transforming `data` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice or scratch length differs from the plan size.
-    pub fn idct2_inplace(&self, data: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_inplace(data, scratch, Synth::Idct2, false, "idct2")
-    }
-
-    /// DCT-III synthesis:
-    /// `y[n] = X[0]/2 + Σ_{u≥1} X[u]·cos(π·u·(2n+1)/(2N))`.
-    ///
-    /// Satisfies `dct3(dct2(x)) == (N/2)·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len()` differs from the plan size.
-    pub fn dct3(&self, coeffs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.size];
-        self.dct3_into(coeffs, &mut out);
-        out
-    }
-
-    /// [`DctPlan::dct3`] writing into a caller-provided buffer (allocates
-    /// scratch; prefer [`DctPlan::dct3_scratch`] in loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn dct3_into(&self, coeffs: &[f64], out: &mut [f64]) {
-        self.dct3_scratch(coeffs, out, &mut DctScratch::new(self.size));
-    }
-
-    /// [`DctPlan::dct3`] using caller-owned scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice or scratch length differs from the plan size.
-    pub fn dct3_scratch(&self, coeffs: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_scratch(coeffs, out, scratch, Synth::Dct3, false, "dct3")
-    }
-
-    /// [`DctPlan::dct3`] transforming `data` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice or scratch length differs from the plan size.
-    pub fn dct3_inplace(&self, data: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_inplace(data, scratch, Synth::Dct3, false, "dct3")
-    }
-
-    /// DST-III-style synthesis used for the electric field:
-    /// `y[n] = Σ_{u=1}^{N-1} b[u]·sin(π·u·(2n+1)/(2N))`.
-    ///
-    /// `b[0]` multiplies the identically-zero basis function `sin(0)` and is
-    /// therefore ignored.
-    ///
-    /// Implemented through the identity
-    /// `sin(πu(2n+1)/(2N)) = (−1)ⁿ·cos(π(N−u)(2n+1)/(2N))`, which turns the
-    /// sine synthesis into a coefficient-reversed [`DctPlan::dct3`] followed
-    /// by alternating sign flips; the reversal is fused into the spectrum
-    /// rebuild and the sign flips into the unpacking store, so no extra
-    /// passes run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len()` differs from the plan size.
-    pub fn dst3(&self, coeffs: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.size];
-        self.dst3_into(coeffs, &mut out);
-        out
-    }
-
-    /// [`DctPlan::dst3`] writing into a caller-provided buffer (allocates
-    /// scratch; prefer [`DctPlan::dst3_scratch`] in loops).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn dst3_into(&self, coeffs: &[f64], out: &mut [f64]) {
-        self.dst3_scratch(coeffs, out, &mut DctScratch::new(self.size));
-    }
-
-    /// [`DctPlan::dst3`] using caller-owned scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice or scratch length differs from the plan size.
-    pub fn dst3_scratch(&self, coeffs: &[f64], out: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_scratch(coeffs, out, scratch, Synth::Dst3, true, "dst3")
-    }
-
-    /// [`DctPlan::dst3`] transforming `data` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice or scratch length differs from the plan size.
-    pub fn dst3_inplace(&self, data: &mut [f64], scratch: &mut DctScratch) {
-        self.synth_inplace(data, scratch, Synth::Dst3, true, "dst3")
-    }
-
-    fn synth_scratch(
-        &self,
-        coeffs: &[f64],
-        out: &mut [f64],
-        scratch: &mut DctScratch,
-        mode: Synth,
-        reversed: bool,
-        what: &str,
-    ) {
-        self.check(coeffs.len(), what);
-        self.check(out.len(), what);
-        self.check(scratch.len(), what);
-        if self.size == 1 {
-            out[0] = self.synth_size_one(coeffs[0], mode);
-            return;
-        }
-        self.synth_load(coeffs, &mut scratch.freq, reversed);
-        self.fft.butterflies(&mut scratch.freq, true);
-        self.synth_store(&scratch.freq, out, mode);
-    }
-
-    fn synth_inplace(
-        &self,
-        data: &mut [f64],
-        scratch: &mut DctScratch,
-        mode: Synth,
-        reversed: bool,
-        what: &str,
-    ) {
-        self.check(data.len(), what);
-        self.check(scratch.len(), what);
-        if self.size == 1 {
-            data[0] = self.synth_size_one(data[0], mode);
-            return;
-        }
-        self.synth_load(data, &mut scratch.freq, reversed);
-        self.fft.butterflies(&mut scratch.freq, true);
-        self.synth_store(&scratch.freq, data, mode);
-    }
-
     fn synth_size_one(&self, coeff: f64, mode: Synth) -> f64 {
         match mode {
-            Synth::Idct2 => coeff,
             // Same value, same order of multiplies as the historical
-            // idct2-then-scale pipeline: c · (N/2) with N = 1.
+            // inverse-DCT-II-then-scale pipeline: c · (N/2) with N = 1.
             Synth::Dct3 => coeff * (self.size as f64 / 2.0),
             Synth::Dst3 => 0.0,
-        }
-    }
-
-    /// Rebuilds the Hermitian FFT spectrum
-    /// `V[u] = e^{iπu/(2N)}·(X[u] − i·X[N−u])` (with `X[N] ≡ 0`) directly in
-    /// bit-reversed order, so the inverse butterflies run with no separate
-    /// permutation pass. With `reversed`, coefficients are read mirrored
-    /// (`X'[u] = X[N−u]`, `X'[0] = 0`) — the DST's coefficient reversal,
-    /// fused here instead of materialized in a second buffer.
-    fn synth_load(&self, coeffs: &[f64], freq: &mut [Complex], reversed: bool) {
-        let n = self.size;
-        if reversed {
-            for (slot, &ju) in freq.iter_mut().zip(self.fft.bit_rev_table()) {
-                let u = ju as usize;
-                *slot = if u == 0 {
-                    Complex::ZERO
-                } else {
-                    Complex::new(coeffs[n - u], -coeffs[u]) * self.inv_twiddles[u]
-                };
-            }
-        } else {
-            for (slot, &ju) in freq.iter_mut().zip(self.fft.bit_rev_table()) {
-                let u = ju as usize;
-                *slot = if u == 0 {
-                    Complex::from(coeffs[0])
-                } else {
-                    Complex::new(coeffs[u], -coeffs[n - u]) * self.inv_twiddles[u]
-                };
-            }
-        }
-    }
-
-    /// Unpacks the even/odd interleave while applying the mode's scaling:
-    /// every output performs the identical `re·(1/N)` (then `·N/2`, then
-    /// sign flip) multiply chain the historical separate passes performed.
-    fn synth_store(&self, freq: &[Complex], out: &mut [f64], mode: Synth) {
-        let n = self.size;
-        let inv_n = 1.0 / n as f64;
-        let half_n = n as f64 / 2.0;
-        match mode {
-            Synth::Idct2 => {
-                for i in 0..n / 2 {
-                    out[2 * i] = freq[i].re * inv_n;
-                    out[2 * i + 1] = freq[n - 1 - i].re * inv_n;
-                }
-            }
-            Synth::Dct3 => {
-                for i in 0..n / 2 {
-                    out[2 * i] = (freq[i].re * inv_n) * half_n;
-                    out[2 * i + 1] = (freq[n - 1 - i].re * inv_n) * half_n;
-                }
-            }
-            Synth::Dst3 => {
-                for i in 0..n / 2 {
-                    out[2 * i] = (freq[i].re * inv_n) * half_n;
-                    out[2 * i + 1] = -((freq[n - 1 - i].re * inv_n) * half_n);
-                }
-            }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference;
+
+    /// The V1 DCT-II of `x` as one contiguous line (offset 0, stride 1).
+    pub(crate) fn dct2(plan: &DctPlan, x: &[f64]) -> Vec<f64> {
+        let mut line = x.to_vec();
+        plan.dct2_strided(&mut line, 0, 1, &mut DctScratch::new(plan.len()));
+        line
+    }
+
+    /// The V1 DCT-III of `x` as one contiguous line, scaled by `scale`.
+    pub(crate) fn dct3(plan: &DctPlan, x: &[f64], scale: f64) -> Vec<f64> {
+        let mut line = x.to_vec();
+        plan.dct3_strided(&mut line, 0, 1, scale, &mut DctScratch::new(plan.len()));
+        line
+    }
+
+    /// The V1 DST-III of `x` as one contiguous line.
+    pub(crate) fn dst3(plan: &DctPlan, x: &[f64]) -> Vec<f64> {
+        let mut line = x.to_vec();
+        plan.dst3_strided(&mut line, 0, 1, 1.0, &mut DctScratch::new(plan.len()));
+        line
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -983,16 +662,7 @@ mod tests {
         for &n in &[1usize, 2, 4, 8, 32, 128] {
             let plan = DctPlan::new(n).unwrap();
             let x = test_signal(n);
-            assert_close(&plan.dct2(&x), &reference::naive_dct2(&x), 1e-9);
-        }
-    }
-
-    #[test]
-    fn idct2_inverts_dct2() {
-        for &n in &[1usize, 2, 8, 64] {
-            let plan = DctPlan::new(n).unwrap();
-            let x = test_signal(n);
-            assert_close(&plan.idct2(&plan.dct2(&x)), &x, 1e-10);
+            assert_close(&dct2(&plan, &x), &reference::naive_dct2(&x), 1e-9);
         }
     }
 
@@ -1001,7 +671,7 @@ mod tests {
         for &n in &[2usize, 4, 16, 64] {
             let plan = DctPlan::new(n).unwrap();
             let c = test_signal(n);
-            assert_close(&plan.dct3(&c), &reference::naive_dct3(&c), 1e-9);
+            assert_close(&dct3(&plan, &c, 1.0), &reference::naive_dct3(&c), 1e-9);
         }
     }
 
@@ -1010,7 +680,7 @@ mod tests {
         for &n in &[2usize, 4, 16, 64] {
             let plan = DctPlan::new(n).unwrap();
             let c = test_signal(n);
-            assert_close(&plan.dst3(&c), &reference::naive_dst3(&c), 1e-9);
+            assert_close(&dst3(&plan, &c), &reference::naive_dst3(&c), 1e-9);
         }
     }
 
@@ -1019,7 +689,7 @@ mod tests {
         let n = 32;
         let plan = DctPlan::new(n).unwrap();
         let x = test_signal(n);
-        let y = plan.dct3(&plan.dct2(&x));
+        let y = dct3(&plan, &dct2(&plan, &x), 1.0);
         let scaled: Vec<f64> = x.iter().map(|v| v * n as f64 / 2.0).collect();
         assert_close(&y, &scaled, 1e-9);
     }
@@ -1028,9 +698,9 @@ mod tests {
     fn dst3_zeroth_coefficient_is_ignored() {
         let plan = DctPlan::new(8).unwrap();
         let mut c = test_signal(8);
-        let a = plan.dst3(&c);
+        let a = dst3(&plan, &c);
         c[0] = 1234.5;
-        let b = plan.dst3(&c);
+        let b = dst3(&plan, &c);
         assert_close(&a, &b, 1e-12);
     }
 
@@ -1042,7 +712,7 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| (PI * u0 as f64 * (2 * i + 1) as f64 / (2 * n) as f64).cos())
             .collect();
-        let c = plan.dct2(&x);
+        let c = dct2(&plan, &x);
         for (u, &v) in c.iter().enumerate() {
             if u == u0 {
                 assert!((v - n as f64 / 2.0).abs() < 1e-9);
@@ -1053,10 +723,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
+    #[should_panic(expected = "exceeds buffer length")]
     fn wrong_length_panics() {
         let plan = DctPlan::new(8).unwrap();
-        let _ = plan.dct2(&[1.0; 4]);
+        let _ = dct2(&plan, &[1.0; 4]);
     }
 
     #[test]
@@ -1064,33 +734,6 @@ mod tests {
         let plan = DctPlan::new(4).unwrap();
         assert_eq!(plan.len(), 4);
         assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn inplace_variants_are_bitwise_out_of_place() {
-        for &n in &[1usize, 2, 4, 16, 64] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
-            let x = test_signal(n);
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            type Pair = (
-                fn(&DctPlan, &[f64], &mut [f64], &mut DctScratch),
-                fn(&DctPlan, &mut [f64], &mut DctScratch),
-            );
-            let cases: [Pair; 4] = [
-                (DctPlan::dct2_scratch, DctPlan::dct2_inplace),
-                (DctPlan::idct2_scratch, DctPlan::idct2_inplace),
-                (DctPlan::dct3_scratch, DctPlan::dct3_inplace),
-                (DctPlan::dst3_scratch, DctPlan::dst3_inplace),
-            ];
-            for (out_of_place, in_place) in cases {
-                let mut expect = vec![0.0; n];
-                out_of_place(&plan, &x, &mut expect, &mut scratch);
-                let mut data = x.clone();
-                in_place(&plan, &mut data, &mut scratch);
-                assert_eq!(bits(&expect), bits(&data), "n {n}");
-            }
-        }
     }
 
     #[test]
@@ -1111,29 +754,25 @@ mod tests {
             let scale = 0.37;
 
             // dct2 (unscaled).
-            let mut line = gather(&base);
-            plan.dct2_inplace(&mut line, &mut scratch);
+            let line = dct2(&plan, &gather(&base));
             let mut strided = base.clone();
             plan.dct2_strided(&mut strided, offset, stride, &mut scratch);
             assert_eq!(bits(&line), bits(&gather(&strided)), "dct2 n {n}");
 
             // dct3 and dst3, scale fused vs separate pass.
-            type Pair = (
-                fn(&DctPlan, &mut [f64], &mut DctScratch),
-                fn(&DctPlan, &mut [f64], usize, usize, f64, &mut DctScratch),
-            );
-            let cases: [(Pair, &str); 2] = [
-                ((DctPlan::dct3_inplace, DctPlan::dct3_strided), "dct3"),
-                ((DctPlan::dst3_inplace, DctPlan::dst3_strided), "dst3"),
+            type Kernel = fn(&DctPlan, &mut [f64], usize, usize, f64, &mut DctScratch);
+            let cases: [(Kernel, &str); 2] = [
+                (DctPlan::dct3_strided, "dct3"),
+                (DctPlan::dst3_strided, "dst3"),
             ];
-            for ((contiguous, strided_fn), name) in cases {
+            for (kernel, name) in cases {
                 let mut line = gather(&base);
-                contiguous(&plan, &mut line, &mut scratch);
+                kernel(&plan, &mut line, 0, 1, 1.0, &mut scratch);
                 for v in line.iter_mut() {
                     *v *= scale;
                 }
                 let mut buf = base.clone();
-                strided_fn(&plan, &mut buf, offset, stride, scale, &mut scratch);
+                kernel(&plan, &mut buf, offset, stride, scale, &mut scratch);
                 assert_eq!(bits(&line), bits(&gather(&buf)), "{name} n {n}");
                 // Untouched interstitial elements stay untouched.
                 for (i, (a, b)) in base.iter().zip(&buf).enumerate() {
@@ -1155,6 +794,7 @@ mod tests {
         for &n in &[2usize, 8, 32, 128] {
             let plan = DctPlan::new(n).unwrap();
             let coeffs = test_signal(n);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             // Unfused dct2: Makhoul pack, full complex FFT (separate swap
             // pass), complex post-twiddle taking the real part.
             let mut packed = vec![Complex::ZERO; n];
@@ -1167,14 +807,11 @@ mod tests {
                 .map(|u| (packed[u] * plan.fwd_twiddles[u]).re)
                 .collect();
             assert_eq!(
-                plan.dct2(&coeffs)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                unfused_dct2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&dct2(&plan, &coeffs)),
+                bits(&unfused_dct2),
                 "dct2 n {n}"
             );
-            // Unfused idct2.
+            // Unfused inverse DCT-II.
             let mut buf = vec![Complex::ZERO; n];
             buf[0] = Complex::from(coeffs[0]);
             for u in 1..n {
@@ -1187,26 +824,15 @@ mod tests {
                 unfused[2 * i] = buf[i].re;
                 unfused[2 * i + 1] = buf[n - 1 - i].re;
             }
-            assert_eq!(
-                plan.idct2(&coeffs)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "idct2 n {n}"
-            );
-            // Unfused dct3 = idct2 then ×(N/2) pass.
-            let mut dct3_unfused = unfused.clone();
+            // Unfused dct3 = inverse DCT-II then ×(N/2) pass.
+            let mut dct3_unfused = unfused;
             let scale = n as f64 / 2.0;
             for v in dct3_unfused.iter_mut() {
                 *v *= scale;
             }
             assert_eq!(
-                plan.dct3(&coeffs)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                dct3_unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&dct3(&plan, &coeffs, 1.0)),
+                bits(&dct3_unfused),
                 "dct3 n {n}"
             );
             // Unfused dst3 = reversed coefficients through dct3, then sign
@@ -1215,18 +841,15 @@ mod tests {
             for u in 1..n {
                 reversed[u] = coeffs[n - u];
             }
-            let mut dst3_unfused = plan.dct3(&reversed);
+            let mut dst3_unfused = dct3(&plan, &reversed, 1.0);
             for (i, v) in dst3_unfused.iter_mut().enumerate() {
                 if i % 2 == 1 {
                     *v = -*v;
                 }
             }
             assert_eq!(
-                plan.dst3(&coeffs)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                dst3_unfused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&dst3(&plan, &coeffs)),
+                bits(&dst3_unfused),
                 "dst3 n {n}"
             );
         }
@@ -1244,8 +867,9 @@ mod tests {
             plan.dct2_v2(&mut fwd, 0, 1, &mut scratch);
             assert_close(&fwd, &reference::naive_dct2(&x), tol);
 
+            // DCT-III scaled by 2/N inverts the DCT-II.
             let mut back = fwd.clone();
-            plan.idct2_v2(&mut back, 0, 1, &mut scratch);
+            plan.dct3_v2(&mut back, 0, 1, 2.0 / n as f64, &mut scratch);
             assert_close(&back, &x, tol);
 
             let mut dct3 = x.clone();
@@ -1270,15 +894,15 @@ mod tests {
 
             let mut v2 = x.clone();
             plan.dct2_v2(&mut v2, 0, 1, &mut scratch);
-            assert_close(&v2, &plan.dct2(&x), tol);
+            assert_close(&v2, &dct2(&plan, &x), tol);
 
             let mut v2 = x.clone();
             plan.dct3_v2(&mut v2, 0, 1, 1.0, &mut scratch);
-            assert_close(&v2, &plan.dct3(&x), tol);
+            assert_close(&v2, &dct3(&plan, &x, 1.0), tol);
 
             let mut v2 = x.clone();
             plan.dst3_v2(&mut v2, 0, 1, 1.0, &mut scratch);
-            assert_close(&v2, &plan.dst3(&x), tol);
+            assert_close(&v2, &dst3(&plan, &x), tol);
         }
     }
 
@@ -1301,12 +925,8 @@ mod tests {
 
             type Kernel<'a> = Box<dyn Fn(&mut [f64], usize, usize, &mut DctScratch) + 'a>;
             let p = &plan;
-            let cases: [(Kernel<'_>, &str); 4] = [
+            let cases: [(Kernel<'_>, &str); 3] = [
                 (Box::new(move |d, o, s, sc| p.dct2_v2(d, o, s, sc)), "dct2"),
-                (
-                    Box::new(move |d, o, s, sc| p.idct2_v2(d, o, s, sc)),
-                    "idct2",
-                ),
                 (
                     Box::new(move |d, o, s, sc| p.dct3_v2(d, o, s, scale, sc)),
                     "dct3",

@@ -14,12 +14,9 @@ use std::f64::consts::PI;
 /// `X[k] = Σ_n x[n]·e^{-2πi·k·n/N}`; the inverse divides by `N`, so
 /// `inverse(forward(x)) == x`.
 ///
-/// Real-valued signals get two specialized entry points that are bit-for-bit
-/// compatible with the complex ones: [`FftPlan::forward_real`] fuses the
-/// real→complex widening with the bit-reversal gather (no separate permute
-/// pass), and [`FftPlan::inverse_hermitian`] synthesizes only the real
-/// output a Hermitian-symmetric spectrum can produce, fusing the `1/N`
-/// normalization into the final store and discarding the imaginary halves.
+/// The V1 DCT kernels ([`crate::DctPlan`]) run this plan's butterflies on
+/// their own fused loads and stores; `forward` and `inverse` are the
+/// textbook pipeline those kernels are pinned to bit for bit.
 ///
 /// # Examples
 ///
@@ -116,65 +113,12 @@ impl FftPlan {
     ///
     /// Panics if `data.len()` differs from the plan size.
     pub fn inverse(&self, data: &mut [Complex]) {
-        self.inverse_unscaled(data);
-        let scale = 1.0 / self.size as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
-    }
-
-    /// In-place inverse DFT *without* the `1/N` normalization, for callers
-    /// that fuse the scaling into their own post-pass (the DCT/DST synthesis
-    /// kernels). `inverse` ≡ `inverse_unscaled` followed by a `1/N` scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the plan size.
-    pub fn inverse_unscaled(&self, data: &mut [Complex]) {
         self.check_len(data.len());
         self.permute(data);
         self.butterflies(data, true);
-    }
-
-    /// Forward DFT of a real signal, writing the complex spectrum to `out`.
-    ///
-    /// Bit-for-bit identical to widening `input` into a zero-imaginary
-    /// complex buffer and calling [`FftPlan::forward`], but the widening is
-    /// fused with the bit-reversal permutation into a single gather, so the
-    /// separate swap pass (and its round trip over the buffer) disappears.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn forward_real(&self, input: &[f64], out: &mut [Complex]) {
-        self.check_len(input.len());
-        self.check_len(out.len());
-        for (slot, &src) in out.iter_mut().zip(&self.bit_rev) {
-            *slot = Complex::from(input[src as usize]);
-        }
-        self.butterflies(out, false);
-    }
-
-    /// Inverse DFT of a Hermitian-symmetric spectrum, writing the real
-    /// signal to `out` with the `1/N` normalization fused into the store.
-    ///
-    /// For a spectrum satisfying `X[N−k] = conj(X[k])` the inverse is purely
-    /// real, so only the real halves are normalized and stored — each output
-    /// carries the identical `re · (1/N)` multiply [`FftPlan::inverse`]
-    /// performs, making the result bit-compatible with
-    /// `inverse(spectrum)[i].re`. `spectrum` is consumed as workspace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from the plan size.
-    pub fn inverse_hermitian(&self, spectrum: &mut [Complex], out: &mut [f64]) {
-        self.check_len(spectrum.len());
-        self.check_len(out.len());
-        self.permute(spectrum);
-        self.butterflies(spectrum, true);
-        let inv_n = 1.0 / self.size as f64;
-        for (o, z) in out.iter_mut().zip(spectrum.iter()) {
-            *o = z.re * inv_n;
+        let scale = 1.0 / self.size as f64;
+        for z in data.iter_mut() {
+            *z = z.scale(scale);
         }
     }
 
@@ -458,7 +402,7 @@ impl HalfFft {
     /// the last pass: instead of finishing the FFT into a complex buffer and
     /// re-reading it for the store loop, the last butterfly writes its
     /// outputs straight to the real strided line as
-    /// `data[out] = (z·post)·scale` (`out` = the even/odd slot map of
+    /// `data[out] = (z·½)·scale` (`out` = the even/odd slot map of
     /// [`HalfFft::run_folded_fwd`], `negate_odd` flips the sign of odd
     /// outputs for the DST). One full memory round trip cheaper than `run`
     /// plus a store loop; bit-identical to it because the butterfly and
@@ -478,7 +422,6 @@ impl HalfFft {
         data: &mut [f64],
         offset: usize,
         stride: usize,
-        post: f64,
         scale: f64,
         negate_odd: bool,
     ) {
@@ -507,9 +450,9 @@ impl HalfFft {
                 let mut o1 = offset + (h - 1) * stride;
                 let store = |data: &mut [f64], i: usize, v: Complex, neg: bool, down: bool| {
                     let (re, im) = if neg {
-                        (-(v.re * post), -(v.im * post))
+                        (-(v.re * 0.5), -(v.im * 0.5))
                     } else {
-                        (v.re * post, v.im * post)
+                        (v.re * 0.5, v.im * 0.5)
                     };
                     let j = if down { i - 2 * stride } else { i + 2 * stride };
                     data[i] = re * scale;
@@ -537,12 +480,12 @@ impl HalfFft {
                 for (&a, &b) in xa.iter().zip(xb) {
                     let even = a + b;
                     let odd = a - b;
-                    data[e0] = (even.re * post) * scale;
-                    data[e0 + 2 * stride] = (even.im * post) * scale;
+                    data[e0] = (even.re * 0.5) * scale;
+                    data[e0 + 2 * stride] = (even.im * 0.5) * scale;
                     let (re, im) = if negate_odd {
-                        (-(odd.re * post), -(odd.im * post))
+                        (-(odd.re * 0.5), -(odd.im * 0.5))
                     } else {
-                        (odd.re * post, odd.im * post)
+                        (odd.re * 0.5, odd.im * 0.5)
                     };
                     data[o0] = re * scale;
                     data[o0 - 2 * stride] = im * scale;
@@ -835,62 +778,6 @@ mod tests {
                     assert_eq!(a.im.to_bits(), b.im.to_bits(), "n {n} invert {invert}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn forward_real_is_bitwise_forward_of_widened_input() {
-        for &n in &[1usize, 2, 8, 32, 128] {
-            let plan = FftPlan::new(n).unwrap();
-            let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() - 0.3).collect();
-            let mut widened: Vec<Complex> = input.iter().map(|&v| Complex::from(v)).collect();
-            plan.forward(&mut widened);
-            let mut real = vec![Complex::ZERO; n];
-            plan.forward_real(&input, &mut real);
-            for (a, b) in widened.iter().zip(&real) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "n {n}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "n {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_hermitian_is_bitwise_real_part_of_inverse() {
-        for &n in &[1usize, 2, 8, 32, 128] {
-            let plan = FftPlan::new(n).unwrap();
-            // Hermitian spectrum of a real signal, via forward_real.
-            let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 1.1).cos() + 0.5).collect();
-            let mut spectrum = vec![Complex::ZERO; n];
-            plan.forward_real(&signal, &mut spectrum);
-            let mut full = spectrum.clone();
-            plan.inverse(&mut full);
-            let mut real_out = vec![0.0; n];
-            plan.inverse_hermitian(&mut spectrum, &mut real_out);
-            for (a, b) in full.iter().zip(&real_out) {
-                assert_eq!(a.re.to_bits(), b.to_bits(), "n {n}");
-            }
-            // And it actually round-trips to the signal.
-            for (a, b) in real_out.iter().zip(&signal) {
-                assert!((a - b).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_unscaled_is_inverse_without_normalization() {
-        let n = 32;
-        let plan = FftPlan::new(n).unwrap();
-        let input: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
-            .collect();
-        let mut scaled = input.clone();
-        plan.inverse(&mut scaled);
-        let mut unscaled = input.clone();
-        plan.inverse_unscaled(&mut unscaled);
-        let inv_n = 1.0 / n as f64;
-        for (a, b) in scaled.iter().zip(&unscaled) {
-            assert_eq!(a.re.to_bits(), (b.re * inv_n).to_bits());
-            assert_eq!(a.im.to_bits(), (b.im * inv_n).to_bits());
         }
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! * [`Complex`] — minimal complex arithmetic.
 //! * [`FftPlan`] — iterative radix-2 complex FFT with precomputed twiddles.
-//! * [`DctPlan`] — DCT-II / DCT-III / DST-III via Makhoul's N-point-FFT
-//!   repacking, plus exact inverses.
+//! * [`DctPlan`] — DCT-II analysis and DCT-III / DST-III synthesis, each one
+//!   in-place kernel per engine over a strided line (V1 via Makhoul's
+//!   N-point-FFT repacking).
 //! * [`SpectralPlan`] — process-wide per-size cache of shared [`DctPlan`]s,
 //!   so twiddle/cosine tables are computed once per grid size.
 //! * [`Transform2d`] — separable two-dimensional transforms in the exact
@@ -42,19 +43,21 @@
 //! * `DST-III` (as used for the field synthesis):
 //!   `y[n] = Σ_{u=1}^{N-1} b[u]·sin(π·u·(2n+1)/(2N))`
 //!
-//! `dct3(dct2(x)) == (N/2)·x`, and [`DctPlan::idct2`] is the exact inverse of
-//! [`DctPlan::dct2`].
+//! `dct3(dct2(x)) == (N/2)·x`, so the DCT-III scaled by `2/N` inverts the
+//! DCT-II.
 //!
 //! # Examples
 //!
 //! ```
-//! use eplace_spectral::DctPlan;
+//! use eplace_spectral::{DctPlan, DctScratch};
 //!
 //! let plan = DctPlan::new(8).unwrap();
+//! let mut scratch = DctScratch::new(8);
 //! let x: Vec<f64> = (0..8).map(|i| (i as f64).sin()).collect();
-//! let coeffs = plan.dct2(&x);
-//! let back = plan.idct2(&coeffs);
-//! for (a, b) in x.iter().zip(&back) {
+//! let mut line = x.clone();
+//! plan.dct2_strided(&mut line, 0, 1, &mut scratch);
+//! plan.dct3_strided(&mut line, 0, 1, 2.0 / 8.0, &mut scratch);
+//! for (a, b) in x.iter().zip(&line) {
 //!     assert!((a - b).abs() < 1e-12);
 //! }
 //! ```

@@ -1,5 +1,6 @@
 //! Property-based tests of the transform algebra.
 
+use crate::dct::tests::{dct2, dct3, dst3};
 use crate::{reference, Complex, DctPlan, DctScratch, FftPlan, SpectralEngine, Transform2d};
 use eplace_testkit::{check, Gen};
 
@@ -61,9 +62,9 @@ fn dct_linearity() {
         let s = g.f64_range(-3.0, 3.0);
         let plan = DctPlan::new(16).unwrap();
         let combo: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + s * y).collect();
-        let ca = plan.dct2(&a);
-        let cb = plan.dct2(&b);
-        let cc = plan.dct2(&combo);
+        let ca = dct2(&plan, &a);
+        let cb = dct2(&plan, &b);
+        let cc = dct2(&plan, &combo);
         for i in 0..16 {
             assert!((cc[i] - (ca[i] + s * cb[i])).abs() < 1e-8);
         }
@@ -75,7 +76,7 @@ fn dst3_matches_reference_on_arbitrary_coeffs() {
     check("dst3_matches_reference_on_arbitrary_coeffs", CASES, |g| {
         let coeffs = arb_vec(g, 32, -20.0, 20.0);
         let plan = DctPlan::new(32).unwrap();
-        let fast = plan.dst3(&coeffs);
+        let fast = dst3(&plan, &coeffs);
         let slow = reference::naive_dst3(&coeffs);
         for (a, b) in fast.iter().zip(&slow) {
             assert!((a - b).abs() < 1e-8);
@@ -86,9 +87,10 @@ fn dst3_matches_reference_on_arbitrary_coeffs() {
 #[test]
 fn dct2_idct2_roundtrip_arbitrary() {
     check("dct2_idct2_roundtrip_arbitrary", CASES, |g| {
+        // The inverse DCT-II is the DCT-III scaled by 2/N.
         let values = arb_vec(g, 64, -1e3, 1e3);
         let plan = DctPlan::new(64).unwrap();
-        let back = plan.idct2(&plan.dct2(&values));
+        let back = dct3(&plan, &dct2(&plan, &values), 2.0 / 64.0);
         for (a, b) in back.iter().zip(&values) {
             assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()));
         }
@@ -104,18 +106,20 @@ fn arb_pow2(g: &mut Gen, min_exp: usize, max_exp: usize) -> usize {
 fn dct2_idct2_roundtrip_under_scratch_reuse() {
     check("dct2_idct2_roundtrip_under_scratch_reuse", CASES, |g| {
         // One DctScratch serves many transforms; reused scratch must be
-        // bitwise identical to the allocating `_into` entry points.
+        // bitwise identical to fresh scratch. The inverse DCT-II is the
+        // DCT-III scaled by 2/N.
         let n = arb_pow2(g, 1, 7);
         let plan = DctPlan::new(n).unwrap();
         let mut scratch = DctScratch::new(n);
-        let mut coeffs = vec![0.0; n];
-        let mut back = vec![0.0; n];
+        let inverse = 2.0 / n as f64;
         for _ in 0..3 {
             let values = arb_vec(g, n, -1e3, 1e3);
-            plan.dct2_scratch(&values, &mut coeffs, &mut scratch);
-            assert_eq!(coeffs, plan.dct2(&values), "n {n}");
-            plan.idct2_scratch(&coeffs, &mut back, &mut scratch);
-            assert_eq!(back, plan.idct2(&coeffs), "n {n}");
+            let mut coeffs = values.clone();
+            plan.dct2_strided(&mut coeffs, 0, 1, &mut scratch);
+            assert_eq!(coeffs, dct2(&plan, &values), "n {n}");
+            let mut back = coeffs.clone();
+            plan.dct3_strided(&mut back, 0, 1, inverse, &mut scratch);
+            assert_eq!(back, dct3(&plan, &coeffs, inverse), "n {n}");
             for (a, b) in back.iter().zip(&values) {
                 assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()), "n {n}");
             }
@@ -131,10 +135,10 @@ fn dst3_scratch_reuse_matches_reference() {
         let n = arb_pow2(g, 1, 6);
         let plan = DctPlan::new(n).unwrap();
         let mut scratch = DctScratch::new(n);
-        let mut out = vec![0.0; n];
         for _ in 0..3 {
             let coeffs = arb_vec(g, n, -20.0, 20.0);
-            plan.dst3_scratch(&coeffs, &mut out, &mut scratch);
+            let mut out = coeffs.clone();
+            plan.dst3_strided(&mut out, 0, 1, 1.0, &mut scratch);
             let slow = reference::naive_dst3(&coeffs);
             for (a, b) in out.iter().zip(&slow) {
                 assert!((a - b).abs() < 1e-8, "n {n}");
@@ -213,10 +217,11 @@ fn v2_kernels_match_oracle_on_arbitrary_inputs() {
         for (a, b) in fwd.iter().zip(&reference::naive_dct2(&x)) {
             assert!((a - b).abs() < tol, "dct2 n {n}: {a} vs {b}");
         }
+        // DCT-III scaled by 2/N inverts the DCT-II.
         let mut back = fwd.clone();
-        plan.idct2_v2(&mut back, 0, 1, &mut scratch);
+        plan.dct3_v2(&mut back, 0, 1, 2.0 / n as f64, &mut scratch);
         for (a, b) in back.iter().zip(&x) {
-            assert!((a - b).abs() < tol, "idct2 n {n}");
+            assert!((a - b).abs() < tol, "inverse n {n}");
         }
         let mut dct3 = x.clone();
         plan.dct3_v2(&mut dct3, 0, 1, 1.0, &mut scratch);

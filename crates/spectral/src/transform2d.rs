@@ -28,10 +28,11 @@ enum Kernel {
 /// allocation-free; this matters because the placer transforms the grid
 /// three times per optimizer iteration.
 ///
-/// Rows transform in place; columns transform directly through the strided
-/// kernel entry points ([`DctPlan::dct2_strided`] and friends) — the same
-/// float sequence the historical gather → transform → scatter produced,
-/// without the bounce buffer or its two extra passes per column.
+/// Every line runs through the engine's one in-place kernel per transform
+/// ([`DctPlan::dct2_strided`] and friends, or their `*_v2` twins): rows at
+/// stride 1, columns directly at stride `nx` — the same float sequence the
+/// historical gather → transform → scatter produced, without the bounce
+/// buffer or its two extra passes per column.
 ///
 /// The synthesis transforms also come in `*_scaled` variants that fuse the
 /// caller's elementwise post-scale (the Poisson solver's normalization)
@@ -246,43 +247,20 @@ impl Transform2d {
     }
 
     /// The single-threaded path, using the object-owned scratch. Rows
-    /// transform in place; each column transforms through the strided
-    /// kernels, with the caller's `scale` fused into the final store.
+    /// transform at stride 1; each column transforms at stride `nx`, with
+    /// the caller's `scale` fused into the final store.
     fn apply_serial(&mut self, data: &mut [f64], kernel_x: Kernel, kernel_y: Kernel, scale: f64) {
         let nx = self.nx;
-        let engine = self.engine;
+        let (op_x, op_y) = ((self.engine, kernel_x), (self.engine, kernel_y));
         for row in data.chunks_exact_mut(nx) {
-            Self::run_kernel(&self.plan_x, engine, kernel_x, row, &mut self.scratch_x);
+            run_line(&self.plan_x, op_x, row, 0, 1, 1.0, &mut self.scratch_x);
         }
         debug_assert!(
             kernel_y != Kernel::Dct2 || scale == 1.0,
             "forward pass never scales"
         );
         for ix in 0..nx {
-            match (engine, kernel_y) {
-                (SpectralEngine::V1, Kernel::Dct2) => {
-                    self.plan_y.dct2_strided(data, ix, nx, &mut self.scratch_y)
-                }
-                (SpectralEngine::V1, Kernel::Dct3) => {
-                    self.plan_y
-                        .dct3_strided(data, ix, nx, scale, &mut self.scratch_y)
-                }
-                (SpectralEngine::V1, Kernel::Dst3) => {
-                    self.plan_y
-                        .dst3_strided(data, ix, nx, scale, &mut self.scratch_y)
-                }
-                (SpectralEngine::V2, Kernel::Dct2) => {
-                    self.plan_y.dct2_v2(data, ix, nx, &mut self.scratch_y)
-                }
-                (SpectralEngine::V2, Kernel::Dct3) => {
-                    self.plan_y
-                        .dct3_v2(data, ix, nx, scale, &mut self.scratch_y)
-                }
-                (SpectralEngine::V2, Kernel::Dst3) => {
-                    self.plan_y
-                        .dst3_v2(data, ix, nx, scale, &mut self.scratch_y)
-                }
-            }
+            run_line(&self.plan_y, op_y, data, ix, nx, scale, &mut self.scratch_y);
         }
     }
 
@@ -293,7 +271,7 @@ impl Transform2d {
     fn apply_parallel(&mut self, data: &mut [f64], kernel_x: Kernel, kernel_y: Kernel, scale: f64) {
         let (nx, ny) = (self.nx, self.ny);
         self.transpose_buf.resize(nx * ny, 0.0);
-        let engine = self.engine;
+        let (op_x, op_y) = ((self.engine, kernel_x), (self.engine, kernel_y));
         // Unit scratch for the transpose passes: a Vec of zero-sized units
         // never touches the heap, so building one per call stays
         // allocation-free.
@@ -306,7 +284,7 @@ impl Transform2d {
             nx,
             &mut self.pool_x,
             || DctScratch::new(nx),
-            |_, row, scratch| Self::run_kernel(plan_x, engine, kernel_x, row, scratch),
+            |_, row, scratch| run_line(plan_x, op_x, row, 0, 1, 1.0, scratch),
         );
         {
             let src: &[f64] = data;
@@ -330,7 +308,7 @@ impl Transform2d {
             ny,
             &mut self.pool_y,
             || DctScratch::new(ny),
-            |_, col, scratch| Self::run_kernel(plan_y, engine, kernel_y, col, scratch),
+            |_, col, scratch| run_line(plan_y, op_y, col, 0, 1, 1.0, scratch),
         );
         // Transpose back with the caller's scale fused into the copy:
         // `v·scale` is the identical product the separate post-pass would
@@ -349,22 +327,31 @@ impl Transform2d {
             },
         );
     }
+}
 
-    fn run_kernel(
-        plan: &DctPlan,
-        engine: SpectralEngine,
-        kernel: Kernel,
-        line: &mut [f64],
-        scratch: &mut DctScratch,
-    ) {
-        match (engine, kernel) {
-            (SpectralEngine::V1, Kernel::Dct2) => plan.dct2_inplace(line, scratch),
-            (SpectralEngine::V1, Kernel::Dct3) => plan.dct3_inplace(line, scratch),
-            (SpectralEngine::V1, Kernel::Dst3) => plan.dst3_inplace(line, scratch),
-            (SpectralEngine::V2, Kernel::Dct2) => plan.dct2_v2(line, 0, 1, scratch),
-            (SpectralEngine::V2, Kernel::Dct3) => plan.dct3_v2(line, 0, 1, 1.0, scratch),
-            (SpectralEngine::V2, Kernel::Dst3) => plan.dst3_v2(line, 0, 1, 1.0, scratch),
+/// Runs one engine's kernel over the strided line
+/// `data[offset + i·stride]`, with `scale` fused into a synthesis store
+/// (the forward DCT-II takes none).
+fn run_line(
+    plan: &DctPlan,
+    op: (SpectralEngine, Kernel),
+    data: &mut [f64],
+    offset: usize,
+    stride: usize,
+    scale: f64,
+    scratch: &mut DctScratch,
+) {
+    match op {
+        (SpectralEngine::V1, Kernel::Dct2) => plan.dct2_strided(data, offset, stride, scratch),
+        (SpectralEngine::V1, Kernel::Dct3) => {
+            plan.dct3_strided(data, offset, stride, scale, scratch)
         }
+        (SpectralEngine::V1, Kernel::Dst3) => {
+            plan.dst3_strided(data, offset, stride, scale, scratch)
+        }
+        (SpectralEngine::V2, Kernel::Dct2) => plan.dct2_v2(data, offset, stride, scratch),
+        (SpectralEngine::V2, Kernel::Dct3) => plan.dct3_v2(data, offset, stride, scale, scratch),
+        (SpectralEngine::V2, Kernel::Dst3) => plan.dst3_v2(data, offset, stride, scale, scratch),
     }
 }
 

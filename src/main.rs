@@ -209,12 +209,19 @@ fn main() -> ExitCode {
             println!("{stage:>18}: {s:.2}s");
         }
     }
-    match check_legal(placer.design()) {
-        Ok(()) => println!("legality          : OK"),
+    if let Some(e) = &report.legalization_error {
+        eprintln!("error: legalization failed: {e}");
+    }
+    let legal = match check_legal(placer.design()) {
+        Ok(()) => {
+            println!("legality          : OK");
+            true
+        }
         Err(e) => {
             println!("legality          : VIOLATED ({e})");
+            false
         }
-    }
+    };
     if args.metrics_summary {
         println!("{}", obs.summary().render_table());
     }
@@ -232,6 +239,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("trace written to {path}");
+    }
+    if !legal {
+        eprintln!("error: the final placement is not legal");
+        return ExitCode::FAILURE;
     }
     if let Some(out) = &args.out {
         if let Err(e) = write_pl(placer.design(), out) {
