@@ -1,7 +1,7 @@
 //! Stitches parsed Bookshelf records into a [`Design`].
 
 use crate::parse::{offset_point, NetsFile, NodesFile, PlRecord, SclRow};
-use crate::BookshelfError;
+use eplace_errors::EplaceError;
 use eplace_geometry::{Point, Rect};
 use eplace_netlist::{CellKind, Design, DesignBuilder, Row};
 use std::collections::HashMap;
@@ -22,8 +22,10 @@ use std::collections::HashMap;
 ///
 /// # Errors
 ///
-/// Returns a parse error when nets or `.pl` lines reference unknown nodes,
-/// or when no rows are present.
+/// [`EplaceError::Parse`] when nets or `.pl` lines reference unknown nodes,
+/// a node name repeats, or no rows are present;
+/// [`EplaceError::Validation`] when the assembled design fails
+/// [`Design::validate`] (a zero-height row, a negative net weight, …).
 pub fn assemble_design(
     name: &str,
     nodes: NodesFile,
@@ -31,9 +33,9 @@ pub fn assemble_design(
     wts: Vec<(String, f64)>,
     pl: Vec<PlRecord>,
     scl: Vec<SclRow>,
-) -> Result<Design, BookshelfError> {
+) -> Result<Design, EplaceError> {
     if scl.is_empty() {
-        return Err(BookshelfError::parse("scl", 0, "no rows defined"));
+        return Err(EplaceError::parse("scl", 0, "no rows defined"));
     }
     let row_height = scl.iter().map(|r| r.height).fold(f64::INFINITY, f64::min);
     let mut region = Rect::new(
@@ -76,7 +78,7 @@ pub fn assemble_design(
             .insert(rec.name.clone(), (id, rec.width, rec.height))
             .is_some()
         {
-            return Err(BookshelfError::parse(
+            return Err(EplaceError::parse(
                 "nodes",
                 0,
                 format!("duplicate node name `{}`", rec.name),
@@ -89,7 +91,7 @@ pub fn assemble_design(
         let mut resolved = Vec::with_capacity(pins.len());
         for (node, dx, dy) in pins {
             let (id, _, _) = ids.get(node.as_str()).ok_or_else(|| {
-                BookshelfError::parse(
+                EplaceError::parse(
                     "nets",
                     0,
                     format!("net `{net_name}` references unknown node `{node}`"),
@@ -104,7 +106,7 @@ pub fn assemble_design(
     let mut design = builder.build();
     for rec in &pl {
         let (id, w, h) = ids.get(rec.name.as_str()).ok_or_else(|| {
-            BookshelfError::parse("pl", 0, format!("unknown node `{}` in .pl", rec.name))
+            EplaceError::parse("pl", 0, format!("unknown node `{}` in .pl", rec.name))
         })?;
         let cell = &mut design.cells[id.index()];
         cell.pos = Point::new(rec.x + 0.5 * w, rec.y + 0.5 * h);
@@ -112,9 +114,7 @@ pub fn assemble_design(
             cell.fixed = true;
         }
     }
-    design
-        .validate()
-        .map_err(|m| BookshelfError::parse("design", 0, m))?;
+    design.validate()?;
     Ok(design)
 }
 

@@ -12,11 +12,13 @@
 //! | `.pl`    | lower-left positions, orientations, /FIXED  |
 //! | `.scl`   | standard-cell rows                          |
 //!
-//! Reading produces an [`eplace_netlist::Design`]; writing emits a complete,
-//! re-readable benchmark directory. Kind inference follows the suites'
-//! conventions: `terminal` nodes are fixed IO/blockages, movable nodes
-//! taller than the row height are macros (the MMS suites free the macros),
-//! everything else is a standard cell.
+//! Reading produces an [`eplace_netlist::Design`] the placer can use, or a
+//! typed [`eplace_errors::EplaceError`]: every number must be finite, and
+//! the assembled design must pass [`eplace_netlist::Design::validate`].
+//! Writing emits a complete, re-readable benchmark directory. Kind
+//! inference follows the suites' conventions: `terminal` nodes are fixed
+//! IO/blockages, movable nodes taller than the row height are macros (the
+//! MMS suites free the macros), everything else is a standard cell.
 //!
 //! # Examples
 //!
@@ -44,98 +46,27 @@ pub use parse::{
 };
 pub use write::{write_aux, write_pl};
 
-use std::fmt;
-use std::path::{Path, PathBuf};
-
-/// Error raised while reading or interpreting a Bookshelf benchmark.
-#[derive(Debug)]
-pub enum BookshelfError {
-    /// Underlying filesystem error.
-    Io {
-        /// File being accessed.
-        path: PathBuf,
-        /// The OS error.
-        source: std::io::Error,
-    },
-    /// A syntax or semantic problem in one of the files.
-    Parse {
-        /// Which file (by extension or path).
-        file: String,
-        /// 1-based line number.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
-}
-
-impl fmt::Display for BookshelfError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BookshelfError::Io { path, source } => {
-                write!(f, "io error on {}: {source}", path.display())
-            }
-            BookshelfError::Parse {
-                file,
-                line,
-                message,
-            } => write!(f, "{file}:{line}: {message}"),
-        }
-    }
-}
-
-impl std::error::Error for BookshelfError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BookshelfError::Io { source, .. } => Some(source),
-            BookshelfError::Parse { .. } => None,
-        }
-    }
-}
-
-impl BookshelfError {
-    pub(crate) fn parse(file: &str, line: usize, message: impl Into<String>) -> Self {
-        BookshelfError::Parse {
-            file: file.to_string(),
-            line,
-            message: message.into(),
-        }
-    }
-}
-
-impl From<BookshelfError> for eplace_errors::EplaceError {
-    fn from(e: BookshelfError) -> Self {
-        match e {
-            BookshelfError::Io { path, source } => {
-                eplace_errors::EplaceError::io(path.display().to_string(), source.to_string())
-            }
-            BookshelfError::Parse {
-                file,
-                line,
-                message,
-            } => eplace_errors::EplaceError::Parse {
-                file,
-                line,
-                message,
-            },
-        }
-    }
-}
+use eplace_errors::EplaceError;
+use std::path::Path;
 
 /// Reads a complete benchmark rooted at a `.aux` file into a
 /// [`eplace_netlist::Design`].
 ///
+/// This is the input check every caller runs: numbers must be finite, and
+/// the assembled design must pass [`eplace_netlist::Design::validate`], so
+/// only a design the placer can use comes back.
+///
 /// # Errors
 ///
-/// Returns [`BookshelfError::Io`] when a file is missing/unreadable and
-/// [`BookshelfError::Parse`] (with file and line) on malformed content.
-pub fn read_aux(aux_path: impl AsRef<Path>) -> Result<eplace_netlist::Design, BookshelfError> {
+/// [`EplaceError::Io`] when a file is missing/unreadable,
+/// [`EplaceError::Parse`] (with file and line) on malformed content, and
+/// [`EplaceError::Validation`] when the design is not placeable.
+pub fn read_aux(aux_path: impl AsRef<Path>) -> Result<eplace_netlist::Design, EplaceError> {
     let aux_path = aux_path.as_ref();
     let dir = aux_path.parent().unwrap_or_else(|| Path::new("."));
-    let read = |p: &Path| -> Result<String, BookshelfError> {
-        std::fs::read_to_string(p).map_err(|source| BookshelfError::Io {
-            path: p.to_path_buf(),
-            source,
-        })
+    let read = |p: &Path| -> Result<String, EplaceError> {
+        std::fs::read_to_string(p)
+            .map_err(|e| EplaceError::io(p.display().to_string(), e.to_string()))
     };
     let aux_text = read(aux_path)?;
     let files = parse_aux(&aux_text)?;
@@ -159,7 +90,7 @@ pub fn read_aux(aux_path: impl AsRef<Path>) -> Result<eplace_netlist::Design, Bo
         } else if lower.ends_with(".scl") {
             scl = Some(parse_scl(&text)?);
         } else {
-            return Err(BookshelfError::parse(
+            return Err(EplaceError::parse(
                 name,
                 0,
                 "unknown file kind referenced by .aux",
@@ -170,36 +101,11 @@ pub fn read_aux(aux_path: impl AsRef<Path>) -> Result<eplace_netlist::Design, Bo
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "bookshelf".to_string());
-    let nodes = nodes.ok_or_else(|| BookshelfError::parse("aux", 0, "missing .nodes file"))?;
-    let nets = nets.ok_or_else(|| BookshelfError::parse("aux", 0, "missing .nets file"))?;
-    let pl = pl.ok_or_else(|| BookshelfError::parse("aux", 0, "missing .pl file"))?;
-    let scl = scl.ok_or_else(|| BookshelfError::parse("aux", 0, "missing .scl file"))?;
+    let nodes = nodes.ok_or_else(|| EplaceError::parse("aux", 0, "missing .nodes file"))?;
+    let nets = nets.ok_or_else(|| EplaceError::parse("aux", 0, "missing .nets file"))?;
+    let pl = pl.ok_or_else(|| EplaceError::parse("aux", 0, "missing .pl file"))?;
+    let scl = scl.ok_or_else(|| EplaceError::parse("aux", 0, "missing .scl file"))?;
     assemble_design(&name, nodes, nets, wts.unwrap_or_default(), pl, scl)
-}
-
-/// Reads a benchmark like [`read_aux`], then runs the
-/// [`eplace_netlist::lint_design`] validation pass on the result before
-/// handing it to the caller.
-///
-/// This is the guarded entry point the flow binaries use: real contest
-/// files occasionally carry degenerate constructs (zero-area objects,
-/// single-pin nets, off-cell pin offsets) that parse fine but poison the
-/// analytic placer. Under [`eplace_netlist::LintPolicy::Repair`] they are
-/// fixed in place and reported; under
-/// [`eplace_netlist::LintPolicy::Reject`] the design is refused.
-///
-/// # Errors
-///
-/// [`eplace_errors::EplaceError::Io`]/[`eplace_errors::EplaceError::Parse`]
-/// from the reader, or [`eplace_errors::EplaceError::Validation`] from the
-/// lint pass.
-pub fn read_aux_checked(
-    aux_path: impl AsRef<Path>,
-    policy: eplace_netlist::LintPolicy,
-) -> Result<(eplace_netlist::Design, eplace_netlist::LintReport), eplace_errors::EplaceError> {
-    let mut design = read_aux(aux_path)?;
-    let report = eplace_netlist::lint_design(&mut design, policy)?;
-    Ok((design, report))
 }
 
 #[cfg(test)]
@@ -207,23 +113,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn error_display_forms() {
-        let e = BookshelfError::parse("x.nodes", 7, "bad token");
-        assert_eq!(e.to_string(), "x.nodes:7: bad token");
-        let io = BookshelfError::Io {
-            path: PathBuf::from("/nope"),
-            source: std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),
-        };
-        assert!(io.to_string().contains("/nope"));
-        use std::error::Error;
-        assert!(io.source().is_some());
-        assert!(e.source().is_none());
-    }
-
-    #[test]
     fn read_aux_missing_file_is_io_error() {
         let err = read_aux("/definitely/not/here.aux").unwrap_err();
-        assert!(matches!(err, BookshelfError::Io { .. }));
+        assert!(matches!(err, EplaceError::Io { .. }));
     }
 }
 

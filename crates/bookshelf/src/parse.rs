@@ -3,7 +3,7 @@
 //! intermediate record type; [`crate::assemble_design`] stitches the records
 //! into a [`eplace_netlist::Design`].
 
-use crate::BookshelfError;
+use eplace_errors::EplaceError;
 use eplace_geometry::Point;
 
 /// A node (object) line from the `.nodes` file.
@@ -91,14 +91,22 @@ fn key_value(line: &str) -> Option<(&str, &str)> {
     Some((k.trim(), v.trim()))
 }
 
-fn parse_f64(file: &str, line: usize, tok: &str) -> Result<f64, BookshelfError> {
-    tok.parse::<f64>()
-        .map_err(|_| BookshelfError::parse(file, line, format!("expected number, got `{tok}`")))
+/// Parses a finite number: Rust's float parser also accepts `nan`, `inf`
+/// and overflowing literals, which no Bookshelf field may hold.
+fn parse_f64(file: &str, line: usize, tok: &str) -> Result<f64, EplaceError> {
+    match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err(EplaceError::parse(
+            file,
+            line,
+            format!("expected number, got `{tok}`"),
+        )),
+    }
 }
 
-fn parse_usize(file: &str, line: usize, tok: &str) -> Result<usize, BookshelfError> {
+fn parse_usize(file: &str, line: usize, tok: &str) -> Result<usize, EplaceError> {
     tok.parse::<usize>()
-        .map_err(|_| BookshelfError::parse(file, line, format!("expected integer, got `{tok}`")))
+        .map_err(|_| EplaceError::parse(file, line, format!("expected integer, got `{tok}`")))
 }
 
 /// Parses a `.aux` file, returning the referenced file names.
@@ -106,17 +114,17 @@ fn parse_usize(file: &str, line: usize, tok: &str) -> Result<usize, BookshelfErr
 /// # Errors
 ///
 /// Returns a parse error when no `RowBasedPlacement : ...` line is present.
-pub fn parse_aux(text: &str) -> Result<Vec<String>, BookshelfError> {
+pub fn parse_aux(text: &str) -> Result<Vec<String>, EplaceError> {
     for (line_no, line) in logical_lines(text) {
         if let Some((_, files)) = key_value(line) {
             let names: Vec<String> = files.split_whitespace().map(str::to_string).collect();
             if names.is_empty() {
-                return Err(BookshelfError::parse("aux", line_no, "no files listed"));
+                return Err(EplaceError::parse("aux", line_no, "no files listed"));
             }
             return Ok(names);
         }
     }
-    Err(BookshelfError::parse(
+    Err(EplaceError::parse(
         "aux",
         0,
         "missing `RowBasedPlacement : <files>` line",
@@ -129,7 +137,7 @@ pub fn parse_aux(text: &str) -> Result<Vec<String>, BookshelfError> {
 ///
 /// Returns a parse error on malformed lines or when the declared counts
 /// disagree with the records.
-pub fn parse_nodes(text: &str) -> Result<NodesFile, BookshelfError> {
+pub fn parse_nodes(text: &str) -> Result<NodesFile, EplaceError> {
     const F: &str = "nodes";
     let mut out = NodesFile::default();
     let mut declared_nodes: Option<usize> = None;
@@ -139,7 +147,7 @@ pub fn parse_nodes(text: &str) -> Result<NodesFile, BookshelfError> {
                 "NumNodes" => declared_nodes = Some(parse_usize(F, line_no, value)?),
                 "NumTerminals" => out.num_terminals = parse_usize(F, line_no, value)?,
                 other => {
-                    return Err(BookshelfError::parse(
+                    return Err(EplaceError::parse(
                         F,
                         line_no,
                         format!("unknown header `{other}`"),
@@ -151,25 +159,25 @@ pub fn parse_nodes(text: &str) -> Result<NodesFile, BookshelfError> {
         let mut toks = line.split_whitespace();
         let name = toks
             .next()
-            .ok_or_else(|| BookshelfError::parse(F, line_no, "missing node name"))?;
+            .ok_or_else(|| EplaceError::parse(F, line_no, "missing node name"))?;
         let width = parse_f64(
             F,
             line_no,
             toks.next()
-                .ok_or_else(|| BookshelfError::parse(F, line_no, "missing width"))?,
+                .ok_or_else(|| EplaceError::parse(F, line_no, "missing width"))?,
         )?;
         let height = parse_f64(
             F,
             line_no,
             toks.next()
-                .ok_or_else(|| BookshelfError::parse(F, line_no, "missing height"))?,
+                .ok_or_else(|| EplaceError::parse(F, line_no, "missing height"))?,
         )?;
         let terminal = match toks.next() {
             None => false,
             Some(t) if t.eq_ignore_ascii_case("terminal") => true,
             Some(t) if t.eq_ignore_ascii_case("terminal_NI") => true,
             Some(t) => {
-                return Err(BookshelfError::parse(
+                return Err(EplaceError::parse(
                     F,
                     line_no,
                     format!("unexpected trailing token `{t}`"),
@@ -185,7 +193,7 @@ pub fn parse_nodes(text: &str) -> Result<NodesFile, BookshelfError> {
     }
     if let Some(n) = declared_nodes {
         if n != out.nodes.len() {
-            return Err(BookshelfError::parse(
+            return Err(EplaceError::parse(
                 F,
                 0,
                 format!("NumNodes says {n} but {} records found", out.nodes.len()),
@@ -194,7 +202,7 @@ pub fn parse_nodes(text: &str) -> Result<NodesFile, BookshelfError> {
     }
     let terminals = out.nodes.iter().filter(|n| n.terminal).count();
     if out.num_terminals != 0 && out.num_terminals != terminals {
-        return Err(BookshelfError::parse(
+        return Err(EplaceError::parse(
             F,
             0,
             format!(
@@ -211,7 +219,7 @@ pub fn parse_nodes(text: &str) -> Result<NodesFile, BookshelfError> {
 /// # Errors
 ///
 /// Returns a parse error on malformed lines or degree mismatches.
-pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
+pub fn parse_nets(text: &str) -> Result<NetsFile, EplaceError> {
     const F: &str = "nets";
     let mut out = NetsFile::default();
     let mut declared_nets: Option<usize> = None;
@@ -219,10 +227,10 @@ pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
     let mut current: Option<(String, usize, Vec<PinEntry>)> = None;
     let finish = |cur: &mut Option<(String, usize, Vec<PinEntry>)>,
                   out: &mut NetsFile|
-     -> Result<(), BookshelfError> {
+     -> Result<(), EplaceError> {
         if let Some((name, degree, pins)) = cur.take() {
             if pins.len() != degree {
-                return Err(BookshelfError::parse(
+                return Err(EplaceError::parse(
                     F,
                     0,
                     format!(
@@ -251,7 +259,7 @@ pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
                             F,
                             line_no,
                             toks.next().ok_or_else(|| {
-                                BookshelfError::parse(F, line_no, "missing net degree")
+                                EplaceError::parse(F, line_no, "missing net degree")
                             })?,
                         )?;
                         let name = toks
@@ -272,7 +280,7 @@ pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
         let mut toks = name_dir.split_whitespace();
         let node = toks
             .next()
-            .ok_or_else(|| BookshelfError::parse(F, line_no, "missing pin node name"))?;
+            .ok_or_else(|| EplaceError::parse(F, line_no, "missing pin node name"))?;
         // Direction token (I/O/B) is optional and ignored.
         let (dx, dy) = match offsets {
             Some(rest) => {
@@ -281,13 +289,13 @@ pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
                     F,
                     line_no,
                     ot.next()
-                        .ok_or_else(|| BookshelfError::parse(F, line_no, "missing x offset"))?,
+                        .ok_or_else(|| EplaceError::parse(F, line_no, "missing x offset"))?,
                 )?;
                 let dy = parse_f64(
                     F,
                     line_no,
                     ot.next()
-                        .ok_or_else(|| BookshelfError::parse(F, line_no, "missing y offset"))?,
+                        .ok_or_else(|| EplaceError::parse(F, line_no, "missing y offset"))?,
                 )?;
                 (dx, dy)
             }
@@ -296,7 +304,7 @@ pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
         match current.as_mut() {
             Some((_, _, pins)) => pins.push((node.to_string(), dx, dy)),
             None => {
-                return Err(BookshelfError::parse(
+                return Err(EplaceError::parse(
                     F,
                     line_no,
                     "pin line before any NetDegree header",
@@ -307,7 +315,7 @@ pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
     finish(&mut current, &mut out)?;
     if let Some(n) = declared_nets {
         if n != out.nets.len() {
-            return Err(BookshelfError::parse(
+            return Err(EplaceError::parse(
                 F,
                 0,
                 format!("NumNets says {n} but {} nets found", out.nets.len()),
@@ -317,7 +325,7 @@ pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
     if let Some(p) = declared_pins {
         let total: usize = out.nets.iter().map(|(_, pins)| pins.len()).sum();
         if p != total {
-            return Err(BookshelfError::parse(
+            return Err(EplaceError::parse(
                 F,
                 0,
                 format!("NumPins says {p} but {total} pins found"),
@@ -332,7 +340,7 @@ pub fn parse_nets(text: &str) -> Result<NetsFile, BookshelfError> {
 /// # Errors
 ///
 /// Returns a parse error on malformed lines.
-pub fn parse_wts(text: &str) -> Result<Vec<(String, f64)>, BookshelfError> {
+pub fn parse_wts(text: &str) -> Result<Vec<(String, f64)>, EplaceError> {
     const F: &str = "wts";
     let mut out = Vec::new();
     for (line_no, line) in logical_lines(text) {
@@ -342,12 +350,12 @@ pub fn parse_wts(text: &str) -> Result<Vec<(String, f64)>, BookshelfError> {
         let mut toks = line.split_whitespace();
         let name = toks
             .next()
-            .ok_or_else(|| BookshelfError::parse(F, line_no, "missing name"))?;
+            .ok_or_else(|| EplaceError::parse(F, line_no, "missing name"))?;
         let w = parse_f64(
             F,
             line_no,
             toks.next()
-                .ok_or_else(|| BookshelfError::parse(F, line_no, "missing weight"))?,
+                .ok_or_else(|| EplaceError::parse(F, line_no, "missing weight"))?,
         )?;
         out.push((name.to_string(), w));
     }
@@ -359,7 +367,7 @@ pub fn parse_wts(text: &str) -> Result<Vec<(String, f64)>, BookshelfError> {
 /// # Errors
 ///
 /// Returns a parse error on malformed lines.
-pub fn parse_pl(text: &str) -> Result<Vec<PlRecord>, BookshelfError> {
+pub fn parse_pl(text: &str) -> Result<Vec<PlRecord>, EplaceError> {
     const F: &str = "pl";
     let mut out = Vec::new();
     for (line_no, line) in logical_lines(text) {
@@ -372,18 +380,18 @@ pub fn parse_pl(text: &str) -> Result<Vec<PlRecord>, BookshelfError> {
         let mut toks = head.split_whitespace();
         let name = toks
             .next()
-            .ok_or_else(|| BookshelfError::parse(F, line_no, "missing node name"))?;
+            .ok_or_else(|| EplaceError::parse(F, line_no, "missing node name"))?;
         let x = parse_f64(
             F,
             line_no,
             toks.next()
-                .ok_or_else(|| BookshelfError::parse(F, line_no, "missing x"))?,
+                .ok_or_else(|| EplaceError::parse(F, line_no, "missing x"))?,
         )?;
         let y = parse_f64(
             F,
             line_no,
             toks.next()
-                .ok_or_else(|| BookshelfError::parse(F, line_no, "missing y"))?,
+                .ok_or_else(|| EplaceError::parse(F, line_no, "missing y"))?,
         )?;
         out.push(PlRecord {
             name: name.to_string(),
@@ -400,14 +408,14 @@ pub fn parse_pl(text: &str) -> Result<Vec<PlRecord>, BookshelfError> {
 /// # Errors
 ///
 /// Returns a parse error on malformed `CoreRow` blocks.
-pub fn parse_scl(text: &str) -> Result<Vec<SclRow>, BookshelfError> {
+pub fn parse_scl(text: &str) -> Result<Vec<SclRow>, EplaceError> {
     const F: &str = "scl";
     let mut rows = Vec::new();
     let mut current: Option<SclRow> = None;
     for (line_no, line) in logical_lines(text) {
         if line.starts_with("CoreRow") {
             if current.is_some() {
-                return Err(BookshelfError::parse(F, line_no, "nested CoreRow"));
+                return Err(EplaceError::parse(F, line_no, "nested CoreRow"));
             }
             current = Some(SclRow {
                 coordinate: 0.0,
@@ -421,7 +429,7 @@ pub fn parse_scl(text: &str) -> Result<Vec<SclRow>, BookshelfError> {
         if line == "End" {
             match current.take() {
                 Some(row) => rows.push(row),
-                None => return Err(BookshelfError::parse(F, line_no, "End without CoreRow")),
+                None => return Err(EplaceError::parse(F, line_no, "End without CoreRow")),
             }
             continue;
         }
@@ -450,7 +458,7 @@ pub fn parse_scl(text: &str) -> Result<Vec<SclRow>, BookshelfError> {
         } else if key_value(line).is_some() {
             // `NumRows : n` header — tolerated.
         } else {
-            return Err(BookshelfError::parse(
+            return Err(EplaceError::parse(
                 F,
                 line_no,
                 format!("unexpected line outside CoreRow: `{line}`"),
@@ -458,7 +466,7 @@ pub fn parse_scl(text: &str) -> Result<Vec<SclRow>, BookshelfError> {
         }
     }
     if current.is_some() {
-        return Err(BookshelfError::parse(F, 0, "unterminated CoreRow block"));
+        return Err(EplaceError::parse(F, 0, "unterminated CoreRow block"));
     }
     Ok(rows)
 }
@@ -511,6 +519,48 @@ mod tests {
     fn nodes_bad_number_reports_line() {
         let err = parse_nodes("a one 1\n").unwrap_err();
         assert!(err.to_string().starts_with("nodes:1:"));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_parse_errors_with_line() {
+        type Parser = fn(&str) -> Result<(), EplaceError>;
+        let cases: [(&str, Parser, &str, usize); 5] = [
+            (
+                "nodes",
+                |t| parse_nodes(t).map(drop),
+                "NumNodes : 2\na 4 12\nb {} 12\n",
+                3,
+            ),
+            (
+                "nets",
+                |t| parse_nets(t).map(drop),
+                "NetDegree : 2 n0\n a I : 0 0\n b O : {} 0\n",
+                3,
+            ),
+            ("wts", |t| parse_wts(t).map(drop), "n0 1\nn1 {}\n", 2),
+            (
+                "pl",
+                |t| parse_pl(t).map(drop),
+                "a 0 0 : N\nb 10 {} : N\n",
+                2,
+            ),
+            (
+                "scl",
+                |t| parse_scl(t).map(drop),
+                "CoreRow Horizontal\n Coordinate : 0\n Height : {}\nEnd\n",
+                3,
+            ),
+        ];
+        for (file, parse, template, line) in cases {
+            for tok in ["nan", "NaN", "inf", "-inf", "infinity", "1e400"] {
+                let text = template.replace("{}", tok);
+                let expected =
+                    EplaceError::parse(file, line, format!("expected number, got `{tok}`"));
+                assert_eq!(parse(&text), Err(expected), "{text}");
+            }
+            // The same template with a finite number parses.
+            assert_eq!(parse(&template.replace("{}", "2.5")), Ok(()));
+        }
     }
 
     #[test]

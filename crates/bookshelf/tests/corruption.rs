@@ -1,16 +1,14 @@
 //! Robustness of the Bookshelf readers against corrupted and truncated
-//! input: every parser must return a typed [`BookshelfError`] with file and
+//! input: every parser must return a typed [`EplaceError`] with file and
 //! line context — never panic — no matter how the stream is damaged, and
-//! the lint-checked entry point must catch degenerate-but-parseable
-//! designs.
+//! `read_aux` must reject degenerate designs the placer cannot use.
 
 use eplace_bookshelf::{
-    parse_nets, parse_nodes, parse_pl, parse_scl, parse_wts, read_aux, read_aux_checked, write_aux,
-    BookshelfError,
+    parse_nets, parse_nodes, parse_pl, parse_scl, parse_wts, read_aux, write_aux,
 };
 use eplace_errors::EplaceError;
 use eplace_geometry::{Point, Rect};
-use eplace_netlist::{CellKind, DesignBuilder, LintPolicy};
+use eplace_netlist::{CellKind, DesignBuilder};
 use eplace_testkit::{apply_text_fault, check, corrupt_text, TextFault, TEXT_FAULTS};
 use std::path::{Path, PathBuf};
 
@@ -136,7 +134,7 @@ fn truncated_nodes_reports_file_context() {
     let cut = clean.trim_end().len() - 2;
     let err = parse_nodes(&clean[..cut]).unwrap_err();
     match &err {
-        BookshelfError::Parse { file, line, .. } => {
+        EplaceError::Parse { file, line, .. } => {
             assert_eq!(file, "nodes");
             assert!(*line > 0, "line context lost: {err}");
         }
@@ -181,10 +179,10 @@ fn duplicate_record_detected_by_count_check() {
 
 #[test]
 fn degenerate_design_rejected_then_repaired() {
-    // A NaN position and a single-pin net: both parse fine (Rust's float
-    // parser accepts "NaN") and pass the structural `Design::validate`,
-    // but would poison the analytic placer — exactly what the lint pass
-    // behind `read_aux_checked` exists to catch.
+    // A NaN position parses with Rust's float parser but would poison the
+    // analytic placer; the reader rejects it with file and line. Once the
+    // file is repaired the design reads back, its single-pin net included
+    // (wirelength, HPWL and the router all skip such nets).
     let dir = std::env::temp_dir().join(format!("eplace_corrupt_degen_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(
@@ -203,29 +201,24 @@ fn degenerate_design_rejected_then_repaired() {
     )
     .unwrap();
     std::fs::write(dir.join("d.wts"), "n0 1\nlonely 1\n").unwrap();
-    std::fs::write(dir.join("d.pl"), "a NaN 0 : N\nb 10 0 : N\nc 20 0 : N\n").unwrap();
     std::fs::write(
         dir.join("d.scl"),
         "CoreRow Horizontal\n Coordinate : 0\n Height : 12\n Sitewidth : 1\n SubrowOrigin : 0 NumSites : 100\nEnd\n",
     )
     .unwrap();
 
-    let err = read_aux_checked(dir.join("d.aux"), LintPolicy::Reject).unwrap_err();
-    assert!(matches!(err, EplaceError::Validation { .. }), "{err}");
-    assert!(
-        err.to_string().contains("non-finite position"),
-        "issue not described: {err}"
+    std::fs::write(dir.join("d.pl"), "a NaN 0 : N\nb 10 0 : N\nc 20 0 : N\n").unwrap();
+    let err = read_aux(dir.join("d.aux")).unwrap_err();
+    assert_eq!(
+        err,
+        EplaceError::parse("pl", 1, "expected number, got `NaN`"),
+        "{err}"
     );
-    assert!(err.to_string().contains("`a`"), "offender not named: {err}");
 
-    let (design, report) = read_aux_checked(dir.join("d.aux"), LintPolicy::Repair).unwrap();
-    assert!(report.repairs() >= 2, "{report:?}");
-    assert!(design
-        .cells
-        .iter()
-        .all(|c| c.pos.x.is_finite() && c.pos.y.is_finite()));
-    assert_eq!(design.nets.len(), 1, "single-pin net must be dropped");
-    assert!(design.validate().is_ok());
+    std::fs::write(dir.join("d.pl"), "a 0 0 : N\nb 10 0 : N\nc 20 0 : N\n").unwrap();
+    let design = read_aux(dir.join("d.aux")).unwrap();
+    assert_eq!(design.nets.len(), 2);
+    assert_eq!(design.nets[1].degree(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -235,13 +228,9 @@ fn missing_companion_is_io_error_with_path() {
     std::fs::remove_file(dir.join(format!("{base}.nets"))).unwrap();
     let err = read_aux(dir.join(format!("{base}.aux"))).unwrap_err();
     match &err {
-        BookshelfError::Io { path, .. } => {
-            assert!(path.to_string_lossy().ends_with(".nets"));
-        }
+        EplaceError::Io { path, .. } => assert!(path.ends_with(".nets"), "{err}"),
         other => panic!("expected Io error, got {other}"),
     }
-    // And the EplaceError conversion keeps the context.
-    let converted: EplaceError = err.into();
-    assert!(converted.to_string().contains(".nets"));
+    assert!(err.to_string().contains(".nets"));
     std::fs::remove_dir_all(&dir).ok();
 }

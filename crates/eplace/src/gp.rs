@@ -6,7 +6,7 @@ use crate::recover::{
 use crate::trace::{IterationRecord, RuntimeProfile, Stage};
 use crate::{EplaceConfig, NesterovOptimizer, PlacementProblem};
 use eplace_density::{grid_dimension, CongestionMap};
-use eplace_errors::{DivergenceReport, EplaceError, Severity, ValidationIssue};
+use eplace_errors::{DivergenceReport, EplaceError};
 use eplace_netlist::Design;
 use eplace_obs::{Obs, Record};
 
@@ -137,17 +137,13 @@ pub fn resume_global_placement(
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
     if let Some((name, len)) = checkpoint.size_mismatch(problem.len()) {
-        return Err(EplaceError::Validation {
-            issues: vec![ValidationIssue {
-                severity: Severity::Error,
-                subject: "resume checkpoint".into(),
-                message: format!(
-                    "checkpoint {name} holds {len} points but the problem has {} movables",
-                    problem.len()
-                ),
-                repaired: false,
-            }],
-        });
+        return Err(EplaceError::invalid(
+            "resume checkpoint",
+            format!(
+                "checkpoint {name} holds {len} points but the problem has {} movables",
+                problem.len()
+            ),
+        ));
     }
     run_guarded(
         design,
@@ -515,7 +511,6 @@ fn snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::trace_endpoints;
     use crate::{initial_placement, insert_fillers};
     use eplace_benchgen::BenchmarkConfig;
 
@@ -548,7 +543,7 @@ mod tests {
     #[test]
     fn overflow_decreases_over_iterations() {
         let (_, _, trace) = run(300, 62);
-        let (first, last) = trace_endpoints(&trace).unwrap();
+        let (first, last) = (&trace[0], &trace[trace.len() - 1]);
         assert!(
             last.overflow < first.overflow,
             "overflow {} -> {}",
@@ -569,7 +564,7 @@ mod tests {
         // mIP is the wirelength optimum with overlap; spreading must raise
         // HPWL, but not catastrophically.
         let (_, _, trace) = run(300, 63);
-        let (first, last) = trace_endpoints(&trace).unwrap();
+        let (first, last) = (&trace[0], &trace[trace.len() - 1]);
         assert!(last.hpwl > 0.8 * first.hpwl);
         assert!(
             last.hpwl < 20.0 * first.hpwl,
@@ -600,11 +595,6 @@ mod tests {
         assert_eq!(out.iterations, 0);
         assert!(trace.is_empty());
         assert!(out.checkpoint.is_none());
-        // An empty trace now yields a structured error, not a panic.
-        assert!(matches!(
-            trace_endpoints(&trace),
-            Err(EplaceError::EmptyTrace { .. })
-        ));
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub use problem::PlacementProblem;
 pub use recover::{FaultKind, GpCheckpoint, GradientFault};
 pub use routability::{RoutabilityConfig, RoutabilityOutcome, MAX_HPWL_COST};
 pub use trace::{
-    trace_endpoints, trace_to_csv, trace_to_csv_checked, validate_trace, IterationRecord,
-    RuntimeProfile, Stage, StageTiming,
+    trace_to_csv, trace_to_csv_checked, validate_trace, IterationRecord, RuntimeProfile, Stage,
+    StageTiming,
 };
 
 pub use eplace_density::SpectralEngine;
@@ -212,7 +212,6 @@ impl EplaceConfig {
             mlg: MlgConfig {
                 sa_iterations_per_macro: 150,
                 max_outer_iterations: 16,
-                ..MlgConfig::default()
             },
             ..EplaceConfig::default()
         }

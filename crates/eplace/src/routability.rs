@@ -31,7 +31,9 @@ use eplace_errors::EplaceError;
 use eplace_geometry::Point;
 use eplace_netlist::{CellKind, Design};
 use eplace_obs::Record;
-use eplace_route::{route_design, CapacityGrid, RoutabilityReport, RouteConfig};
+use eplace_route::{
+    route_design, CapacityGrid, RoutabilityReport, RouteConfig, OVERFLOW_THRESHOLD,
+};
 
 /// Blend factors tried by the per-round trust-region line search, largest
 /// first. 1.0 is the raw refinement result; smaller values pull the moved
@@ -55,7 +57,7 @@ const AREA_BUDGET_FRAC: f64 = 0.9;
 
 /// Weight of the 8 neighboring gcells when a cell's local congestion is
 /// sampled (hotspot dilation): a cell is inflated when
-/// `max(own, frac × neighbors) > overflow_threshold`.
+/// `max(own, frac × neighbors) >` [`OVERFLOW_THRESHOLD`].
 const NEIGHBOR_CONGESTION_FRAC: f64 = 0.8;
 
 /// Cumulative HPWL increase (fraction of the HPWL entering the loop) a
@@ -152,7 +154,7 @@ pub(crate) fn run_routability_loop(
 
     while rounds < rcfg.max_rounds && accepted.total_overflow > STOP_OVERFLOW {
         // Hotspot selection + inflation from the last accepted routing.
-        let (hot, inflated) = inflate(design, &result.grid, rcfg, &orig_widths);
+        let (hot, inflated) = inflate(design, &result.grid, &orig_widths);
         if inflated == 0 {
             break; // nothing left to inflate — the loop cannot make progress
         }
@@ -284,12 +286,7 @@ fn local_congestion(grid: &CapacityGrid, pos: Point) -> f64 {
 /// the whole proposal back if it would overrun the area budget. Returns the
 /// hotspot mask (`true` = the cell may move in the refinement round) and
 /// the number of cells actually inflated.
-fn inflate(
-    design: &mut Design,
-    grid: &CapacityGrid,
-    rcfg: &RoutabilityConfig,
-    orig_widths: &[f64],
-) -> (Vec<bool>, usize) {
+fn inflate(design: &mut Design, grid: &CapacityGrid, orig_widths: &[f64]) -> (Vec<bool>, usize) {
     let mut hot = vec![false; design.cells.len()];
     let mut proposals: Vec<(usize, f64)> = Vec::new();
     let mut delta_area = 0.0;
@@ -298,7 +295,7 @@ fn inflate(
             continue;
         }
         let congestion = local_congestion(grid, c.pos);
-        if congestion <= rcfg.route.overflow_threshold {
+        if congestion <= OVERFLOW_THRESHOLD {
             continue;
         }
         hot[i] = true;

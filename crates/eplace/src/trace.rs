@@ -126,26 +126,6 @@ impl RuntimeProfile {
     }
 }
 
-/// First and last record of a trace.
-///
-/// The trace endpoints drive every before/after comparison (Figure 2's
-/// trend checks, the flow reports); an empty trace — a stage that never
-/// ran, or a caller that filtered everything out — used to be a panic site.
-///
-/// # Errors
-///
-/// [`eplace_errors::EplaceError::EmptyTrace`] when `records` is empty.
-pub fn trace_endpoints(
-    records: &[IterationRecord],
-) -> Result<(&IterationRecord, &IterationRecord), eplace_errors::EplaceError> {
-    match (records.first(), records.last()) {
-        (Some(first), Some(last)) => Ok((first, last)),
-        _ => Err(eplace_errors::EplaceError::EmptyTrace {
-            stage: "global placement".into(),
-        }),
-    }
-}
-
 /// Checks every record for non-finite metrics before a trace is persisted.
 ///
 /// # Errors
@@ -153,7 +133,6 @@ pub fn trace_endpoints(
 /// [`eplace_errors::EplaceError::Validation`] naming the first offending
 /// record and field.
 pub fn validate_trace(records: &[IterationRecord]) -> Result<(), eplace_errors::EplaceError> {
-    use eplace_errors::{Severity, ValidationIssue};
     for (i, r) in records.iter().enumerate() {
         let fields = [
             ("hpwl", r.hpwl),
@@ -164,14 +143,10 @@ pub fn validate_trace(records: &[IterationRecord]) -> Result<(), eplace_errors::
             ("alpha", r.alpha),
         ];
         if let Some((name, value)) = fields.iter().find(|(_, v)| !v.is_finite()) {
-            return Err(eplace_errors::EplaceError::Validation {
-                issues: vec![ValidationIssue {
-                    severity: Severity::Error,
-                    subject: format!("trace record {i} ({} iteration {})", r.stage, r.iteration),
-                    message: format!("non-finite {name}: {value}"),
-                    repaired: false,
-                }],
-            });
+            return Err(eplace_errors::EplaceError::invalid(
+                format!("trace record {i} ({} iteration {})", r.stage, r.iteration),
+                format!("non-finite {name}: {value}"),
+            ));
         }
     }
     Ok(())
@@ -245,27 +220,6 @@ mod tests {
         let p = RuntimeProfile::default();
         assert_eq!(p.percentages(), (0.0, 0.0, 0.0));
         assert_eq!(p.total(), 0.0);
-    }
-
-    #[test]
-    fn trace_endpoints_structured_error_on_empty() {
-        let err = trace_endpoints(&[]).unwrap_err();
-        assert!(matches!(err, eplace_errors::EplaceError::EmptyTrace { .. }));
-        let rec = IterationRecord {
-            stage: Stage::Mgp,
-            iteration: 0,
-            hpwl: 1.0,
-            overflow: 0.9,
-            overlap: 2.0,
-            lambda: 1e-4,
-            gamma: 2.0,
-            alpha: 0.1,
-            backtracks: 0,
-        };
-        let recs = vec![rec.clone(), rec];
-        let (first, last) = trace_endpoints(&recs).unwrap();
-        assert_eq!(first, &recs[0]);
-        assert_eq!(last, &recs[1]);
     }
 
     #[test]

@@ -1,73 +1,27 @@
 //! The workspace-wide structured error layer.
 //!
 //! Every library crate in the workspace reports failures through
-//! [`EplaceError`] (or a crate-local error that converts into it) instead of
-//! panicking; only binaries unwrap at the top level. The variants mirror the
+//! [`EplaceError`] instead of panicking; only binaries unwrap at the top level. The variants mirror the
 //! layers of the system:
 //!
 //! * [`EplaceError::Io`] / [`EplaceError::Parse`] — the Bookshelf reader
 //!   (file missing, malformed line with file/line context);
-//! * [`EplaceError::Validation`] — the post-parse design lint
-//!   (degenerate nets, zero-area cells, pins outside their owner, …), each
-//!   problem an individual [`ValidationIssue`];
+//! * [`EplaceError::Validation`] — an input the placer cannot use, naming
+//!   one subject: a design the reader's `Design::validate` rejects
+//!   (non-finite or non-positive sizes, degenerate rows, negative net
+//!   weights, …), or an argument outside its contract;
 //! * [`EplaceError::Diverged`] — the global-placement divergence sentinel
 //!   exhausted its rollback/retry budget; the [`DivergenceReport`] carries
 //!   the trip reason and the best solution metrics observed (the design is
-//!   left at that best-so-far placement);
-//! * [`EplaceError::EmptyTrace`] — a global-placement stage was asked to run
-//!   but produced no iterations (zero iteration budget on a non-empty
-//!   problem).
+//!   left at that best-so-far placement).
 //!
 //! This crate sits at the bottom of the dependency graph (no dependencies)
-//! so that `bookshelf`, `netlist`, `legalize` and `eplace-core` can all share
-//! one taxonomy.
+//! so that `bookshelf`, `netlist`, `spectral`, `eplace-core` and `serve` can
+//! all share one taxonomy.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
-
-/// How serious a [`ValidationIssue`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Severity {
-    /// The design is usable as-is (or after an automatic repair); flagged so
-    /// the caller can log it.
-    Warning,
-    /// The design cannot be placed without a repair; under a reject policy
-    /// this aborts the read.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        })
-    }
-}
-
-/// One diagnostic from the design-validation pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValidationIssue {
-    /// Severity class.
-    pub severity: Severity,
-    /// What the issue is about (cell or net name).
-    pub subject: String,
-    /// Human-readable description.
-    pub message: String,
-    /// `true` when the repair policy fixed it in place.
-    pub repaired: bool,
-}
-
-impl fmt::Display for ValidationIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} `{}`: {}", self.severity, self.subject, self.message)?;
-        if self.repaired {
-            f.write_str(" (repaired)")?;
-        }
-        Ok(())
-    }
-}
 
 /// Why the divergence sentinel tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,19 +88,16 @@ pub enum EplaceError {
         /// Description of the problem.
         message: String,
     },
-    /// The design-validation pass rejected the input (or reports what it
-    /// repaired).
+    /// An input the placer cannot use: a design that fails
+    /// `Design::validate`, or an argument outside its contract.
     Validation {
-        /// Individual diagnostics, in discovery order.
-        issues: Vec<ValidationIssue>,
+        /// What was rejected (`design`, a field or argument name, …).
+        subject: String,
+        /// Why.
+        message: String,
     },
     /// Global placement diverged beyond its rollback/retry budget.
     Diverged(DivergenceReport),
-    /// A placement stage executed zero iterations on a non-empty problem.
-    EmptyTrace {
-        /// Stage name.
-        stage: String,
-    },
     /// A durable checkpoint could not be decoded: truncated payload, bad
     /// magic/version, checksum mismatch, or inconsistent vector lengths.
     /// Loading a corrupt checkpoint is always this error, never a panic.
@@ -184,12 +135,8 @@ impl fmt::Display for EplaceError {
                 line,
                 message,
             } => write!(f, "{file}:{line}: {message}"),
-            EplaceError::Validation { issues } => {
-                write!(f, "design validation failed ({} issue(s))", issues.len())?;
-                for issue in issues {
-                    write!(f, "\n  {issue}")?;
-                }
-                Ok(())
+            EplaceError::Validation { subject, message } => {
+                write!(f, "invalid {subject}: {message}")
             }
             EplaceError::Diverged(report) => write!(
                 f,
@@ -203,9 +150,6 @@ impl fmt::Display for EplaceError {
                 report.best_hpwl,
                 report.best_overflow
             ),
-            EplaceError::EmptyTrace { stage } => {
-                write!(f, "{stage} produced no iterations (empty trace)")
-            }
             EplaceError::Checkpoint { path, message } => {
                 write!(f, "corrupt checkpoint {path}: {message}")
             }
@@ -243,18 +187,14 @@ impl EplaceError {
         matches!(self, EplaceError::Diverged(_))
     }
 
-    /// Shorthand for a single-issue [`EplaceError::Validation`] at
-    /// [`Severity::Error`] — the typed rejection path for contract-violating
-    /// arguments (e.g. a non-power-of-two transform size) in library crates
-    /// that must not panic.
+    /// Shorthand for a [`EplaceError::Validation`] — the typed rejection
+    /// path for unusable designs and contract-violating arguments (e.g. a
+    /// non-power-of-two transform size) in library crates that must not
+    /// panic.
     pub fn invalid(subject: impl Into<String>, message: impl Into<String>) -> Self {
         EplaceError::Validation {
-            issues: vec![ValidationIssue {
-                severity: Severity::Error,
-                subject: subject.into(),
-                message: message.into(),
-                repaired: false,
-            }],
+            subject: subject.into(),
+            message: message.into(),
         }
     }
 
@@ -292,26 +232,15 @@ mod tests {
         assert_eq!(e.to_string(), "x.nodes:7: bad token");
         let io = EplaceError::io("/nope", "not found");
         assert!(io.to_string().contains("/nope"));
-        let empty = EplaceError::EmptyTrace {
-            stage: "mGP".into(),
-        };
-        assert!(empty.to_string().contains("mGP"));
     }
 
     #[test]
-    fn validation_display_lists_issues() {
-        let e = EplaceError::Validation {
-            issues: vec![ValidationIssue {
-                severity: Severity::Error,
-                subject: "cell0".into(),
-                message: "zero area".into(),
-                repaired: true,
-            }],
-        };
-        let s = e.to_string();
-        assert!(s.contains("1 issue"));
-        assert!(s.contains("cell0"));
-        assert!(s.contains("repaired"));
+    fn validation_display_names_subject() {
+        let e = EplaceError::invalid("design", "cell 0 (a) has non-positive size");
+        assert_eq!(
+            e.to_string(),
+            "invalid design: cell 0 (a) has non-positive size"
+        );
     }
 
     #[test]
@@ -351,8 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn severity_and_reason_display() {
-        assert_eq!(Severity::Warning.to_string(), "warning");
+    fn reason_display() {
         assert_eq!(
             DivergenceReason::SteplengthCollapse.to_string(),
             "steplength collapse"

@@ -1,4 +1,4 @@
-use crate::MlgConfig;
+use crate::{MlgConfig, FINAL_MAX_ACCEPT, INITIAL_MAX_ACCEPT, INITIAL_RADIUS_FACTOR, KAPPA, SEED};
 use eplace_geometry::{Point, Rect};
 use eplace_netlist::{CellKind, Design, NetId};
 use eplace_prng::rngs::StdRng;
@@ -124,7 +124,7 @@ impl CoverageGrid {
 /// touched, whether or not they are fixed. Fixed non-std blocks are hard
 /// overlap obstacles.
 pub fn legalize_macros(design: &mut Design, cfg: &MlgConfig) -> MlgReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let cover = CoverageGrid::build(design);
     // Fixed non-std objects (pre-fixed macros, IO blocks) are hard overlap
     // obstacles; standard cells only enter through the coverage term D.
@@ -178,7 +178,7 @@ pub fn legalize_macros(design: &mut Design, cfg: &MlgConfig) -> MlgReport {
 
     for j in 0..cfg.max_outer_iterations {
         outer_done = j + 1;
-        let kappa_j = cfg.kappa.powi(j as i32);
+        let kappa_j = KAPPA.powi(j as i32);
         // --- Outer-iteration cost refresh (Eq. 14) ---------------------
         let w = design.hpwl();
         let d: f64 = macros
@@ -196,16 +196,14 @@ pub fn legalize_macros(design: &mut Design, cfg: &MlgConfig) -> MlgReport {
         let f_base = w + mu_d * d + mu_o * om;
 
         let k_max = (cfg.sa_iterations_per_macro * m).max(1);
-        let radius0 =
-            design.region.width() / (m as f64).sqrt() * cfg.initial_radius_factor * kappa_j;
+        let radius0 = design.region.width() / (m as f64).sqrt() * INITIAL_RADIUS_FACTOR * kappa_j;
         for k in 0..k_max {
             attempted += 1;
             let progress = k as f64 / k_max as f64;
             // Temperature from the acceptance target: Δf_max/(ln 2), with
             // Δf_max interpolated 0.03·κ^j → 0.0001·κ^j (relative to f_base).
-            let dmax = (cfg.initial_max_accept
-                + (cfg.final_max_accept - cfg.initial_max_accept) * progress)
-                * kappa_j;
+            let dmax =
+                (INITIAL_MAX_ACCEPT + (FINAL_MAX_ACCEPT - INITIAL_MAX_ACCEPT) * progress) * kappa_j;
             let t = dmax / ln2;
             let radius = radius0 * (1.0 - 0.9 * progress);
 

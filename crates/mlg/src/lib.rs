@@ -23,6 +23,9 @@
 //! confined to ~5 % of its share of the region — and scales with `κ` per
 //! outer iteration.
 //!
+//! These schedule values and the RNG seed are fixed; [`MlgConfig`] sets
+//! only the effort (outer iterations, SA moves per macro).
+//!
 //! # Examples
 //!
 //! ```
@@ -41,38 +44,40 @@ mod engine;
 
 pub use engine::{legalize_macros, MlgReport};
 
-/// Tuning knobs of the annealer; the defaults are the paper's values.
+/// Outer-iteration scaling factor κ (paper: 1.5, "good tradeoff between
+/// quality and efficiency").
+const KAPPA: f64 = 1.5;
+
+/// Relative cost increase accepted >50 % at the first SA iteration (paper:
+/// 0.03).
+const INITIAL_MAX_ACCEPT: f64 = 0.03;
+
+/// …and at the last SA iteration (paper: 0.0001).
+const FINAL_MAX_ACCEPT: f64 = 0.0001;
+
+/// Initial motion radius as a fraction of `R_x/√m` (paper: 0.05).
+const INITIAL_RADIUS_FACTOR: f64 = 0.05;
+
+/// RNG seed. mLG is the only stochastic flow stage; a fixed seed makes the
+/// whole placer deterministic.
+const SEED: u64 = 0xE91ACE;
+
+/// Effort knobs of the annealer. The schedule itself (κ, the acceptance
+/// targets, the initial radius and the seed) is fixed at the paper's
+/// values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlgConfig {
-    /// Outer-iteration scaling factor κ (paper: 1.5, "good tradeoff
-    /// between quality and efficiency").
-    pub kappa: f64,
     /// Maximum outer (mLG) iterations before giving up on `O_m = 0`.
     pub max_outer_iterations: usize,
     /// Inner SA iterations per macro (`k_max = this × m`).
     pub sa_iterations_per_macro: usize,
-    /// Relative cost increase accepted >50 % at the first SA iteration
-    /// (paper: 0.03).
-    pub initial_max_accept: f64,
-    /// …and at the last SA iteration (paper: 0.0001).
-    pub final_max_accept: f64,
-    /// Initial motion radius as a fraction of `R_x/√m` (paper: 0.05).
-    pub initial_radius_factor: f64,
-    /// RNG seed (mLG is the only stochastic flow stage; fixing the seed
-    /// makes the whole placer deterministic).
-    pub seed: u64,
 }
 
 impl Default for MlgConfig {
     fn default() -> Self {
         MlgConfig {
-            kappa: 1.5,
             max_outer_iterations: 24,
             sa_iterations_per_macro: 600,
-            initial_max_accept: 0.03,
-            final_max_accept: 0.0001,
-            initial_radius_factor: 0.05,
-            seed: 0xE91ACE,
         }
     }
 }
@@ -83,10 +88,9 @@ mod tests {
 
     #[test]
     fn default_matches_paper_constants() {
-        let c = MlgConfig::default();
-        assert_eq!(c.kappa, 1.5);
-        assert_eq!(c.initial_max_accept, 0.03);
-        assert_eq!(c.final_max_accept, 0.0001);
-        assert_eq!(c.initial_radius_factor, 0.05);
+        assert_eq!(KAPPA, 1.5);
+        assert_eq!(INITIAL_MAX_ACCEPT, 0.03);
+        assert_eq!(FINAL_MAX_ACCEPT, 0.0001);
+        assert_eq!(INITIAL_RADIUS_FACTOR, 0.05);
     }
 }

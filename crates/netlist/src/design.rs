@@ -1,3 +1,4 @@
+use eplace_errors::EplaceError;
 use eplace_geometry::{Point, Rect, Size};
 use std::fmt;
 
@@ -337,39 +338,64 @@ impl Design {
         removed
     }
 
-    /// Validates internal consistency (pin indices in range, fillers pinless,
-    /// fillers form a suffix, sizes positive). Returns a description of the
-    /// first violation, if any.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Checks that the design is one the placer can use: every pin on an
+    /// existing non-filler cell, every net weight finite and non-negative,
+    /// every cell size and every row's height and site width finite and
+    /// positive, fillers a suffix of [`Design::cells`], `cell_nets` in step
+    /// with the cells, and a non-degenerate region. The Bookshelf reader
+    /// runs this on every design it returns.
+    ///
+    /// # Errors
+    ///
+    /// [`EplaceError::Validation`] (subject `design`) naming the first
+    /// offending net, cell or row.
+    pub fn validate(&self) -> Result<(), EplaceError> {
+        let invalid = |message: String| Err(EplaceError::invalid("design", message));
+        let positive = |v: f64| v.is_finite() && v > 0.0;
         for (ni, net) in self.nets.iter().enumerate() {
             for pin in &net.pins {
                 let ci = pin.cell.index();
                 if ci >= self.cells.len() {
-                    return Err(format!("net {ni} references missing cell {ci}"));
+                    return invalid(format!("net {ni} references missing cell {ci}"));
                 }
                 if self.cells[ci].kind == CellKind::Filler {
-                    return Err(format!("net {ni} connects to filler cell {ci}"));
+                    return invalid(format!("net {ni} connects to filler cell {ci}"));
                 }
+            }
+            if !(net.weight.is_finite() && net.weight >= 0.0) {
+                return invalid(format!("net {ni} ({}) has weight {}", net.name, net.weight));
             }
         }
         let mut seen_filler = false;
         for (i, cell) in self.cells.iter().enumerate() {
-            if cell.size.width <= 0.0 || cell.size.height <= 0.0 {
-                return Err(format!("cell {i} ({}) has non-positive size", cell.name));
+            let Size { width, height } = cell.size;
+            if !positive(width) || !positive(height) {
+                return invalid(format!(
+                    "cell {i} ({}) has width {width} and height {height}",
+                    cell.name
+                ));
             }
             match cell.kind {
                 CellKind::Filler => seen_filler = true,
                 _ if seen_filler => {
-                    return Err(format!("non-filler cell {i} appears after fillers"));
+                    return invalid(format!("non-filler cell {i} appears after fillers"));
                 }
                 _ => {}
             }
         }
+        for (i, row) in self.rows.iter().enumerate() {
+            if !positive(row.height) || !positive(row.site_width) {
+                return invalid(format!(
+                    "row {i} has height {} and site width {}",
+                    row.height, row.site_width
+                ));
+            }
+        }
         if self.cell_nets.len() != self.cells.len() {
-            return Err("cell_nets length differs from cells".into());
+            return invalid("cell_nets length differs from cells".into());
         }
         if !self.region.is_valid() {
-            return Err("placement region is degenerate".into());
+            return invalid("placement region is degenerate".into());
         }
         Ok(())
     }
@@ -477,6 +503,73 @@ mod tests {
         let mut d = two_cell_design();
         d.nets[0].pins[0].cell = CellId(99);
         assert!(d.validate().is_err());
+    }
+
+    /// The offending design's validation message; panics when it passes.
+    fn rejection(d: &Design) -> String {
+        match d.validate() {
+            Err(EplaceError::Validation { subject, message }) => {
+                assert_eq!(subject, "design");
+                message
+            }
+            other => panic!("expected a validation error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_nonpositive_or_nonfinite_cell_size() {
+        let bad = [
+            (2.0, 0.0),
+            (-3.0, 2.0),
+            (0.0, 0.0),
+            (f64::NAN, 2.0),
+            (2.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 2.0),
+        ];
+        for (w, h) in bad {
+            let mut d = two_cell_design();
+            d.cells[1].size = Size::new(w, h);
+            let msg = rejection(&d);
+            assert!(msg.starts_with("cell 1 (b) has width"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_degenerate_rows() {
+        let row = Row {
+            x: 0.0,
+            y: 0.0,
+            width: 100.0,
+            height: 2.0,
+            site_width: 1.0,
+        };
+        let mut d = two_cell_design();
+        d.rows = vec![row, row];
+        assert!(d.validate().is_ok());
+        for bad in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            for site in [false, true] {
+                let mut d = d.clone();
+                if site {
+                    d.rows[1].site_width = bad;
+                } else {
+                    d.rows[1].height = bad;
+                }
+                let msg = rejection(&d);
+                assert!(msg.starts_with("row 1 has height"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_negative_weight() {
+        let mut d = two_cell_design();
+        d.nets[0].weight = 0.0;
+        assert!(d.validate().is_ok(), "a zero weight is allowed");
+        for bad in [-1000.0, f64::NAN] {
+            d.nets[0].weight = bad;
+            let msg = rejection(&d);
+            assert!(msg.starts_with("net 0 (n) has weight"), "{msg}");
+        }
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! Positions are stored *per cell* as the cell's **center**; global placement
 //! treats them continuously, legalization snaps them to rows/sites.
 //!
+//! [`Design::validate`] is the one check that a design is placeable
+//! (finite positive sizes and rows, non-negative net weights, pins on real
+//! cells); the Bookshelf reader runs it on every design it returns, and
+//! rejects with a typed [`eplace_errors::EplaceError::Validation`].
+//!
 //! # Examples
 //!
 //! ```
@@ -29,12 +34,10 @@
 
 mod builder;
 mod design;
-mod lint;
 mod stats;
 
 pub use builder::DesignBuilder;
 pub use design::{Cell, CellId, CellKind, Design, Net, NetId, Pin, Row};
-pub use lint::{lint_design, LintPolicy, LintReport};
 pub use stats::DesignStats;
 
 use eplace_geometry::Rect;
@@ -120,6 +123,60 @@ mod tests {
         }
         let sweep = total_pairwise_overlap(&rects);
         assert!((sweep - brute).abs() < 1e-9 * brute.max(1.0));
+    }
+}
+
+/// Input-lint cases for cell dimensions: a cell whose size is zero, negative
+/// or non-finite makes [`Design::validate`] reject the design, naming the cell.
+#[cfg(test)]
+mod lint {
+    mod tests {
+        use crate::{CellKind, Design, DesignBuilder};
+        use eplace_errors::EplaceError;
+        use eplace_geometry::Rect;
+
+        fn base() -> DesignBuilder {
+            DesignBuilder::new("lint", Rect::new(0.0, 0.0, 100.0, 100.0))
+        }
+
+        /// The validation message `d` is rejected with; panics when it passes.
+        fn rejection(d: &Design) -> String {
+            match d.validate() {
+                Err(err @ EplaceError::Validation { .. }) => err.to_string(),
+                other => panic!("expected a validation error, got {other:?}"),
+            }
+        }
+
+        #[test]
+        fn zero_area_cell_rejected_then_repaired() {
+            let mut b = base();
+            b.add_cell("ok", 4.0, 4.0, CellKind::StdCell);
+            b.add_cell("flat", 4.0, 4.0, CellKind::StdCell);
+            let mut d = b.build();
+            d.cells[1].size.height = 0.0;
+            assert!(rejection(&d).contains("flat"));
+
+            // Once the caller gives the cell a positive height it validates.
+            d.cells[1].size.height = 4.0;
+            assert!(d.validate().is_ok());
+        }
+
+        #[test]
+        fn negative_and_nonfinite_dimensions_flagged() {
+            let mut b = base();
+            b.add_cell("neg", 1.0, 1.0, CellKind::StdCell);
+            b.add_cell("nan", 1.0, 1.0, CellKind::StdCell);
+            let mut d = b.build();
+            d.cells[0].size.width = -3.0;
+            d.cells[1].size.width = f64::NAN;
+            assert!(rejection(&d).contains("(neg)"));
+            d.cells[0].size.width = 1.0;
+            assert!(rejection(&d).contains("(nan)"));
+            d.cells[1].size.width = f64::INFINITY;
+            assert!(rejection(&d).contains("(nan)"));
+            d.cells[1].size.width = 1.0;
+            assert!(d.validate().is_ok());
+        }
     }
 }
 

@@ -29,6 +29,12 @@
 //! placer's congestion-driven inflation loop consumes (see
 //! `eplace_core`'s routability mode).
 //!
+//! The model is fixed apart from two knobs: the grid is always
+//! [`auto_grid_dim`] square, a gcell overflows above
+//! [`OVERFLOW_THRESHOLD`], and the track pitch and maze congestion weight
+//! are constants; [`RouteConfig`] scales the track supply and switches the
+//! maze fallback.
+//!
 //! # Examples
 //!
 //! ```
@@ -54,4 +60,6 @@ pub use decompose::{decompose, Segment, STAR_THRESHOLD};
 pub use grid::{CapacityGrid, DemandSink, RouteSink};
 pub use maze::{deposit_path, maze_search, MazeScratch};
 pub use prob::{deposit_probabilistic, MAX_CANDIDATES};
-pub use router::{auto_grid_dim, route_design, RoutabilityReport, RouteConfig, RouteResult};
+pub use router::{
+    auto_grid_dim, route_design, RoutabilityReport, RouteConfig, RouteResult, OVERFLOW_THRESHOLD,
+};

@@ -8,42 +8,36 @@ use crate::prob::deposit_probabilistic;
 use eplace_exec::{chunk_range, deterministic_chunks, for_each_chunk, ExecConfig};
 use eplace_netlist::Design;
 
+/// Distance between adjacent routing tracks, in placement units. A gcell's
+/// horizontal supply is `bin_h / TRACK_PITCH` tracks (tracks stack
+/// vertically), its vertical supply `bin_w / TRACK_PITCH`.
+const TRACK_PITCH: f64 = 2.0;
+
+/// Utilization above which a gcell counts as overflowed and its segments
+/// are sent to the maze fallback.
+pub const OVERFLOW_THRESHOLD: f64 = 1.0;
+
+/// Congestion weight `w` of the maze cost (`len × (1 + w·u²)`).
+const MAZE_CONGESTION_WEIGHT: f64 = 4.0;
+
 /// Routing model parameters. The defaults route the synthetic suites at
 /// realistic utilization; tests tighten `capacity_scale` to manufacture
-/// congestion.
+/// congestion. The gcell grid is always [`auto_grid_dim`] square, and a
+/// gcell counts as overflowed above [`OVERFLOW_THRESHOLD`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteConfig {
-    /// Gcell grid width; `0` derives both dimensions from the design size
-    /// (see [`auto_grid_dim`]).
-    pub nx: usize,
-    /// Gcell grid height; `0` = auto.
-    pub ny: usize,
-    /// Distance between adjacent routing tracks, in placement units. A
-    /// gcell's horizontal supply is `bin_h / track_pitch` tracks (tracks
-    /// stack vertically), its vertical supply `bin_w / track_pitch`.
-    pub track_pitch: f64,
-    /// Multiplier on both directional supplies — below 1.0 models a scarcer
-    /// routing stack, above 1.0 a richer one.
+    /// Multiplier on both directional track supplies — below 1.0 models a
+    /// scarcer routing stack, above 1.0 a richer one.
     pub capacity_scale: f64,
-    /// Utilization above which a gcell counts as overflowed and its
-    /// segments are sent to the maze fallback.
-    pub overflow_threshold: f64,
     /// Enable the A* rip-up-and-reroute pass over overflowed gcells.
     pub maze_fallback: bool,
-    /// Congestion weight of the maze cost (`len × (1 + w·u²)`).
-    pub maze_congestion_weight: f64,
 }
 
 impl Default for RouteConfig {
     fn default() -> Self {
         RouteConfig {
-            nx: 0,
-            ny: 0,
-            track_pitch: 2.0,
             capacity_scale: 1.0,
-            overflow_threshold: 1.0,
             maze_fallback: true,
-            maze_congestion_weight: 4.0,
         }
     }
 }
@@ -100,21 +94,13 @@ pub struct RouteResult {
 /// probabilistic deposit and commits a congestion-aware A* path instead —
 /// serial by construction, so the full pipeline is deterministic.
 pub fn route_design(design: &Design, cfg: &RouteConfig, exec: &ExecConfig) -> RouteResult {
-    let nx = if cfg.nx > 0 {
-        cfg.nx
-    } else {
-        auto_grid_dim(design.cells.len())
-    };
-    let ny = if cfg.ny > 0 {
-        cfg.ny
-    } else {
-        auto_grid_dim(design.cells.len())
-    };
+    let nx = auto_grid_dim(design.cells.len());
+    let ny = nx;
     let region = design.region;
     let bin_w = region.width() / nx as f64;
     let bin_h = region.height() / ny as f64;
-    let h_cap = (bin_h / cfg.track_pitch) * cfg.capacity_scale;
-    let v_cap = (bin_w / cfg.track_pitch) * cfg.capacity_scale;
+    let h_cap = (bin_h / TRACK_PITCH) * cfg.capacity_scale;
+    let v_cap = (bin_w / TRACK_PITCH) * cfg.capacity_scale;
     let mut grid = CapacityGrid::new(region, nx, ny, h_cap, v_cap);
     let segments = decompose(design, &grid);
 
@@ -136,9 +122,9 @@ pub fn route_design(design: &Design, cfg: &RouteConfig, exec: &ExecConfig) -> Ro
 
     // --- Phase 2: rip-up-and-reroute across overflowed gcells ------------
     let mut rerouted = 0;
-    if cfg.maze_fallback && grid.overflowed_bins(cfg.overflow_threshold) > 0 {
+    if cfg.maze_fallback && grid.overflowed_bins(OVERFLOW_THRESHOLD) > 0 {
         let hot: Vec<bool> = (0..nx * ny)
-            .map(|i| grid.is_overflowed(i % nx, i / nx, cfg.overflow_threshold))
+            .map(|i| grid.is_overflowed(i % nx, i / nx, OVERFLOW_THRESHOLD))
             .collect();
         let crosses_hot = |seg: &Segment| {
             let (xa, xb) = (seg.from.0.min(seg.to.0), seg.from.0.max(seg.to.0));
@@ -157,7 +143,7 @@ pub fn route_design(design: &Design, cfg: &RouteConfig, exec: &ExecConfig) -> Ro
             // demand, which under *global* oversubscription can score worse
             // than the spread expectation — those reroutes are undone.
             let wl_lifted = deposit_probabilistic(seg, &mut grid, bin_w, bin_h, -1.0);
-            let len = maze_search(seg, &grid, &mut scratch, cfg.maze_congestion_weight);
+            let len = maze_search(seg, &grid, &mut scratch, MAZE_CONGESTION_WEIGHT);
             deposit_path(&scratch.path, nx, seg.weight, &mut grid);
             let overflow_after = grid.total_overflow();
             if overflow_after < overflow_before {
@@ -180,7 +166,7 @@ pub fn route_design(design: &Design, cfg: &RouteConfig, exec: &ExecConfig) -> Ro
         routed_wl,
         total_overflow: grid.total_overflow(),
         peak_congestion: grid.peak_congestion(),
-        overflowed_bins: grid.overflowed_bins(cfg.overflow_threshold),
+        overflowed_bins: grid.overflowed_bins(OVERFLOW_THRESHOLD),
     };
     RouteResult { report, grid }
 }
@@ -264,7 +250,6 @@ mod tests {
             let cfg = RouteConfig {
                 capacity_scale: 0.22,
                 maze_fallback: maze,
-                ..RouteConfig::default()
             };
             route_design(&d, &cfg, &ExecConfig::serial()).report
         };
@@ -287,7 +272,6 @@ mod tests {
             let cfg = RouteConfig {
                 capacity_scale: scale,
                 maze_fallback: false,
-                ..RouteConfig::default()
             };
             route_design(&d, &cfg, &ExecConfig::serial()).report
         };

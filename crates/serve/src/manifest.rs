@@ -192,8 +192,8 @@ impl JobManifest {
     ///
     /// # Errors
     ///
-    /// Bookshelf read errors for [`JobSource::Aux`]; demo generation is
-    /// infallible.
+    /// [`eplace_bookshelf::read_aux`]'s I/O, parse and validation errors for
+    /// [`JobSource::Aux`]; demo generation is infallible.
     pub fn design(&self) -> Result<Design, EplaceError> {
         match &self.source {
             JobSource::Demo { cells, seed } => Ok(eplace_benchgen::BenchmarkConfig::ispd05_like(
@@ -201,7 +201,7 @@ impl JobManifest {
             )
             .scale(*cells)
             .generate()),
-            JobSource::Aux(path) => Ok(eplace_bookshelf::read_aux(path)?),
+            JobSource::Aux(path) => eplace_bookshelf::read_aux(path),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! In-process daemon tests: intake, completion, retry/quarantine policy,
-//! deadlines, cancellation, and stop-marker resume.
+//! deadlines, cancellation, stop-marker resume, and rejected inputs.
 
+use eplace_benchgen::BenchmarkConfig;
 use eplace_serve::{fold, replay, serve, JobEvent, ServeConfig};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -249,5 +250,66 @@ fn invalid_manifest_is_quarantined_not_fatal() {
         if reason.contains("manifest rejected"))
     );
     assert!(cfg.quarantine_dir().join("broken.rejected.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rejected_aux_design_is_quarantined_with_the_readers_message() {
+    let dir = spool("badaux");
+    // A design whose first net weighs -1000, and one whose first node is
+    // `nan` wide: the reader rejects both before any placement starts.
+    let design = BenchmarkConfig::ispd05_like("bad", 3).scale(140).generate();
+    for (name, ext, edit) in [("weight", "wts", "-1000"), ("width", "nodes", "nan")] {
+        let bench = dir.join("bench").join(name);
+        let aux = eplace_bookshelf::write_aux(&design, &bench, "d").unwrap();
+        let path = bench.join(format!("d.{ext}"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        // The first record (after the banner, comment, blank and
+        // `Key : value` header lines) carries the edited number in column 2.
+        let first = lines
+            .iter()
+            .position(|l| {
+                let t = l.trim();
+                !(t.is_empty() || t.starts_with('#') || t.starts_with("UCLA") || t.contains(':'))
+            })
+            .unwrap();
+        let mut toks: Vec<&str> = lines[first].split_whitespace().collect();
+        toks[1] = edit;
+        lines[first] = toks.join(" ");
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let job = format!(
+            r#"{{"aux": "{}", "max_iterations": 40, "max_retries": 0}}"#,
+            aux.display()
+        );
+        submit(&dir, name, &job);
+    }
+    submit(&dir, "healthy", HEALTHY);
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.drain = true;
+    cfg.chunk_iters = 10;
+    let summary = serve(&cfg).unwrap();
+    assert_eq!(summary.done, 1, "healthy job must complete");
+    assert_eq!(summary.quarantined, 2);
+
+    let jobs = fold(&replay(cfg.ledger_path()).unwrap());
+    assert!(matches!(jobs["healthy"].last, JobEvent::Done { .. }));
+    let reason = |job: &str| match &jobs[job].last {
+        JobEvent::Quarantined { reason } => reason.clone(),
+        other => panic!("{job}: expected quarantine, got {other:?}"),
+    };
+    let weight = reason("weight");
+    assert!(
+        weight.contains("invalid design: net 0 (") && weight.ends_with(") has weight -1000"),
+        "{weight}"
+    );
+    let width = reason("width");
+    assert!(
+        width.ends_with("nodes:6: expected number, got `nan`"),
+        "{width}"
+    );
+    for name in ["weight", "width"] {
+        assert!(cfg.quarantine_dir().join(format!("{name}.json")).exists());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

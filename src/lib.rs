@@ -62,7 +62,7 @@ pub use eplace_legalize as legalize;
 pub use eplace_baselines as baselines;
 
 /// Structured error taxonomy ([`EplaceError`](eplace_errors::EplaceError),
-/// divergence reports, validation issues).
+/// divergence reports, validation errors).
 pub use eplace_errors as errors;
 
 /// Observability: spans, counters, and the JSONL run journal

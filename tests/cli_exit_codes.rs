@@ -1,7 +1,11 @@
 //! The `eplace-repro` binary's exit codes on its failure paths: an illegal
-//! final placement and an out-of-range target density both exit 1 with a
-//! named error on stderr, never 0 and never a panic's 101.
+//! final placement, an out-of-range target density and a Bookshelf input
+//! the reader rejects all exit 1 with a named error on stderr, never 0 and
+//! never a panic's 101.
 
+use eplace_repro::benchgen::BenchmarkConfig;
+use eplace_repro::bookshelf::write_aux;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn eplace_repro(args: &[&str]) -> Output {
@@ -50,5 +54,98 @@ fn out_of_range_rho_is_an_error_not_a_panic() {
     assert!(
         err[failed..].contains("target density must be in (0, 1], got 1.5"),
         "{err}"
+    );
+}
+
+/// Writes the seed-42 300-cell `ispd05_like` design as a Bookshelf
+/// benchmark in a fresh directory, lets `edit` rewrite the lines of its
+/// `.{ext}` file and returns the `.aux` path.
+fn edited_benchmark(ext: &str, edit: impl FnOnce(&mut Vec<String>)) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("eplace_cli_{ext}_{}", std::process::id()));
+    let design = BenchmarkConfig::ispd05_like("bad", 42)
+        .scale(300)
+        .generate();
+    let aux = write_aux(&design, &dir, "bad").unwrap();
+    let path = dir.join(format!("bad.{ext}"));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    edit(&mut lines);
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    aux
+}
+
+/// Index of the first record line: not the banner, a comment, a blank or
+/// a `Key : value` header.
+fn first_record(lines: &[String]) -> usize {
+    lines
+        .iter()
+        .position(|l| {
+            let t = l.trim();
+            !(t.is_empty() || t.starts_with('#') || t.starts_with("UCLA") || t.contains(':'))
+        })
+        .expect("a record line")
+}
+
+/// Places `aux` under a 2 GB address-space limit, so an input that drives
+/// an unbounded allocation aborts in seconds instead of exhausting the
+/// machine, and returns the `error:` lines of stderr after checking the
+/// exit code is 1.
+fn rejected(aux: &Path) -> String {
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 2000000; exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_eplace-repro"))
+        .args(["--aux", aux.to_str().unwrap(), "--fast"])
+        .output()
+        .expect("sh runs");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let _ = std::fs::remove_dir_all(aux.parent().unwrap());
+    let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error: ")).collect();
+    errors.join("\n")
+}
+
+#[test]
+fn zero_height_rows_are_rejected_with_the_row() {
+    let aux = edited_benchmark("scl", |lines| {
+        for line in lines.iter_mut() {
+            if line.trim_start().starts_with("Height :") {
+                *line = " Height : 0".to_string();
+            }
+        }
+    });
+    let err = rejected(&aux);
+    assert!(
+        err.contains("error: invalid design: row 0 has height 0 and site width"),
+        "{err}"
+    );
+}
+
+#[test]
+fn negative_net_weight_is_rejected_with_the_net() {
+    let aux = edited_benchmark("wts", |lines| {
+        let i = first_record(lines);
+        let name = lines[i].split_whitespace().next().unwrap().to_string();
+        lines[i] = format!("{name} -1000");
+    });
+    let err = rejected(&aux);
+    assert!(err.starts_with("error: invalid design: net 0 ("), "{err}");
+    assert!(err.ends_with(") has weight -1000"), "{err}");
+}
+
+#[test]
+fn nan_cell_width_is_a_parse_error_with_file_and_line() {
+    let mut line_no = 0;
+    let aux = edited_benchmark("nodes", |lines| {
+        let i = first_record(lines);
+        let mut toks: Vec<&str> = lines[i].split_whitespace().collect();
+        toks[1] = "nan";
+        lines[i] = toks.join("\t");
+        line_no = i + 1;
+    });
+    let err = rejected(&aux);
+    assert_eq!(
+        err,
+        format!("error: nodes:{line_no}: expected number, got `nan`")
     );
 }
