@@ -1,3 +1,4 @@
+use crate::linesearch::{armijo_search, polak_ribiere, steepest_descent};
 use crate::{GlobalPlacer, GpResult};
 use eplace_core::{initial_placement, measure_overflow};
 use eplace_density::{grid_dimension, BellShapeDensity};
@@ -5,6 +6,18 @@ use eplace_geometry::{Point, Size};
 use eplace_netlist::Design;
 use eplace_wirelength::{LseModel, SmoothWirelength};
 use std::time::Instant;
+
+/// Outer μ-continuation rounds.
+const MAX_ROUNDS: usize = 24;
+
+/// CG iterations per round.
+const INNER_ITERATIONS: usize = 24;
+
+/// Stopping overflow τ.
+const TARGET_OVERFLOW: f64 = 0.10;
+
+/// μ growth factor per round.
+const MU_GROWTH: f64 = 2.0;
 
 /// An APlace/NTUplace-family nonlinear placer: log-sum-exp wirelength plus
 /// the bell-shaped quadratic density penalty, minimized by conjugate
@@ -14,29 +27,10 @@ use std::time::Instant;
 /// This is the historical formulation ePlace's eDensity replaces: the
 /// penalty is local (empty regions exert no force), non-convex, and needs
 /// a line search — the combination behind the quality/overflow gap the
-/// paper's tables show for the nonlinear family.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BellshapePlacer {
-    /// Outer μ-continuation rounds.
-    pub max_rounds: usize,
-    /// CG iterations per round.
-    pub inner_iterations: usize,
-    /// Stopping overflow τ.
-    pub target_overflow: f64,
-    /// μ growth factor per round.
-    pub mu_growth: f64,
-}
-
-impl Default for BellshapePlacer {
-    fn default() -> Self {
-        BellshapePlacer {
-            max_rounds: 24,
-            inner_iterations: 24,
-            target_overflow: 0.10,
-            mu_growth: 2.0,
-        }
-    }
-}
+/// paper's tables show for the nonlinear family. Its settings are
+/// constants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BellshapePlacer;
 
 impl GlobalPlacer for BellshapePlacer {
     fn name(&self) -> &'static str {
@@ -65,14 +59,8 @@ impl GlobalPlacer for BellshapePlacer {
             let mut full_grad = vec![Point::ORIGIN; design.cells.len()];
 
             // μ₀ balances initial gradient magnitudes.
-            let sync = |full: &mut Vec<Point>, pos: &[Point]| {
-                for (k, &ci) in movables.iter().enumerate() {
-                    full[ci] = pos[k];
-                }
-            };
-            sync(&mut full_pos, &pos);
             bell.accumulate(&sizes, &pos);
-            let wl0 = lse.gradient(design, &full_pos, gamma, &mut full_grad);
+            lse.gradient(design, &full_pos, gamma, &mut full_grad);
             let wl_l1: f64 = movables
                 .iter()
                 .map(|&ci| full_grad[ci].x.abs() + full_grad[ci].y.abs())
@@ -88,14 +76,13 @@ impl GlobalPlacer for BellshapePlacer {
             } else {
                 1.0
             };
-            let _ = wl0;
 
             let mut grad = vec![Point::ORIGIN; n];
             let mut grad_prev = vec![Point::ORIGIN; n];
             let mut dir = vec![Point::ORIGIN; n];
             let mut trial = vec![Point::ORIGIN; n];
 
-            'outer: for _round in 0..self.max_rounds {
+            'outer: for _round in 0..MAX_ROUNDS {
                 let eval_grad = |lse: &mut LseModel,
                                  bell: &mut BellShapeDensity,
                                  full_pos: &mut Vec<Point>,
@@ -124,43 +111,33 @@ impl GlobalPlacer for BellshapePlacer {
                     &mut grad,
                     mu,
                 );
-                for i in 0..n {
-                    dir[i] = -grad[i];
-                }
+                steepest_descent(&grad, &mut dir);
                 let mut step = design.region.width() / dim as f64;
 
-                for _ in 0..self.inner_iterations {
+                for _ in 0..INNER_ITERATIONS {
                     iterations += 1;
-                    let slope: f64 = grad.iter().zip(&dir).map(|(a, b)| a.dot(*b)).sum();
                     let t0 = Instant::now();
-                    let mut t = step;
-                    let mut accepted = false;
-                    for _ in 0..8 {
-                        for i in 0..n {
-                            trial[i] = pos[i] + dir[i] * t;
-                            let c = &design.cells[movables[i]];
-                            trial[i] = design.region.clamp_center(
-                                trial[i],
-                                c.size.width.min(design.region.width()),
-                                c.size.height.min(design.region.height()),
-                            );
-                        }
-                        for (k, &ci) in movables.iter().enumerate() {
-                            full_pos[ci] = trial[k];
-                        }
-                        bell.accumulate(&sizes, &trial);
-                        let f_new = lse.evaluate(design, &full_pos, gamma) + mu * bell.penalty();
-                        if f_new <= f_curr + 1e-4 * t * slope || f_new < f_curr {
-                            accepted = true;
-                            f_curr = f_new;
-                            break;
-                        }
-                        t *= 0.5;
-                    }
+                    let accepted =
+                        armijo_search(&pos, &dir, &grad, f_curr, step, &mut trial, |trial| {
+                            for (x, &ci) in trial.iter_mut().zip(&movables) {
+                                let c = &design.cells[ci];
+                                *x = design.region.clamp_center(
+                                    *x,
+                                    c.size.width.min(design.region.width()),
+                                    c.size.height.min(design.region.height()),
+                                );
+                            }
+                            for (k, &ci) in movables.iter().enumerate() {
+                                full_pos[ci] = trial[k];
+                            }
+                            bell.accumulate(&sizes, trial);
+                            lse.evaluate(design, &full_pos, gamma) + mu * bell.penalty()
+                        });
                     line_search += t0.elapsed();
-                    if !accepted {
+                    let Some((t, f_new)) = accepted else {
                         break;
-                    }
+                    };
+                    f_curr = f_new;
                     std::mem::swap(&mut pos, &mut trial);
                     step = t * 2.0;
                     std::mem::swap(&mut grad, &mut grad_prev);
@@ -173,40 +150,17 @@ impl GlobalPlacer for BellshapePlacer {
                         &mut grad,
                         mu,
                     );
-                    // Polak–Ribière.
-                    let num: f64 = grad
-                        .iter()
-                        .zip(&grad_prev)
-                        .map(|(gn, go)| gn.dot(*gn - *go))
-                        .sum();
-                    let den: f64 = grad_prev.iter().map(|v| v.norm_sq()).sum();
-                    let beta = if den > 1e-30 {
-                        (num / den).max(0.0)
-                    } else {
-                        0.0
-                    };
-                    for i in 0..n {
-                        dir[i] = -grad[i] + dir[i] * beta;
-                    }
-                    let descent: f64 = grad.iter().zip(&dir).map(|(a, b)| a.dot(*b)).sum();
-                    if descent >= 0.0 {
-                        for i in 0..n {
-                            dir[i] = -grad[i];
-                        }
-                    }
+                    polak_ribiere(&grad, &grad_prev, &mut dir);
                 }
 
                 // Commit this round and check the global overflow oracle.
                 for (k, &ci) in movables.iter().enumerate() {
                     design.cells[ci].pos = pos[k];
                 }
-                if measure_overflow(design) <= self.target_overflow {
+                if measure_overflow(design) <= TARGET_OVERFLOW {
                     break 'outer;
                 }
-                mu *= self.mu_growth;
-            }
-            for (k, &ci) in movables.iter().enumerate() {
-                design.cells[ci].pos = pos[k];
+                mu *= MU_GROWTH;
             }
         }
         GpResult {
@@ -230,7 +184,7 @@ mod tests {
         let mut tmp = d.clone();
         initial_placement(&mut tmp);
         let overflow_at_optimum = measure_overflow(&tmp);
-        let result = BellshapePlacer::default().global_place(&mut d);
+        let result = BellshapePlacer.global_place(&mut d);
         assert!(
             result.overflow < overflow_at_optimum,
             "overflow {} (start {})",
@@ -243,7 +197,7 @@ mod tests {
     #[test]
     fn uses_line_search_time() {
         let mut d = BenchmarkConfig::ispd05_like("bp", 98).scale(150).generate();
-        let result = BellshapePlacer::default().global_place(&mut d);
+        let result = BellshapePlacer.global_place(&mut d);
         assert!(result.line_search_seconds > 0.0);
     }
 }

@@ -1,3 +1,4 @@
+use crate::linesearch::{armijo_search, polak_ribiere, steepest_descent};
 use crate::{GlobalPlacer, GpResult};
 use eplace_core::{
     initial_placement, insert_fillers, measure_overflow, EplaceConfig, EplaceCost, Gradient,
@@ -7,41 +8,29 @@ use eplace_geometry::Point;
 use eplace_netlist::Design;
 use std::time::Instant;
 
+/// Iteration cap.
+const MAX_ITERATIONS: usize = 600;
+
+/// Stopping overflow τ (same as ePlace: 0.10).
+const TARGET_OVERFLOW: f64 = 0.10;
+
+/// Filler scattering seed.
+const SEED: u64 = 0xF577;
+
 /// Nonlinear conjugate gradients with line search on the *same* eDensity
 /// cost ePlace minimizes — the stand-in for the authors' prior placer
 /// FFTPL \[10\].
 ///
 /// This is the head-to-head the paper's §V-A motivates: identical cost
-/// function and schedules, but the classic Polak–Ribière CG solver whose
-/// steplength comes from a backtracking Armijo line search. Every line
-/// search probe costs a full density solve + wirelength evaluation, which
-/// is why the paper measures line search at >60 % of FFTPL's runtime —
+/// function and λ/γ schedule (the one [`EplaceCost`] owns), but the classic
+/// Polak–Ribière CG solver whose steplength comes from a backtracking
+/// Armijo line search. Every line search probe costs a full density
+/// solve + wirelength evaluation, which is why the paper measures line
+/// search at more than 60 % of FFTPL's runtime —
 /// [`GpResult::line_search_seconds`] lets the benches reproduce that split.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CgPlacer {
-    /// Iteration cap.
-    pub max_iterations: usize,
-    /// Stopping overflow τ (same as ePlace: 0.10).
-    pub target_overflow: f64,
-    /// Armijo sufficient-decrease constant.
-    pub armijo_c1: f64,
-    /// Maximum probes per line search.
-    pub max_probes: usize,
-    /// Filler scattering seed.
-    pub seed: u64,
-}
-
-impl Default for CgPlacer {
-    fn default() -> Self {
-        CgPlacer {
-            max_iterations: 600,
-            target_overflow: 0.10,
-            armijo_c1: 1e-4,
-            max_probes: 8,
-            seed: 0xF577,
-        }
-    }
-}
+/// Its settings are constants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CgPlacer;
 
 impl GlobalPlacer for CgPlacer {
     fn name(&self) -> &'static str {
@@ -53,7 +42,7 @@ impl GlobalPlacer for CgPlacer {
         let mut line_search = std::time::Duration::ZERO;
         initial_placement(design);
         design.remove_fillers();
-        insert_fillers(design, self.seed);
+        insert_fillers(design, SEED);
         let problem = PlacementProblem::all_movables(design);
         let n = problem.len();
         let mut iterations = 0;
@@ -65,95 +54,48 @@ impl GlobalPlacer for CgPlacer {
             let mut cost = EplaceCost::new(design, &problem, dim, dim, false);
             let mut pos = problem.positions(design);
             cost.init_lambda(&pos);
-            let hpwl_init = cost.hpwl(&pos).max(1.0);
-            let delta_ref = cfg.delta_hpwl_ref_frac * hpwl_init;
-            let mut prev_hpwl = hpwl_init;
+            cost.anchor_schedule(&pos);
 
             let mut g = vec![Point::ORIGIN; n];
             let mut g_prev = vec![Point::ORIGIN; n];
             let mut dir = vec![Point::ORIGIN; n];
             let mut trial = vec![Point::ORIGIN; n];
             cost.gradient(&pos, &mut g);
-            for i in 0..n {
-                dir[i] = -g[i];
-            }
+            steepest_descent(&g, &mut dir);
             let mut step = cost.bin_width();
 
-            for iter in 0..self.max_iterations {
+            for iter in 0..MAX_ITERATIONS {
                 iterations = iter + 1;
-                // Backtracking Armijo line search along `dir`. The λ/γ
-                // schedules changed since the last evaluation, so the
+                // The λ/γ schedule changed since the last evaluation, so the
                 // current objective value must be re-measured first — one
                 // more full evaluation per iteration, which is precisely the
                 // line-search overhead §V-A complains about.
                 let t0 = Instant::now();
                 let f_curr = cost.value(&pos);
-                let slope: f64 = g.iter().zip(&dir).map(|(a, b)| a.dot(*b)).sum();
-                let mut t = step;
-                let mut accepted = false;
-                for _ in 0..self.max_probes {
-                    for i in 0..n {
-                        trial[i] = pos[i] + dir[i] * t;
-                    }
-                    cost.project(&mut trial);
-                    let f_new = cost.value(&trial);
-                    if f_new <= f_curr + self.armijo_c1 * t * slope || f_new < f_curr {
-                        accepted = true;
-                        break;
-                    }
-                    t *= 0.5;
-                }
+                let accepted = armijo_search(&pos, &dir, &g, f_curr, step, &mut trial, |trial| {
+                    cost.project(trial);
+                    cost.value(trial)
+                });
                 line_search += t0.elapsed();
-                if !accepted {
+                let Some((t, _)) = accepted else {
                     // Restart along steepest descent with a smaller step.
-                    for i in 0..n {
-                        dir[i] = -g[i];
-                    }
+                    steepest_descent(&g, &mut dir);
                     step *= 0.5;
                     if step < 1e-9 * cost.bin_width() {
                         break;
                     }
                     continue;
-                }
+                };
                 std::mem::swap(&mut pos, &mut trial);
                 step = (t * 2.0).max(1e-6 * cost.bin_width());
 
-                // New gradient; Polak–Ribière direction update.
                 std::mem::swap(&mut g, &mut g_prev);
                 cost.gradient(&pos, &mut g);
-                let num: f64 = g
-                    .iter()
-                    .zip(&g_prev)
-                    .map(|(gn, go)| gn.dot(*gn - *go))
-                    .sum();
-                let den: f64 = g_prev.iter().map(|v| v.norm_sq()).sum();
-                let beta = if den > 1e-30 {
-                    (num / den).max(0.0)
-                } else {
-                    0.0
-                };
-                for i in 0..n {
-                    dir[i] = -g[i] + dir[i] * beta;
-                }
-                // Descent safeguard.
-                let descent: f64 = g.iter().zip(&dir).map(|(a, b)| a.dot(*b)).sum();
-                if descent >= 0.0 {
-                    for i in 0..n {
-                        dir[i] = -g[i];
-                    }
-                }
+                polak_ribiere(&g, &g_prev, &mut dir);
 
-                // Identical schedules to ePlace.
                 let hpwl = cost.hpwl(&pos);
-                cost.update_lambda(
-                    hpwl - prev_hpwl,
-                    delta_ref,
-                    cfg.lambda_mu_min,
-                    cfg.lambda_mu_max,
-                );
-                cost.update_gamma();
-                prev_hpwl = hpwl;
-                if cost.last_overflow <= self.target_overflow && iter >= 15 {
+                cost.advance_schedule(hpwl, cfg.lambda_mu_max);
+                if cost.last_overflow <= TARGET_OVERFLOW && iter >= 15 {
                     break;
                 }
             }
@@ -184,7 +126,7 @@ mod tests {
             initial_placement(&mut tmp);
             measure_overflow(&tmp)
         };
-        let result = CgPlacer::default().global_place(&mut d);
+        let result = CgPlacer.global_place(&mut d);
         assert!(result.overflow < before_overflow, "{result:?}");
         assert!(result.overflow < 0.30, "overflow {}", result.overflow);
         assert!(result.iterations > 0);
@@ -196,7 +138,7 @@ mod tests {
         // runtime (>60 % in the paper's profile; we only require a
         // nontrivial share here).
         let mut d = BenchmarkConfig::ispd05_like("cg", 92).scale(250).generate();
-        let result = CgPlacer::default().global_place(&mut d);
+        let result = CgPlacer.global_place(&mut d);
         assert!(
             result.line_search_seconds > 0.2 * result.seconds,
             "line search {:.3}s of {:.3}s",
@@ -208,7 +150,7 @@ mod tests {
     #[test]
     fn no_fillers_left_behind() {
         let mut d = BenchmarkConfig::ispd05_like("cg", 93).scale(150).generate();
-        CgPlacer::default().global_place(&mut d);
+        CgPlacer.global_place(&mut d);
         assert_eq!(d.count_kind(eplace_netlist::CellKind::Filler), 0);
     }
 }

@@ -17,6 +17,10 @@
 //! [`eplace_core::run_cdp`]) on every placer so the tables compare the
 //! global-placement algorithms, as the contest protocol does.
 //!
+//! The placers are unit structs whose settings are constants in their
+//! modules. The two nonlinear ones share one Armijo line search and one
+//! Polak–Ribière update.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,7 +28,7 @@
 //! use eplace_benchgen::BenchmarkConfig;
 //!
 //! let mut design = BenchmarkConfig::ispd05_like("b", 3).scale(200).generate();
-//! let result = QuadraticPlacer::default().global_place(&mut design);
+//! let result = QuadraticPlacer.global_place(&mut design);
 //! assert!(result.hpwl > 0.0);
 //! ```
 
@@ -32,6 +36,7 @@
 
 mod bellshape;
 mod cg;
+mod linesearch;
 mod mincut;
 mod quadratic;
 
@@ -75,10 +80,10 @@ mod tests {
     #[test]
     fn all_baselines_have_distinct_names() {
         let names = [
-            MincutPlacer::default().name(),
-            QuadraticPlacer::default().name(),
-            BellshapePlacer::default().name(),
-            CgPlacer::default().name(),
+            MincutPlacer.name(),
+            QuadraticPlacer.name(),
+            BellshapePlacer.name(),
+            CgPlacer.name(),
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());

@@ -4,6 +4,15 @@ use eplace_geometry::{Point, Rect};
 use eplace_netlist::{Design, NetId};
 use std::time::Instant;
 
+/// Stop recursing below this many cells.
+const LEAF_SIZE: usize = 8;
+
+/// Allowed area imbalance per cut (fraction of the region's movable area).
+const BALANCE_TOLERANCE: f64 = 0.12;
+
+/// FM passes per bisection.
+const FM_PASSES: usize = 2;
+
 /// A Capo-style min-cut placer: recursive bisection with
 /// Fiduccia–Mattheyses (FM) refinement and terminal propagation.
 ///
@@ -15,27 +24,9 @@ use std::time::Instant;
 ///
 /// Min-cut commits to early partitions that global analytic optimization
 /// would revisit — the suboptimality the paper's §I attributes to the
-/// family and Tables I–III quantify.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MincutPlacer {
-    /// Stop recursing below this many cells.
-    pub leaf_size: usize,
-    /// Allowed area imbalance per cut (fraction of the region's movable
-    /// area).
-    pub balance_tolerance: f64,
-    /// FM passes per bisection.
-    pub fm_passes: usize,
-}
-
-impl Default for MincutPlacer {
-    fn default() -> Self {
-        MincutPlacer {
-            leaf_size: 8,
-            balance_tolerance: 0.12,
-            fm_passes: 2,
-        }
-    }
-}
+/// family and Tables I–III quantify. Its settings are constants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MincutPlacer;
 
 impl GlobalPlacer for MincutPlacer {
     fn name(&self) -> &'static str {
@@ -68,7 +59,7 @@ impl MincutPlacer {
         depth: usize,
         cuts: &mut usize,
     ) {
-        if cells.len() <= self.leaf_size || depth > 40 {
+        if cells.len() <= LEAF_SIZE || depth > 40 {
             place_leaf(design, region, &cells);
             return;
         }
@@ -95,8 +86,8 @@ impl MincutPlacer {
 
         // FM refinement on the subproblem.
         let sub = Subproblem::build(design, &order, region, vertical);
-        let max_imbalance = self.balance_tolerance * total_area;
-        for _ in 0..self.fm_passes {
+        let max_imbalance = BALANCE_TOLERANCE * total_area;
+        for _ in 0..FM_PASSES {
             if !sub.fm_pass(design, &order, &mut side, max_imbalance) {
                 break;
             }
@@ -407,7 +398,7 @@ mod tests {
         let order: Vec<usize> = (0..8).collect();
         let mut side: Vec<bool> = (0..8).map(|k| k % 2 == 1).collect();
         let sub = Subproblem::build(&d, &order, d.region, true);
-        let placer = MincutPlacer::default();
+        let placer = MincutPlacer;
         for _ in 0..4 {
             if !sub.fm_pass(&d, &order, &mut side, 16.0) {
                 break;
@@ -448,7 +439,7 @@ mod tests {
     #[test]
     fn mincut_places_everything_in_region() {
         let mut d = BenchmarkConfig::ispd05_like("mc", 99).scale(300).generate();
-        let result = MincutPlacer::default().global_place(&mut d);
+        let result = MincutPlacer.global_place(&mut d);
         assert!(result.iterations > 0, "no bisections happened");
         for c in d.cells.iter().filter(|c| c.is_movable()) {
             assert!(
@@ -466,7 +457,7 @@ mod tests {
             .scale(300)
             .generate();
         let scattered_hpwl = d.hpwl();
-        let result = MincutPlacer::default().global_place(&mut d);
+        let result = MincutPlacer.global_place(&mut d);
         assert!(
             result.hpwl < scattered_hpwl,
             "mincut {} vs scatter {}",
@@ -480,7 +471,7 @@ mod tests {
         let mut d = BenchmarkConfig::ispd05_like("mc", 101)
             .scale(200)
             .generate();
-        MincutPlacer::default().global_place(&mut d);
+        MincutPlacer.global_place(&mut d);
         // Overflow should be moderate: min-cut spreads by construction.
         let overflow = measure_overflow(&d);
         assert!(overflow < 0.6, "overflow {overflow}");

@@ -4,6 +4,18 @@ use eplace_geometry::{Point, Rect};
 use eplace_netlist::Design;
 use std::time::Instant;
 
+/// Round cap.
+const MAX_ROUNDS: usize = 60;
+
+/// Stopping overflow τ.
+const TARGET_OVERFLOW: f64 = 0.10;
+
+/// Anchor weight on round `r` is `ANCHOR_WEIGHT_STEP · (r + 1)`.
+const ANCHOR_WEIGHT_STEP: f64 = 0.01;
+
+/// Leaf size of the look-ahead spreading.
+const LEAF_SIZE: usize = 4;
+
 /// A SimPL/ComPLx-style quadratic placer (the paper's "quadratic" family:
 /// FastPlace3.0, ComPLx, POLAR, BonnPlace): look-ahead *rough legalization*
 /// closes the gap between the wirelength-optimal lower bound and a nearly
@@ -23,29 +35,10 @@ use std::time::Instant;
 ///    penalty ramp of ComPLx).
 ///
 /// The iteration converges when the two bounds meet — when the quadratic
-/// solution is itself nearly legal (`τ ≤ target`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuadraticPlacer {
-    /// Round cap.
-    pub max_rounds: usize,
-    /// Stopping overflow τ.
-    pub target_overflow: f64,
-    /// Anchor weight on round `r` is `anchor_weight_step · (r + 1)`.
-    pub anchor_weight_step: f64,
-    /// Leaf size of the look-ahead spreading.
-    pub leaf_size: usize,
-}
-
-impl Default for QuadraticPlacer {
-    fn default() -> Self {
-        QuadraticPlacer {
-            max_rounds: 60,
-            target_overflow: 0.10,
-            anchor_weight_step: 0.01,
-            leaf_size: 4,
-        }
-    }
-}
+/// solution is itself nearly legal (`τ ≤ target`). Its settings are
+/// constants.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QuadraticPlacer;
 
 impl GlobalPlacer for QuadraticPlacer {
     fn name(&self) -> &'static str {
@@ -63,13 +56,13 @@ impl GlobalPlacer for QuadraticPlacer {
             .filter_map(|c| c.rect().intersection(&design.region))
             .collect();
         let mut iterations = 0;
-        for round in 0..self.max_rounds {
+        for round in 0..MAX_ROUNDS {
             iterations = round + 1;
-            if measure_overflow(design) <= self.target_overflow {
+            if measure_overflow(design) <= TARGET_OVERFLOW {
                 break;
             }
             let targets = self.look_ahead_targets(design, &fixed);
-            let weight = self.anchor_weight_step * (round + 1) as f64;
+            let weight = ANCHOR_WEIGHT_STEP * (round + 1) as f64;
             let anchors: Vec<Anchor> = targets
                 .into_iter()
                 .map(|(cell, target)| Anchor {
@@ -112,7 +105,7 @@ impl QuadraticPlacer {
         if cells.is_empty() {
             return;
         }
-        if cells.len() <= self.leaf_size || region.width() < 1.0 || region.height() < 1.0 {
+        if cells.len() <= LEAF_SIZE || region.width() < 1.0 || region.height() < 1.0 {
             let k = (cells.len() as f64).sqrt().ceil() as usize;
             // Leaf: order-preserving grid fill.
             cells.sort_by(|&a, &b| design.cells[a].pos.x.total_cmp(&design.cells[b].pos.x));
@@ -185,7 +178,7 @@ mod tests {
     #[test]
     fn quadratic_placer_reduces_overflow() {
         let mut d = BenchmarkConfig::ispd05_like("qp", 95).scale(250).generate();
-        let result = QuadraticPlacer::default().global_place(&mut d);
+        let result = QuadraticPlacer.global_place(&mut d);
         assert!(result.overflow < 0.30, "overflow {}", result.overflow);
         assert!(result.hpwl > 0.0);
         assert_eq!(result.line_search_seconds, 0.0);
@@ -198,7 +191,7 @@ mod tests {
         let mut d = BenchmarkConfig::ispd05_like("qp", 96).scale(200).generate();
         quadratic_solve(&mut d, &[], 3);
         let hpwl_opt = d.hpwl();
-        let result = QuadraticPlacer::default().global_place(&mut d);
+        let result = QuadraticPlacer.global_place(&mut d);
         assert!(result.hpwl >= hpwl_opt * 0.99);
     }
 
@@ -208,7 +201,7 @@ mod tests {
         // what must hold is substantial overflow reduction from the ~0.8 of
         // the quadratic optimum.
         let mut d = BenchmarkConfig::ispd05_like("qp", 97).scale(200).generate();
-        let result = QuadraticPlacer::default().global_place(&mut d);
+        let result = QuadraticPlacer.global_place(&mut d);
         assert!(
             result.overflow < 0.35,
             "overflow stuck at {} after {} rounds",

@@ -37,14 +37,14 @@ fn main() {
         let mut d = BenchmarkConfig::ispd05_like("vs", 9)
             .scale(CELLS)
             .generate();
-        CgPlacer::default().global_place(&mut d)
+        CgPlacer.global_place(&mut d)
     });
 
     // One-shot line-search share report (the >60 % claim).
     let mut d = BenchmarkConfig::ispd05_like("vs", 9)
         .scale(CELLS)
         .generate();
-    let r = CgPlacer::default().global_place(&mut d);
+    let r = CgPlacer.global_place(&mut d);
     eprintln!(
         "CG line-search share: {:.1}% of {:.2}s (paper: >60% of FFTPL runtime)",
         100.0 * r.line_search_seconds / r.seconds.max(1e-9),

@@ -65,10 +65,7 @@ fn bench_suite(cells: usize, seed: u64) -> String {
     );
 
     // Baselines: global placement + the identical downstream finisher.
-    let baselines: [Box<dyn GlobalPlacer>; 2] = [
-        Box::new(CgPlacer::default()),
-        Box::new(MincutPlacer::default()),
-    ];
+    let baselines: [Box<dyn GlobalPlacer>; 2] = [Box::new(CgPlacer), Box::new(MincutPlacer)];
     let mut fragments = vec![placer_json("eplace", eplace_hpwl, &optimum, eplace_secs)];
     for placer in baselines {
         let (mut design, _) = config.generate_known_optimum();

@@ -99,10 +99,10 @@ pub fn run_baseline(
 /// The four baselines in table order.
 pub fn all_baselines() -> Vec<Box<dyn GlobalPlacer>> {
     vec![
-        Box::new(MincutPlacer::default()),
-        Box::new(QuadraticPlacer::default()),
-        Box::new(BellshapePlacer::default()),
-        Box::new(CgPlacer::default()),
+        Box::new(MincutPlacer),
+        Box::new(QuadraticPlacer),
+        Box::new(BellshapePlacer),
+        Box::new(CgPlacer),
     ]
 }
 

@@ -9,11 +9,24 @@ use eplace_obs::Obs;
 use eplace_wirelength::{GammaSchedule, SmoothWirelength, WaModel};
 use std::time::{Duration, Instant};
 
+/// λ multiplier lower bound of the μ rule.
+const LAMBDA_MU_MIN: f64 = 0.75;
+
+/// ΔHPWL reference of the μ rule, as a fraction of the stage-initial HPWL.
+/// The C implementation hardcodes 3.5e5 absolute; the reference must sit
+/// well above the per-iteration HPWL noise so that μ stays near its 1.1
+/// ceiling on quiet iterations and only dips on real degradations — 3 % of
+/// the initial HPWL reproduces that regime on the reduced-scale benchmarks.
+const DELTA_HPWL_REF_FRAC: f64 = 0.03;
+
 /// The ePlace cost `f(v) = W̃(v) + λ·N(v)` (Eq. 4) with the preconditioned
 /// gradient `∇f_pre = (|E_i| + λ·q_i)⁻¹·∇f` (Eq. 11–13).
 ///
-/// Owns the WA wirelength model, the electrostatic grid, the γ schedule and
-/// the penalty factor λ; implements [`Gradient`] so the
+/// Owns the WA wirelength model, the electrostatic grid and the λ/γ
+/// schedule: the penalty factor λ with its μ rule, and the smoothing
+/// parameter γ. Every global-placement stage and the CG baseline anchor the
+/// schedule with [`EplaceCost::anchor_schedule`] and advance it with
+/// [`EplaceCost::advance_schedule`]. Implements [`Gradient`] so the
 /// [`crate::NesterovOptimizer`] can drive it. Also keeps the per-component
 /// timers behind the paper's Figure 7 runtime breakdown.
 pub struct EplaceCost<'a> {
@@ -26,6 +39,10 @@ pub struct EplaceCost<'a> {
     pub lambda: f64,
     /// Current smoothing parameter γ.
     pub gamma: f64,
+    /// HPWL of the previous iteration (input to the μ rule).
+    pub(crate) prev_hpwl: f64,
+    /// ΔHPWL normalization of the μ rule.
+    pub(crate) delta_ref: f64,
     /// Density overflow τ at the last gradient evaluation.
     pub last_overflow: f64,
     /// Smooth wirelength W̃(v) at the last evaluation.
@@ -70,6 +87,8 @@ impl<'a> EplaceCost<'a> {
             schedule,
             lambda: 0.0,
             gamma: schedule.gamma(1.0),
+            prev_hpwl: 0.0,
+            delta_ref: 0.0,
             last_overflow: 1.0,
             last_smooth_wl: 0.0,
             precondition,
@@ -176,13 +195,25 @@ impl<'a> EplaceCost<'a> {
         self.lambda
     }
 
-    /// The μ update of λ: `μ = μ_max^(1 − ΔHPWL/Δref)` clamped into
-    /// `[μ_min, μ_max]` — aggressive (×1.1) while wirelength holds steady,
-    /// backing off (×0.75) when HPWL degrades fast. `delta_hpwl` is
-    /// `HPWL_k − HPWL_{k−1}`; `delta_ref` the normalization.
-    pub fn update_lambda(&mut self, delta_hpwl: f64, delta_ref: f64, mu_min: f64, mu_max: f64) {
-        let x = 1.0 - delta_hpwl / delta_ref.max(1e-12);
-        let mu = mu_max.powf(x).clamp(mu_min, mu_max);
+    /// Anchors the μ rule at the stage-initial HPWL of `pos` (floored at 1)
+    /// and returns that HPWL.
+    pub fn anchor_schedule(&mut self, pos: &[Point]) -> f64 {
+        let hpwl_init = self.hpwl(pos).max(1.0);
+        self.delta_ref = DELTA_HPWL_REF_FRAC * hpwl_init;
+        self.prev_hpwl = hpwl_init;
+        hpwl_init
+    }
+
+    /// Advances the schedule after an iteration that reached HPWL `hpwl`.
+    ///
+    /// λ takes the μ update `μ = μ_max^(1 − ΔHPWL/Δref)` clamped into
+    /// `[0.75, μ_max]` — aggressive (×1.1) while wirelength holds steady,
+    /// backing off (×0.75) when HPWL degrades fast — with `ΔHPWL` measured
+    /// against the previous iteration. γ then follows the last observed
+    /// overflow.
+    pub fn advance_schedule(&mut self, hpwl: f64, mu_max: f64) {
+        let x = 1.0 - (hpwl - self.prev_hpwl) / self.delta_ref.max(1e-12);
+        let mu = mu_max.powf(x).clamp(LAMBDA_MU_MIN, mu_max);
         self.lambda *= mu;
         // λ going non-finite means ΔHPWL already diverged; the gp sentinel
         // handles it in release builds, so a hard assert is debug-only.
@@ -191,10 +222,6 @@ impl<'a> EplaceCost<'a> {
             "lambda went negative: {}",
             self.lambda
         );
-    }
-
-    /// Refreshes γ from the last observed overflow.
-    pub fn update_gamma(&mut self) {
         self.gamma = self.schedule.gamma(self.last_overflow);
         debug_assert!(
             self.gamma > 0.0 || !self.last_overflow.is_finite(),
@@ -202,6 +229,7 @@ impl<'a> EplaceCost<'a> {
             self.gamma,
             self.last_overflow
         );
+        self.prev_hpwl = hpwl;
     }
 
     /// The objective value `f(v) = W̃(v) + λ·N(v)` (Eq. 4) at `pos`.
@@ -228,7 +256,7 @@ impl<'a> EplaceCost<'a> {
     /// positions).
     pub fn hpwl(&mut self, pos: &[Point]) -> f64 {
         self.sync_full(pos);
-        eplace_wirelength::hpwl(self.design, &self.full_pos)
+        self.design.hpwl_with_positions(&self.full_pos)
     }
 
     /// Bin-based object overlap `O` at the last evaluation: area that
@@ -402,13 +430,14 @@ mod tests {
     fn lambda_update_direction() {
         let (d, p) = setup();
         let mut cost = EplaceCost::new(&d, &p, 32, 32, true);
+        let hpwl_init = cost.anchor_schedule(&p.positions(&d));
         cost.lambda = 1.0;
         // HPWL flat → aggressive ×1.1.
-        cost.update_lambda(0.0, 100.0, 0.75, 1.1);
+        cost.advance_schedule(hpwl_init, 1.1);
         assert!((cost.lambda - 1.1).abs() < 1e-12);
         // HPWL rising fast → back off to ×0.75.
         cost.lambda = 1.0;
-        cost.update_lambda(1e9, 100.0, 0.75, 1.1);
+        cost.advance_schedule(hpwl_init + 1e9, 1.1);
         assert!((cost.lambda - 0.75).abs() < 1e-12);
     }
 
@@ -444,11 +473,12 @@ mod tests {
     fn gamma_follows_overflow() {
         let (d, p) = setup();
         let mut cost = EplaceCost::new(&d, &p, 32, 32, true);
+        cost.anchor_schedule(&p.positions(&d));
         cost.last_overflow = 1.0;
-        cost.update_gamma();
+        cost.advance_schedule(cost.prev_hpwl, 1.1);
         let high = cost.gamma;
         cost.last_overflow = 0.1;
-        cost.update_gamma();
+        cost.advance_schedule(cost.prev_hpwl, 1.1);
         assert!(cost.gamma < high);
     }
 }

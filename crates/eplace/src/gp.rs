@@ -1,12 +1,13 @@
 use crate::cost::EplaceCost;
 use crate::recover::{
     sentinel_check, GpCheckpoint, CHECKPOINT_INTERVAL, DIVERGENCE_HPWL_FACTOR,
-    DIVERGENCE_MIN_ALPHA, RECOVERY_ALPHA_SCALE, RECOVERY_RETRIES,
+    RECOVERY_ALPHA_SCALE, RECOVERY_RETRIES,
 };
-use crate::trace::{IterationRecord, RuntimeProfile, Stage};
+use crate::trace::{IterationRecord, RuntimeProfile, Stage, StopReason};
 use crate::{EplaceConfig, NesterovOptimizer, PlacementProblem};
 use eplace_density::{grid_dimension, CongestionMap};
 use eplace_errors::{DivergenceReport, EplaceError};
+use eplace_geometry::Point;
 use eplace_netlist::Design;
 use eplace_obs::{Obs, Record};
 
@@ -27,16 +28,15 @@ fn iter_counter(stage: Stage) -> &'static str {
 }
 
 /// Journals why a GP stage stopped: `{"type":"stop","stage","iter","reason"}`
-/// with `reason` one of `target`, `stagnation`, `iteration_cap`,
-/// `cancelled` and `diverged`, and `iter` the index of the stage's last
-/// iteration.
-fn journal_stop(obs: &Obs, stage: Stage, iter: usize, reason: &str) {
+/// with `reason` the [`StopReason::key`] and `iter` the index of the stage's
+/// last iteration.
+fn journal_stop(obs: &Obs, stage: Stage, iter: usize, reason: StopReason) {
     if obs.journal_active() {
         obs.journal(
             Record::new("stop")
                 .str_field("stage", stage.key())
                 .u64_field("iter", iter as u64)
-                .str_field("reason", reason),
+                .str_field("reason", reason.key()),
         );
     }
 }
@@ -59,8 +59,11 @@ pub struct GpOutcome {
     pub backtracks_per_iteration: f64,
     /// Runtime split for Figure 7.
     pub profile: RuntimeProfile,
-    /// `true` when the τ target was reached before the iteration cap.
-    pub converged: bool,
+    /// Why the stage stopped: [`StopReason::Target`] when the τ target was
+    /// reached (and for an empty problem), else [`StopReason::Stagnation`]
+    /// or [`StopReason::IterationCap`]. Cancelled and diverged stages
+    /// return an error instead.
+    pub stop: StopReason,
     /// Divergence-sentinel trips that were recovered by rollback (0 on a
     /// healthy run).
     pub recoveries: usize,
@@ -76,11 +79,14 @@ pub struct GpOutcome {
 /// overrides the config cap (used by the 20-iteration filler-only phase).
 /// Iteration records are appended to `trace`.
 ///
+/// λ and γ follow the [`EplaceCost`] schedule: anchored at the stage-initial
+/// HPWL, advanced once per iteration.
+///
 /// The loop is guarded: every iteration a read-only sentinel checks for
 /// non-finite gradients/metrics, steplength collapse, and HPWL explosion
 /// (see the `recover` module). On a trip the loop rewinds to the last
 /// checkpoint (taken every 10 iterations), scales the steplength by 0.1,
-/// re-anchors λ/γ, and retries.
+/// restores λ/γ, and retries.
 ///
 /// # Errors
 ///
@@ -99,16 +105,8 @@ pub fn run_global_placement(
     max_iterations: Option<usize>,
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
-    run_guarded(
-        design,
-        problem,
-        cfg,
-        stage,
-        lambda_init,
-        max_iterations,
-        None,
-        trace,
-    )
+    let start = Start::Fresh(lambda_init);
+    run_guarded(design, problem, cfg, stage, start, max_iterations, trace)
 }
 
 /// Continues a global-placement run from a [`GpCheckpoint`] previously
@@ -145,27 +143,73 @@ pub fn resume_global_placement(
             ),
         ));
     }
-    run_guarded(
-        design,
-        problem,
-        cfg,
-        stage,
-        None,
-        max_iterations,
-        Some(checkpoint),
-        trace,
-    )
+    let start = Start::Resume(checkpoint);
+    run_guarded(design, problem, cfg, stage, start, max_iterations, trace)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Where a guarded run starts.
+enum Start<'c> {
+    /// A fresh stage; `Some(λ)` overrides the λ₀ calibration.
+    Fresh(Option<f64>),
+    /// Continue from a checkpoint.
+    Resume(&'c GpCheckpoint),
+}
+
+/// The guarded loop's own state. A [`GpCheckpoint`] is this plus the
+/// optimizer trajectory and the cost's λ/γ schedule.
+struct LoopState {
+    /// Next iteration index to execute.
+    iter: usize,
+    /// Stage-initial HPWL (anchors the divergence threshold).
+    hpwl_init: f64,
+    /// Lowest overflow seen so far.
+    best_overflow: f64,
+    /// Iteration that produced `best_overflow`.
+    best_iter: usize,
+    /// Positions of the lowest-overflow solution.
+    best_pos: Vec<Point>,
+}
+
+impl LoopState {
+    fn checkpoint(&self, optimizer: &NesterovOptimizer, cost: &EplaceCost) -> GpCheckpoint {
+        GpCheckpoint {
+            iteration: self.iter,
+            lambda: cost.lambda,
+            gamma: cost.gamma,
+            prev_hpwl: cost.prev_hpwl,
+            hpwl_init: self.hpwl_init,
+            delta_ref: cost.delta_ref,
+            best_overflow: self.best_overflow,
+            best_iter: self.best_iter,
+            best_pos: self.best_pos.clone(),
+            optimizer: optimizer.checkpoint(),
+        }
+    }
+
+    /// Restores the loop state and `cost`'s schedule from `ck` (the
+    /// optimizer is restored by the caller).
+    fn restore(ck: &GpCheckpoint, cost: &mut EplaceCost) -> Self {
+        cost.lambda = ck.lambda;
+        cost.gamma = ck.gamma;
+        cost.prev_hpwl = ck.prev_hpwl;
+        cost.delta_ref = ck.delta_ref;
+        LoopState {
+            iter: ck.iteration,
+            hpwl_init: ck.hpwl_init,
+            best_overflow: ck.best_overflow,
+            best_iter: ck.best_iter,
+            best_pos: ck.best_pos.clone(),
+        }
+    }
+}
+
 fn run_guarded(
     design: &mut Design,
     problem: &PlacementProblem,
     cfg: &EplaceConfig,
     stage: Stage,
-    lambda_init: Option<f64>,
+    start: Start,
     max_iterations: Option<usize>,
-    resume: Option<&GpCheckpoint>,
     trace: &mut Vec<IterationRecord>,
 ) -> Result<GpOutcome, EplaceError> {
     let rho = design.target_density;
@@ -176,7 +220,7 @@ fn run_guarded(
             format!("target density must be in (0, 1], got {rho}"),
         ));
     }
-    let start = std::time::Instant::now();
+    let started = std::time::Instant::now();
     let obs = cfg.obs.clone();
     let _stage_span = obs.span(stage.key());
     let mut profile = RuntimeProfile::default();
@@ -185,11 +229,14 @@ fn run_guarded(
             iterations: 0,
             final_overflow: 0.0,
             final_hpwl: design.hpwl(),
-            lambda_last: lambda_init.unwrap_or(0.0),
+            lambda_last: match start {
+                Start::Fresh(lambda_init) => lambda_init.unwrap_or(0.0),
+                Start::Resume(_) => 0.0,
+            },
             total_backtracks: 0,
             backtracks_per_iteration: 0.0,
             profile,
-            converged: true,
+            stop: StopReason::Target,
             recoveries: 0,
             checkpoint: None,
         });
@@ -203,25 +250,15 @@ fn run_guarded(
         .with_obs(obs.clone());
     cost.fault = cfg.fault;
 
-    let (
-        mut optimizer,
-        hpwl_init,
-        delta_ref,
-        mut prev_hpwl,
-        mut iter,
-        mut best_pos,
-        mut best_overflow,
-        mut best_iter,
-    );
-    match resume {
-        None => {
+    let (mut optimizer, mut state) = match start {
+        Start::Fresh(lambda_init) => {
             let pos0 = problem.positions(design);
             let lambda0 = cost.init_lambda(&pos0);
             if let Some(l) = lambda_init {
                 cost.lambda = l.max(1e-3 * lambda0);
             }
             let perturb = 0.1 * cost.bin_width();
-            optimizer = NesterovOptimizer::new(
+            let optimizer = NesterovOptimizer::new(
                 pos0,
                 &mut cost,
                 cfg.epsilon,
@@ -229,56 +266,37 @@ fn run_guarded(
                 cfg.enable_backtracking,
                 perturb,
             );
-            hpwl_init = cost.hpwl(optimizer.solution()).max(1.0);
-            delta_ref = cfg.delta_hpwl_ref_frac * hpwl_init;
-            prev_hpwl = hpwl_init;
-            iter = 0;
-            best_pos = optimizer.solution().to_vec();
-            best_overflow = f64::INFINITY;
-            best_iter = 0;
+            let state = LoopState {
+                iter: 0,
+                hpwl_init: cost.anchor_schedule(optimizer.solution()),
+                best_overflow: f64::INFINITY,
+                best_iter: 0,
+                best_pos: optimizer.solution().to_vec(),
+            };
+            (optimizer, state)
         }
-        Some(ck) => {
-            optimizer = NesterovOptimizer::from_checkpoint(
+        Start::Resume(ck) => {
+            let optimizer = NesterovOptimizer::from_checkpoint(
                 ck.optimizer.clone(),
                 cfg.epsilon,
                 cfg.max_backtracks,
                 cfg.enable_backtracking,
             );
-            cost.lambda = ck.lambda;
-            cost.gamma = ck.gamma;
-            hpwl_init = ck.hpwl_init;
-            delta_ref = ck.delta_ref;
-            prev_hpwl = ck.prev_hpwl;
-            iter = ck.iteration;
-            best_pos = ck.best_pos.clone();
-            best_overflow = ck.best_overflow;
-            best_iter = ck.best_iter;
+            (optimizer, LoopState::restore(ck, &mut cost))
         }
-    }
+    };
     optimizer.set_obs(obs.clone());
 
     // Rollback anchor: the most recent known-good state. Starts at the
     // pre-loop state so even an iteration-0 fault has somewhere to land.
-    let mut ck = snapshot(
-        iter,
-        &cost,
-        &optimizer,
-        prev_hpwl,
-        hpwl_init,
-        delta_ref,
-        best_overflow,
-        best_iter,
-        &best_pos,
-    );
+    let mut ck = state.checkpoint(&optimizer, &cost);
     let mut ck_trace_len = trace.len();
 
-    let hpwl_limit = DIVERGENCE_HPWL_FACTOR * hpwl_init;
+    let hpwl_limit = DIVERGENCE_HPWL_FACTOR * state.hpwl_init;
     let stall_window = (cfg.min_iterations * 4).max(60);
-    let mut iterations = 0;
-    let mut converged = false;
     let mut recoveries = 0usize;
     let mut spent = 0usize;
-    let mut stop = "iteration_cap";
+    let mut stop = StopReason::IterationCap;
     while spent < max_iters {
         // Cooperative cancellation, polled at the iteration boundary only:
         // a single relaxed load on the healthy path, so cancel-free runs
@@ -287,17 +305,21 @@ fn run_guarded(
         // diverged exit.
         if cfg.cancel.is_cancelled() {
             if spent > 0 {
-                journal_stop(&obs, stage, iter.saturating_sub(1), "cancelled");
+                journal_stop(
+                    &obs,
+                    stage,
+                    state.iter.saturating_sub(1),
+                    StopReason::Cancelled,
+                );
             }
             drop(cost);
-            problem.apply(design, &best_pos);
+            problem.apply(design, &state.best_pos);
             return Err(EplaceError::Cancelled {
                 stage: stage.to_string(),
-                iteration: iter,
+                iteration: state.iter,
             });
         }
         spent += 1;
-        iterations = spent;
         let _iter_span = obs.span("iter");
         let info = optimizer.step(&mut cost);
         let hpwl = cost.hpwl(optimizer.solution());
@@ -307,7 +329,6 @@ fn run_guarded(
         if let Some(reason) = sentinel_check(
             cost.take_grad_nonfinite(),
             info.alpha,
-            DIVERGENCE_MIN_ALPHA,
             hpwl,
             overflow,
             cost.lambda,
@@ -319,7 +340,7 @@ fn run_guarded(
                 obs.journal(
                     Record::new("recovery")
                         .str_field("stage", stage.key())
-                        .u64_field("iter", iter as u64)
+                        .u64_field("iter", state.iter as u64)
                         .str_field("reason", &reason.to_string())
                         .u64_field("trip", recoveries as u64),
                 );
@@ -327,37 +348,31 @@ fn run_guarded(
             if recoveries > RECOVERY_RETRIES {
                 // Retry budget exhausted: commit the best placement seen and
                 // surface a structured report instead of poisoned positions.
-                journal_stop(&obs, stage, iter, "diverged");
-                let best_hpwl = cost.hpwl(&best_pos);
+                journal_stop(&obs, stage, state.iter, StopReason::Diverged);
+                let best_hpwl = cost.hpwl(&state.best_pos);
                 drop(cost);
-                problem.apply(design, &best_pos);
+                problem.apply(design, &state.best_pos);
                 return Err(EplaceError::Diverged(DivergenceReport {
                     stage: stage.to_string(),
-                    iteration: iter,
+                    iteration: state.iter,
                     trips: recoveries,
                     retry_budget: RECOVERY_RETRIES,
                     reason,
                     best_hpwl,
-                    best_overflow,
+                    best_overflow: state.best_overflow,
                 }));
             }
             // Roll back to the last good checkpoint, clamp the steplength,
-            // re-anchor λ/γ, and replay.
+            // restore λ/γ, and replay.
             optimizer.restore(&ck.optimizer);
             optimizer.scale_alpha(RECOVERY_ALPHA_SCALE);
-            cost.lambda = ck.lambda;
-            cost.gamma = ck.gamma;
-            prev_hpwl = ck.prev_hpwl;
-            best_overflow = ck.best_overflow;
-            best_iter = ck.best_iter;
-            best_pos.copy_from_slice(&ck.best_pos);
+            state = LoopState::restore(&ck, &mut cost);
             trace.truncate(ck_trace_len);
-            iter = ck.iteration;
             continue;
         }
         trace.push(IterationRecord {
             stage,
-            iteration: iter,
+            iteration: state.iter,
             hpwl,
             overflow,
             overlap: cost.overlap_area(),
@@ -383,7 +398,7 @@ fn run_guarded(
             obs.journal(
                 Record::new("iter")
                     .str_field("stage", stage.key())
-                    .u64_field("iter", iter as u64)
+                    .u64_field("iter", state.iter as u64)
                     .f64_field("hpwl", hpwl)
                     .f64_field("overflow", overflow)
                     .f64_field("alpha", info.alpha)
@@ -398,114 +413,60 @@ fn run_guarded(
         // grid's noise floor on small instances, or a diverging run), λ
         // keeps ratcheting and wirelength degrades without bound — keep the
         // lowest-overflow solution seen and stop after a stagnation window.
-        if overflow < best_overflow - 1e-4 {
-            best_overflow = overflow;
-            best_iter = iter;
-            best_pos.copy_from_slice(optimizer.solution());
+        if overflow < state.best_overflow - 1e-4 {
+            state.best_overflow = overflow;
+            state.best_iter = state.iter;
+            state.best_pos.copy_from_slice(optimizer.solution());
         }
-        cost.update_lambda(
-            hpwl - prev_hpwl,
-            delta_ref,
-            cfg.lambda_mu_min,
-            cfg.lambda_mu_max,
-        );
-        cost.update_gamma();
-        prev_hpwl = hpwl;
-        if overflow <= cfg.target_overflow && iter + 1 >= cfg.min_iterations {
-            converged = true;
-            best_pos.copy_from_slice(optimizer.solution());
-            stop = "target";
-            iter += 1;
+        cost.advance_schedule(hpwl, cfg.lambda_mu_max);
+        if overflow <= cfg.target_overflow && state.iter + 1 >= cfg.min_iterations {
+            state.best_pos.copy_from_slice(optimizer.solution());
+            stop = StopReason::Target;
+            state.iter += 1;
             break;
         }
-        if iter > best_iter + stall_window {
+        if state.iter > state.best_iter + stall_window {
             // Stagnated above the target — keep the best snapshot.
             obs.add("stagnation_stops", 1);
-            stop = "stagnation";
-            iter += 1;
+            stop = StopReason::Stagnation;
+            state.iter += 1;
             break;
         }
-        iter += 1;
-        if iter % CHECKPOINT_INTERVAL == 0 {
-            ck = snapshot(
-                iter,
-                &cost,
-                &optimizer,
-                prev_hpwl,
-                hpwl_init,
-                delta_ref,
-                best_overflow,
-                best_iter,
-                &best_pos,
-            );
+        state.iter += 1;
+        if state.iter % CHECKPOINT_INTERVAL == 0 {
+            ck = state.checkpoint(&optimizer, &cost);
             ck_trace_len = trace.len();
         }
     }
 
     if spent > 0 {
-        journal_stop(&obs, stage, iter.saturating_sub(1), stop);
+        journal_stop(&obs, stage, state.iter.saturating_sub(1), stop);
     }
-    let final_ck = snapshot(
-        iter,
-        &cost,
-        &optimizer,
-        prev_hpwl,
-        hpwl_init,
-        delta_ref,
-        best_overflow,
-        best_iter,
-        &best_pos,
-    );
+    let final_ck = state.checkpoint(&optimizer, &cost);
     let lambda_last = cost.lambda;
-    let final_overflow = if converged {
+    let final_overflow = if stop == StopReason::Target {
         cost.last_overflow
     } else {
-        best_overflow.min(cost.last_overflow)
+        state.best_overflow.min(cost.last_overflow)
     };
     let density = cost.density_time;
     let wirelength = cost.wirelength_time;
     drop(cost);
-    problem.apply(design, &best_pos);
-    profile.add(density, wirelength, start.elapsed());
+    problem.apply(design, &state.best_pos);
+    profile.add(density, wirelength, started.elapsed());
 
     Ok(GpOutcome {
-        iterations,
+        iterations: spent,
         final_overflow,
         final_hpwl: design.hpwl(),
         lambda_last,
         total_backtracks: optimizer.total_backtracks,
         backtracks_per_iteration: optimizer.backtracks_per_step(),
         profile,
-        converged,
+        stop,
         recoveries,
         checkpoint: Some(final_ck),
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn snapshot(
-    iteration: usize,
-    cost: &EplaceCost,
-    optimizer: &NesterovOptimizer,
-    prev_hpwl: f64,
-    hpwl_init: f64,
-    delta_ref: f64,
-    best_overflow: f64,
-    best_iter: usize,
-    best_pos: &[eplace_geometry::Point],
-) -> GpCheckpoint {
-    GpCheckpoint {
-        iteration,
-        lambda: cost.lambda,
-        gamma: cost.gamma,
-        prev_hpwl,
-        hpwl_init,
-        delta_ref,
-        best_overflow,
-        best_iter,
-        best_pos: best_pos.to_vec(),
-        optimizer: optimizer.checkpoint(),
-    }
 }
 
 #[cfg(test)]
@@ -531,8 +492,9 @@ mod tests {
     #[test]
     fn overflow_reaches_target() {
         let (_, out, _) = run(300, 61);
-        assert!(
-            out.converged,
+        assert_eq!(
+            out.stop,
+            StopReason::Target,
             "mGP did not converge: tau = {}",
             out.final_overflow
         );
@@ -614,6 +576,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.iterations, 7);
+        assert_eq!(out.stop, StopReason::IterationCap);
         assert_eq!(trace.len(), 7);
     }
 

@@ -60,7 +60,7 @@ pub use recover::{FaultKind, GpCheckpoint, GradientFault};
 pub use routability::{RoutabilityConfig, RoutabilityOutcome, MAX_HPWL_COST};
 pub use trace::{
     trace_to_csv, trace_to_csv_checked, validate_trace, IterationRecord, RuntimeProfile, Stage,
-    StageTiming,
+    StageTiming, StopReason,
 };
 
 pub use eplace_density::SpectralEngine;
@@ -107,17 +107,9 @@ pub struct EplaceConfig {
     pub use_abacus: bool,
     /// Seed for filler scattering (and anything else stochastic outside mLG).
     pub seed: u64,
-    /// λ multiplier upper bound per iteration (paper: 1.1).
+    /// λ multiplier upper bound per iteration (paper: 1.1); the μ rule's
+    /// lower bound and ΔHPWL reference are constants of [`EplaceCost`].
     pub lambda_mu_max: f64,
-    /// λ multiplier lower bound (0.75).
-    pub lambda_mu_min: f64,
-    /// ΔHPWL reference for the μ rule, as a fraction of the stage-initial
-    /// HPWL. The C implementation hardcodes 3.5e5 absolute; the reference
-    /// must sit well above the per-iteration HPWL noise so that μ stays
-    /// near its 1.1 ceiling on quiet iterations and only dips on real
-    /// degradations — 3 % of the initial HPWL reproduces that regime on
-    /// the reduced-scale benchmarks.
-    pub delta_hpwl_ref_frac: f64,
     /// Worker threads for the density and wirelength kernels (the paper's
     /// §VIII "acceleration via parallel computation"). `1` (the default)
     /// runs the historical serial code paths and reproduces prior results
@@ -187,8 +179,6 @@ impl Default for EplaceConfig {
             use_abacus: true,
             seed: 0x5EED,
             lambda_mu_max: 1.1,
-            lambda_mu_min: 0.75,
-            delta_hpwl_ref_frac: 0.03,
             threads: 1,
             spectral_engine: SpectralEngine::V1,
             known_optimum_hpwl: None,

@@ -1,5 +1,5 @@
 use crate::routability::{run_routability_loop, RoutabilityOutcome};
-use crate::trace::{IterationRecord, RuntimeProfile, Stage, StageTiming};
+use crate::trace::{IterationRecord, RuntimeProfile, Stage, StageTiming, StopReason};
 use crate::{
     initial_placement, insert_fillers, run_global_placement, EplaceConfig, MipReport, Obs,
     PlacementProblem,
@@ -35,8 +35,11 @@ pub struct PlacementReport {
     pub mgp_iterations: usize,
     /// mGP backtracks per iteration (paper: 1.037 avg on MMS).
     pub mgp_backtracks_per_iteration: f64,
-    /// Whether mGP reached the overflow target.
+    /// Whether mGP reached the overflow target (`mgp_stop` is
+    /// [`StopReason::Target`]).
     pub mgp_converged: bool,
+    /// Why mGP stopped.
+    pub mgp_stop: StopReason,
     /// Density overflow τ of mGP's committed placement.
     pub mgp_overflow: f64,
     /// Divergence-sentinel trips recovered by rollback, summed across all
@@ -289,7 +292,8 @@ fn run_flow(design: &mut Design, cfg: &EplaceConfig) -> Result<PlacementReport, 
         mip,
         mgp_iterations: mgp.iterations,
         mgp_backtracks_per_iteration: mgp.backtracks_per_iteration,
-        mgp_converged: mgp.converged,
+        mgp_converged: mgp.stop == StopReason::Target,
+        mgp_stop: mgp.stop,
         mgp_overflow: mgp.final_overflow,
         recoveries,
         mlg: mlg_report,

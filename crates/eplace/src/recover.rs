@@ -8,7 +8,7 @@
 //! its state every [`CHECKPOINT_INTERVAL`] iterations as a
 //! [`GpCheckpoint`]; a read-only sentinel inspects each iteration and, on a
 //! trip, the loop rewinds to the last checkpoint, scales the steplength by
-//! [`RECOVERY_ALPHA_SCALE`], re-anchors λ/γ, and resumes — up to
+//! [`RECOVERY_ALPHA_SCALE`], restores λ/γ, and resumes — up to
 //! [`RECOVERY_RETRIES`] times before giving up with a structured
 //! [`eplace_errors::EplaceError::Diverged`]. The recovery settings are
 //! constants: no caller has needed other values.
@@ -87,8 +87,9 @@ impl GradientFault {
 }
 
 /// Everything needed to restart the global-placement loop from a known-good
-/// iteration: the optimizer trajectory plus the scheduler state (λ, γ, the
-/// μ-rule's previous HPWL) and the best-solution tracker.
+/// iteration: the optimizer trajectory, the [`crate::EplaceCost`] schedule
+/// (λ, γ, the μ rule's previous HPWL and ΔHPWL reference) and the loop's
+/// own state (next iteration, stage-initial HPWL, best-solution tracker).
 ///
 /// Produced every 10 iterations by
 /// [`crate::run_global_placement`] (the final one is returned in
@@ -166,14 +167,13 @@ pub(crate) const DIVERGENCE_MIN_ALPHA: f64 = 1e-30;
 ///
 /// Checked conditions, in order of specificity:
 /// 1. a non-finite gradient component was produced this iteration,
-/// 2. a non-finite steplength or steplength collapse below `min_alpha`,
+/// 2. a non-finite steplength or steplength collapse below
+///    [`DIVERGENCE_MIN_ALPHA`],
 /// 3. non-finite HPWL, overflow, or λ,
 /// 4. HPWL explosion past `hpwl_limit`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn sentinel_check(
     grad_nonfinite: bool,
     alpha: f64,
-    min_alpha: f64,
     hpwl: f64,
     overflow: f64,
     lambda: f64,
@@ -182,7 +182,7 @@ pub(crate) fn sentinel_check(
     if grad_nonfinite {
         return Some(DivergenceReason::NonFiniteGradient);
     }
-    if !alpha.is_finite() || alpha < min_alpha {
+    if !alpha.is_finite() || alpha < DIVERGENCE_MIN_ALPHA {
         return Some(DivergenceReason::SteplengthCollapse);
     }
     if !hpwl.is_finite() || !overflow.is_finite() || !lambda.is_finite() {
@@ -226,26 +226,26 @@ mod tests {
 
     #[test]
     fn sentinel_passes_healthy_iteration() {
-        assert_eq!(sentinel_check(false, 1e-2, 1e-30, 1e6, 0.5, 1.0, 1e9), None);
+        assert_eq!(sentinel_check(false, 1e-2, 1e6, 0.5, 1.0, 1e9), None);
     }
 
     #[test]
     fn sentinel_orders_reasons() {
         // Gradient poison wins even when everything else is broken too.
         assert_eq!(
-            sentinel_check(true, f64::NAN, 1e-30, f64::NAN, 0.5, 1.0, 1e9),
+            sentinel_check(true, f64::NAN, f64::NAN, 0.5, 1.0, 1e9),
             Some(DivergenceReason::NonFiniteGradient)
         );
         assert_eq!(
-            sentinel_check(false, f64::NAN, 1e-30, 1e6, 0.5, 1.0, 1e9),
+            sentinel_check(false, f64::NAN, 1e6, 0.5, 1.0, 1e9),
             Some(DivergenceReason::SteplengthCollapse)
         );
         assert_eq!(
-            sentinel_check(false, 1e-2, 1e-30, f64::NAN, 0.5, 1.0, 1e9),
+            sentinel_check(false, 1e-2, f64::NAN, 0.5, 1.0, 1e9),
             Some(DivergenceReason::NonFiniteMetric)
         );
         assert_eq!(
-            sentinel_check(false, 1e-2, 1e-30, 1e10, 0.5, 1.0, 1e9),
+            sentinel_check(false, 1e-2, 1e10, 0.5, 1.0, 1e9),
             Some(DivergenceReason::HpwlExplosion)
         );
     }
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn sentinel_flags_steplength_collapse() {
         assert_eq!(
-            sentinel_check(false, 1e-40, 1e-30, 1e6, 0.5, 1.0, 1e9),
+            sentinel_check(false, 1e-40, 1e6, 0.5, 1.0, 1e9),
             Some(DivergenceReason::SteplengthCollapse)
         );
     }

@@ -52,6 +52,46 @@ impl fmt::Display for Stage {
     }
 }
 
+/// Why a global-placement stage stopped: the `reason` of its journaled
+/// `stop` record, and [`crate::GpOutcome::stop`] for a stage that returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StopReason {
+    /// The overflow reached the target τ.
+    Target,
+    /// The overflow stopped improving above the target; the best snapshot
+    /// is kept.
+    Stagnation,
+    /// The stage ran out of iterations.
+    IterationCap,
+    /// The cancellation token fired.
+    Cancelled,
+    /// The divergence sentinel tripped more often than the retry budget
+    /// allows.
+    Diverged,
+}
+
+impl StopReason {
+    /// Every reason, in declaration order.
+    pub const ALL: [StopReason; 5] = [
+        StopReason::Target,
+        StopReason::Stagnation,
+        StopReason::IterationCap,
+        StopReason::Cancelled,
+        StopReason::Diverged,
+    ];
+
+    /// The identifier a journal `stop` record carries as its `reason`.
+    pub fn key(self) -> &'static str {
+        match self {
+            StopReason::Target => "target",
+            StopReason::Stagnation => "stagnation",
+            StopReason::IterationCap => "iteration_cap",
+            StopReason::Cancelled => "cancelled",
+            StopReason::Diverged => "diverged",
+        }
+    }
+}
+
 /// One optimizer iteration's metrics — the data behind the paper's Figure 2
 /// (HPWL and overlap vs iteration) and Figure 3 (snapshots with W and O).
 #[derive(Debug, Clone, PartialEq)]

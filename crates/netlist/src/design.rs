@@ -207,21 +207,7 @@ impl Design {
     /// Half-perimeter wirelength of one net at the current placement (Eq. 1),
     /// including the net weight.
     pub fn net_hpwl(&self, net: &Net) -> f64 {
-        if net.pins.len() < 2 {
-            return 0.0;
-        }
-        let mut min_x = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for pin in &net.pins {
-            let p = self.pin_position(pin);
-            min_x = min_x.min(p.x);
-            max_x = max_x.max(p.x);
-            min_y = min_y.min(p.y);
-            max_y = max_y.max(p.y);
-        }
-        net.weight * ((max_x - min_x) + (max_y - min_y))
+        net_hpwl_at(net, |i| self.cells[i].pos)
     }
 
     /// Total half-perimeter wirelength `W(v)` (Eq. 1).
@@ -231,9 +217,9 @@ impl Design {
 
     /// HPWL the design would have if cell `i` sat at `positions[i]`, without
     /// mutating the current placement. Walks nets and pins in the same order
-    /// as [`Design::hpwl`], so a call with the current positions reproduces
-    /// [`Design::hpwl`] bit for bit — the property the known-optimum
-    /// certificates of `eplace-benchgen` rely on.
+    /// as [`Design::hpwl`], through the same per-net kernel, so a call with
+    /// the current positions reproduces [`Design::hpwl`] bit for bit — the
+    /// property the known-optimum certificates of `eplace-benchgen` rely on.
     ///
     /// # Panics
     ///
@@ -245,23 +231,7 @@ impl Design {
         );
         self.nets
             .iter()
-            .map(|net| {
-                if net.pins.len() < 2 {
-                    return 0.0;
-                }
-                let mut min_x = f64::INFINITY;
-                let mut max_x = f64::NEG_INFINITY;
-                let mut min_y = f64::INFINITY;
-                let mut max_y = f64::NEG_INFINITY;
-                for pin in &net.pins {
-                    let p = positions[pin.cell.index()] + pin.offset;
-                    min_x = min_x.min(p.x);
-                    max_x = max_x.max(p.x);
-                    min_y = min_y.min(p.y);
-                    max_y = max_y.max(p.y);
-                }
-                net.weight * ((max_x - min_x) + (max_y - min_y))
-            })
+            .map(|net| net_hpwl_at(net, |i| positions[i]))
             .sum()
     }
 
@@ -399,6 +369,26 @@ impl Design {
         }
         Ok(())
     }
+}
+
+/// The one HPWL kernel: the weighted half perimeter of `net` with cell `i`
+/// at `pos(i)`. Nets with fewer than two pins have none.
+fn net_hpwl_at(net: &Net, pos: impl Fn(usize) -> Point) -> f64 {
+    if net.pins.len() < 2 {
+        return 0.0;
+    }
+    let mut min_x = f64::INFINITY;
+    let mut max_x = f64::NEG_INFINITY;
+    let mut min_y = f64::INFINITY;
+    let mut max_y = f64::NEG_INFINITY;
+    for pin in &net.pins {
+        let p = pos(pin.cell.index()) + pin.offset;
+        min_x = min_x.min(p.x);
+        max_x = max_x.max(p.x);
+        min_y = min_y.min(p.y);
+        max_y = max_y.max(p.y);
+    }
+    net.weight * ((max_x - min_x) + (max_y - min_y))
 }
 
 #[cfg(test)]

@@ -68,6 +68,7 @@ pub fn total_pairwise_overlap(rects: &[Rect]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eplace_geometry::Point;
 
     #[test]
     fn pairwise_overlap_disjoint() {
@@ -123,6 +124,64 @@ mod tests {
         }
         let sweep = total_pairwise_overlap(&rects);
         assert!((sweep - brute).abs() < 1e-9 * brute.max(1.0));
+    }
+
+    fn chain_design(n: usize) -> Design {
+        let mut b = DesignBuilder::new("chain", Rect::new(0.0, 0.0, 1000.0, 1000.0));
+        let ids: Vec<_> = (0..n)
+            .map(|i| b.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::StdCell))
+            .collect();
+        for w in ids.windows(2) {
+            b.add_net("n", vec![(w[0], Point::ORIGIN), (w[1], Point::ORIGIN)]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn hpwl_of_chain() {
+        let d = chain_design(3);
+        let pos = vec![
+            Point::new(0.0, 0.0),
+            Point::new(10.0, 0.0),
+            Point::new(10.0, 5.0),
+        ];
+        assert_eq!(d.hpwl_with_positions(&pos), 15.0);
+    }
+
+    #[test]
+    fn hpwl_ignores_degenerate_nets() {
+        let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 10.0, 10.0));
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::StdCell);
+        b.add_net("single", vec![(a, Point::ORIGIN)]);
+        b.add_net("empty", vec![]);
+        let d = b.build();
+        assert_eq!(d.hpwl_with_positions(&[Point::new(5.0, 5.0)]), 0.0);
+    }
+
+    #[test]
+    fn net_hpwl_weighting() {
+        let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 10.0, 10.0));
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::StdCell);
+        let c = b.add_cell("b", 1.0, 1.0, CellKind::StdCell);
+        b.add_weighted_net("n", vec![(a, Point::ORIGIN), (c, Point::ORIGIN)], 3.0);
+        let mut d = b.build();
+        d.cells[a.index()].pos = Point::new(0.0, 0.0);
+        d.cells[c.index()].pos = Point::new(2.0, 0.0);
+        assert_eq!(d.net_hpwl(&d.nets[0]), 6.0);
+    }
+
+    #[test]
+    fn hpwl_uses_pin_offsets() {
+        let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 10.0, 10.0));
+        let a = b.add_cell("a", 2.0, 2.0, CellKind::StdCell);
+        let c = b.add_cell("b", 2.0, 2.0, CellKind::StdCell);
+        b.add_net(
+            "n",
+            vec![(a, Point::new(1.0, 0.0)), (c, Point::new(-1.0, 0.0))],
+        );
+        let d = b.build();
+        let pos = vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)];
+        assert_eq!(d.hpwl_with_positions(&pos), 8.0);
     }
 }
 

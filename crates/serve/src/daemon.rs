@@ -36,7 +36,7 @@ use crate::manifest::JobManifest;
 use eplace_core::{
     initial_placement, insert_fillers, load_checkpoint, resume_global_placement,
     run_global_placement, save_checkpoint, CancelToken, EplaceConfig, GpCheckpoint,
-    PlacementProblem, Stage,
+    PlacementProblem, Stage, StopReason,
 };
 use eplace_errors::EplaceError;
 use eplace_obs::{write_atomic, Record};
@@ -229,6 +229,7 @@ fn run_job_inner(
                 &mut trace,
             )?,
         };
+        let converged = out.stop == StopReason::Target;
         let Some(new_ck) = out.checkpoint else {
             // Empty problem fast path: nothing to checkpoint.
             write_result(
@@ -237,12 +238,11 @@ fn run_job_inner(
                 out.final_hpwl,
                 out.final_overflow,
                 0,
-                out.converged,
+                converged,
             )?;
             return Ok(out.final_hpwl);
         };
-        let finished =
-            out.converged || out.iterations < ask || new_ck.iteration >= cfg.max_iterations;
+        let finished = converged || out.iterations < ask || new_ck.iteration >= cfg.max_iterations;
         if finished {
             // Result *before* the final checkpoint: a crash between the two
             // re-runs the last chunk on resume and rewrites the identical
@@ -254,7 +254,7 @@ fn run_job_inner(
                 out.final_hpwl,
                 out.final_overflow,
                 new_ck.iteration,
-                out.converged,
+                converged,
             )?;
         }
         // Durability order: checkpoint on disk *before* the scheduler can

@@ -8,9 +8,12 @@
 //! the ledger reconstructs exactly which jobs are terminal, which are
 //! in-flight (and from which checkpoint they resume), and which are waiting.
 //!
-//! Because a crash — SIGKILL included — can land mid-append, the replayer
-//! tolerates exactly one torn record: the final line. Anything malformed
-//! before that is corruption and surfaces as a typed error.
+//! Every record is one `line\n`, so a crash — SIGKILL included — that lands
+//! mid-append leaves at most a torn tail: bytes after the last newline. The
+//! replayer drops that tail, and [`Ledger::open`] cuts it off before the
+//! next append, so a new record never lands glued to it. Every
+//! newline-terminated line must parse; one that does not is corruption
+//! wherever it sits and surfaces as a typed error.
 
 use eplace_errors::EplaceError;
 use eplace_obs::json::parse_json;
@@ -94,6 +97,35 @@ impl JobEvent {
             JobEvent::Done { .. } | JobEvent::Cancelled | JobEvent::Quarantined { .. }
         )
     }
+
+    /// The job state machine (DESIGN.md §13): whether `self` may follow a
+    /// job's previous event `prev`, `None` for the job's first event.
+    pub fn may_follow(&self, prev: Option<&JobEvent>) -> bool {
+        use JobEvent::*;
+        match prev {
+            None => matches!(self, Queued),
+            Some(Queued | Retry { .. }) => {
+                matches!(self, Started { .. } | Cancelled | Quarantined { .. })
+            }
+            Some(Started { .. } | Checkpointed { .. }) => matches!(
+                self,
+                Checkpointed { .. }
+                    | Done { .. }
+                    | Failed { .. }
+                    | Cancelled
+                    | Quarantined { .. }
+                    | Resumed { .. }
+            ),
+            Some(Resumed { .. }) => {
+                matches!(
+                    self,
+                    Started { .. } | Resumed { .. } | Cancelled | Quarantined { .. }
+                )
+            }
+            Some(Failed { .. }) => matches!(self, Retry { .. } | Quarantined { .. }),
+            Some(Done { .. } | Cancelled | Quarantined { .. }) => false,
+        }
+    }
 }
 
 /// One ledger line: a sequenced [`JobEvent`] for a named job.
@@ -118,28 +150,32 @@ pub struct Ledger {
 impl Ledger {
     /// Opens (or creates) the ledger at `path` for appending, replaying any
     /// existing records so sequence numbers continue where the previous
-    /// daemon process stopped.
+    /// daemon process stopped. A torn tail — bytes after the last newline,
+    /// left by a crash mid-append — is truncated and the cut synced before
+    /// anything is appended.
     ///
     /// # Errors
     ///
     /// [`EplaceError::Io`] on filesystem trouble; [`EplaceError::Job`] when
-    /// the existing ledger is corrupt beyond a torn final line.
+    /// a complete line of the existing ledger is corrupt.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, EplaceError> {
         let path = path.as_ref().to_path_buf();
-        let next_seq = if path.exists() {
-            replay(&path)?.last().map_or(0, |r| r.seq) + 1
-        } else {
-            1
-        };
+        let io_err = |e: std::io::Error| EplaceError::io(path.display().to_string(), e.to_string());
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| EplaceError::io(path.display().to_string(), e.to_string()))?;
+            .map_err(io_err)?;
+        let bytes = std::fs::read(&path).map_err(io_err)?;
+        let (records, complete) = parse_ledger(&bytes, &path.display().to_string())?;
+        if complete < bytes.len() {
+            file.set_len(complete as u64).map_err(io_err)?;
+            file.sync_data().map_err(io_err)?;
+        }
         Ok(Ledger {
             file,
+            next_seq: records.last().map_or(0, |r| r.seq) + 1,
             path,
-            next_seq,
         })
     }
 
@@ -203,8 +239,9 @@ fn parse_record(line: &str) -> Result<LedgerRecord, String> {
     let attempt = || {
         v.get("attempt")
             .and_then(|a| a.as_u64())
+            .filter(|&a| a >= 1)
             .map(|a| a as usize)
-            .ok_or("missing attempt")
+            .ok_or("missing or zero attempt (attempts are 1-based)")
     };
     let iter = || {
         v.get("iter")
@@ -252,56 +289,52 @@ fn parse_record(line: &str) -> Result<LedgerRecord, String> {
 
 /// Replays the ledger at `path` into its record sequence.
 ///
-/// A crash can tear at most the final line (records are fsynced one at a
-/// time by a single writer), so a parse failure on the last line drops that
-/// line; a parse failure anywhere earlier, or a non-increasing sequence
-/// number, is corruption and errors out.
+/// Records are fsynced one at a time by a single writer, so a crash can
+/// leave at most a torn tail: bytes after the last newline, which the
+/// daemon had not acted on. That tail is dropped. Every newline-terminated
+/// line must parse as a record with a sequence number above the previous
+/// one; anything else is corruption.
 ///
 /// # Errors
 ///
 /// [`EplaceError::Io`] when the file cannot be read; [`EplaceError::Job`]
-/// (job = the ledger path) on mid-file corruption.
+/// (job = the ledger path) on a corrupt line.
 pub fn replay(path: impl AsRef<Path>) -> Result<Vec<LedgerRecord>, EplaceError> {
     let path = path.as_ref();
     let display = path.display().to_string();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| EplaceError::io(display.clone(), e.to_string()))?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut records = Vec::with_capacity(lines.len());
-    for (idx, line) in lines.iter().enumerate() {
-        match parse_record(line) {
-            Ok(rec) => {
-                if let Some(prev) = records.last() {
-                    let prev: &LedgerRecord = prev;
-                    if rec.seq <= prev.seq {
-                        return Err(EplaceError::job(
-                            &display,
-                            format!(
-                                "ledger line {}: seq {} does not increase past {}",
-                                idx + 1,
-                                rec.seq,
-                                prev.seq
-                            ),
-                        ));
-                    }
-                }
-                records.push(rec);
-            }
-            Err(e) if idx + 1 == lines.len() => {
-                // Torn final record from a mid-append crash: recoverable by
-                // construction — the daemon had not yet acted on it.
-                let _ = e;
-                break;
-            }
-            Err(e) => {
+    let bytes = std::fs::read(path).map_err(|e| EplaceError::io(display.clone(), e.to_string()))?;
+    Ok(parse_ledger(&bytes, &display)?.0)
+}
+
+/// Parses the newline-terminated lines of a ledger; returns the records and
+/// the length of those lines in bytes (the rest is a torn tail). Blank lines
+/// are skipped.
+fn parse_ledger(bytes: &[u8], display: &str) -> Result<(Vec<LedgerRecord>, usize), EplaceError> {
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let text = std::str::from_utf8(&bytes[..complete])
+        .map_err(|e| EplaceError::job(display, format!("ledger is not UTF-8: {e}")))?;
+    let mut records: Vec<LedgerRecord> = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let at = idx + 1;
+        let rec = parse_record(line)
+            .map_err(|e| EplaceError::job(display, format!("ledger line {at} is corrupt: {e}")))?;
+        if let Some(prev) = records.last() {
+            if rec.seq <= prev.seq {
                 return Err(EplaceError::job(
-                    &display,
-                    format!("ledger line {} is corrupt: {e}", idx + 1),
+                    display,
+                    format!(
+                        "ledger line {at}: seq {} does not increase past {}",
+                        rec.seq, prev.seq
+                    ),
                 ));
             }
         }
+        records.push(rec);
     }
-    Ok(records)
+    Ok((records, complete))
 }
 
 /// Where a job stands after replaying the ledger.
@@ -459,6 +492,55 @@ mod tests {
         assert!(matches!(err, EplaceError::Job { .. }));
         assert!(err.to_string().contains("line 2"), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn complete_final_line_must_parse_and_open_cuts_a_torn_tail() {
+        let path = tmp("tail");
+        let queued = "{\"type\":\"job\",\"seq\":1,\"job\":\"a\",\"event\":\"queued\"}\n";
+        // A newline-terminated final line is complete: an unknown event in
+        // it is corruption, not a torn record.
+        let bad = "{\"type\":\"job\",\"seq\":2,\"job\":\"a\",\"event\":\"paused\"}\n";
+        std::fs::write(&path, format!("{queued}{bad}")).unwrap();
+        let err = replay(&path).unwrap_err();
+        assert!(matches!(err, EplaceError::Job { .. }), "{err}");
+        assert!(err.to_string().contains("unknown event"), "{err}");
+
+        // Without its newline the same line is a torn tail: replay drops it
+        // and open truncates it, so the next record starts on a fresh line.
+        std::fs::write(&path, format!("{queued}{}", bad.trim_end())).unwrap();
+        assert_eq!(replay(&path).unwrap().len(), 1);
+        let mut ledger = Ledger::open(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), queued);
+        ledger
+            .append("a", &JobEvent::Started { attempt: 1 })
+            .unwrap();
+        let records = replay(&path).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].seq, 2);
+        assert_eq!(records[1].event, JobEvent::Started { attempt: 1 });
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn state_machine_follows_the_daemon() {
+        let started = JobEvent::Started { attempt: 1 };
+        let failed = JobEvent::Failed {
+            reason: "x".into(),
+            attempt: 1,
+        };
+        let retry = JobEvent::Retry {
+            attempt: 2,
+            backoff_ms: 0,
+        };
+        assert!(JobEvent::Queued.may_follow(None));
+        assert!(!started.may_follow(None));
+        assert!(started.may_follow(Some(&JobEvent::Queued)));
+        assert!(failed.may_follow(Some(&started)));
+        assert!(retry.may_follow(Some(&failed)));
+        assert!(!retry.may_follow(Some(&JobEvent::Queued)));
+        assert!(started.may_follow(Some(&retry)));
+        assert!(!JobEvent::Queued.may_follow(Some(&JobEvent::Done { hpwl: 1.0 })));
     }
 
     #[test]

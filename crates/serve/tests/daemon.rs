@@ -3,6 +3,8 @@
 
 use eplace_benchgen::BenchmarkConfig;
 use eplace_serve::{fold, replay, serve, JobEvent, ServeConfig};
+use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -74,6 +76,44 @@ fn drain_completes_submitted_jobs_and_ledger_replays_clean() {
         assert!(text.contains("\"hpwl\":"), "{text}");
         assert!(cfg.job_dir(name).join("job.ckpt").exists());
         assert!(cfg.job_dir(name).join("manifest.json").exists());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash mid-append leaves a record without its newline. A restart must
+/// cut that torn tail before it appends, or its first record lands glued to
+/// the tail and the restart after that finds a corrupt line.
+#[test]
+fn torn_ledger_record_survives_two_restarts() {
+    let dir = spool("torn");
+    submit(&dir, "first", HEALTHY);
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.drain = true;
+    cfg.chunk_iters = 10;
+    assert_eq!(serve(&cfg).unwrap().done, 1);
+    let mut ledger = std::fs::OpenOptions::new()
+        .append(true)
+        .open(cfg.ledger_path())
+        .unwrap();
+    ledger
+        .write_all(br#"{"type":"job","seq":99,"job":"b","ev"#)
+        .unwrap();
+    drop(ledger);
+    for name in ["second", "third"] {
+        submit(&dir, name, HEALTHY);
+        assert_eq!(serve(&cfg).unwrap().done, 1, "restart for {name}");
+    }
+
+    let records = replay(cfg.ledger_path()).unwrap();
+    let mut last: BTreeMap<&str, &JobEvent> = BTreeMap::new();
+    for rec in &records {
+        let prev = last.get(rec.job.as_str()).copied();
+        assert!(rec.event.may_follow(prev), "{prev:?} -> {rec:?}");
+        last.insert(&rec.job, &rec.event);
+    }
+    assert_eq!(last.len(), 3, "{last:?}");
+    for name in ["first", "second", "third"] {
+        assert!(matches!(last[name], JobEvent::Done { .. }), "{name}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

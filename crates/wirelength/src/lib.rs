@@ -1,8 +1,9 @@
-//! Wirelength objectives for the ePlace reproduction.
+//! Smooth wirelength surrogates for the ePlace reproduction.
 //!
 //! The placement objective is total half-perimeter wirelength (HPWL, paper
-//! Eq. 1). HPWL is not differentiable, so analytic placers substitute a
-//! smooth surrogate; ePlace uses the **weighted-average (WA)** model of
+//! Eq. 1), which [`eplace_netlist::Design::hpwl_with_positions`] computes.
+//! HPWL is not differentiable, so analytic placers substitute a smooth
+//! surrogate; ePlace uses the **weighted-average (WA)** model of
 //! Hsu–Chang–Balabanov (paper Eq. 3), implemented here with analytic
 //! gradients and max-shifted exponentials for numerical stability. The
 //! log-sum-exp (LSE) model is provided as well — it is the surrogate used by
@@ -17,7 +18,7 @@
 //! ```
 //! use eplace_geometry::{Point, Rect};
 //! use eplace_netlist::{CellKind, DesignBuilder};
-//! use eplace_wirelength::{hpwl, SmoothWirelength, WaModel};
+//! use eplace_wirelength::{SmoothWirelength, WaModel};
 //!
 //! let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 100.0, 100.0));
 //! let a = b.add_cell("a", 1.0, 1.0, CellKind::StdCell);
@@ -26,7 +27,7 @@
 //! let design = b.build();
 //! let pos = vec![Point::new(0.0, 0.0), Point::new(30.0, 40.0)];
 //!
-//! assert_eq!(hpwl(&design, &pos), 70.0);
+//! assert_eq!(design.hpwl_with_positions(&pos), 70.0);
 //! let mut wa = WaModel::new(&design);
 //! let mut grad = vec![Point::ORIGIN; 2];
 //! let smooth = wa.gradient(&design, &pos, 1.0, &mut grad);
@@ -44,35 +45,7 @@ pub use schedule::GammaSchedule;
 pub use wa::WaModel;
 
 use eplace_geometry::Point;
-use eplace_netlist::{Design, Net};
-
-/// Total HPWL (Eq. 1) of `design` at the external positions `pos`.
-///
-/// # Panics
-///
-/// Panics if `pos` has fewer entries than `design.cells`.
-pub fn hpwl(design: &Design, pos: &[Point]) -> f64 {
-    design.nets.iter().map(|net| net_hpwl(net, pos)).sum()
-}
-
-/// HPWL of a single net at external positions, including the net weight.
-pub fn net_hpwl(net: &Net, pos: &[Point]) -> f64 {
-    if net.pins.len() < 2 {
-        return 0.0;
-    }
-    let mut min_x = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    let mut min_y = f64::INFINITY;
-    let mut max_y = f64::NEG_INFINITY;
-    for pin in &net.pins {
-        let p = pos[pin.cell.index()] + pin.offset;
-        min_x = min_x.min(p.x);
-        max_x = max_x.max(p.x);
-        min_y = min_y.min(p.y);
-        max_y = max_y.max(p.y);
-    }
-    net.weight * ((max_x - min_x) + (max_y - min_y))
-}
+use eplace_netlist::Design;
 
 /// A smooth wirelength surrogate with an analytic gradient.
 ///
@@ -88,68 +61,4 @@ pub trait SmoothWirelength {
     /// cell into `grad` (fixed cells included — callers mask them).
     /// Returns the smooth wirelength.
     fn gradient(&mut self, design: &Design, pos: &[Point], gamma: f64, grad: &mut [Point]) -> f64;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use eplace_geometry::Rect;
-    use eplace_netlist::{CellKind, DesignBuilder};
-
-    fn chain_design(n: usize) -> Design {
-        let mut b = DesignBuilder::new("chain", Rect::new(0.0, 0.0, 1000.0, 1000.0));
-        let ids: Vec<_> = (0..n)
-            .map(|i| b.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::StdCell))
-            .collect();
-        for w in ids.windows(2) {
-            b.add_net("n", vec![(w[0], Point::ORIGIN), (w[1], Point::ORIGIN)]);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn hpwl_of_chain() {
-        let d = chain_design(3);
-        let pos = vec![
-            Point::new(0.0, 0.0),
-            Point::new(10.0, 0.0),
-            Point::new(10.0, 5.0),
-        ];
-        assert_eq!(hpwl(&d, &pos), 15.0);
-    }
-
-    #[test]
-    fn hpwl_ignores_degenerate_nets() {
-        let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 10.0, 10.0));
-        let a = b.add_cell("a", 1.0, 1.0, CellKind::StdCell);
-        b.add_net("single", vec![(a, Point::ORIGIN)]);
-        b.add_net("empty", vec![]);
-        let d = b.build();
-        assert_eq!(hpwl(&d, &[Point::new(5.0, 5.0)]), 0.0);
-    }
-
-    #[test]
-    fn net_hpwl_weighting() {
-        let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 10.0, 10.0));
-        let a = b.add_cell("a", 1.0, 1.0, CellKind::StdCell);
-        let c = b.add_cell("b", 1.0, 1.0, CellKind::StdCell);
-        b.add_weighted_net("n", vec![(a, Point::ORIGIN), (c, Point::ORIGIN)], 3.0);
-        let d = b.build();
-        let pos = vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)];
-        assert_eq!(net_hpwl(&d.nets[0], &pos), 6.0);
-    }
-
-    #[test]
-    fn hpwl_uses_pin_offsets() {
-        let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 10.0, 10.0));
-        let a = b.add_cell("a", 2.0, 2.0, CellKind::StdCell);
-        let c = b.add_cell("b", 2.0, 2.0, CellKind::StdCell);
-        b.add_net(
-            "n",
-            vec![(a, Point::new(1.0, 0.0)), (c, Point::new(-1.0, 0.0))],
-        );
-        let d = b.build();
-        let pos = vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)];
-        assert_eq!(hpwl(&d, &pos), 8.0);
-    }
 }

@@ -137,7 +137,7 @@ impl SmoothWirelength for LseModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hpwl, WaModel};
+    use crate::WaModel;
     use eplace_geometry::Rect;
     use eplace_netlist::{CellKind, DesignBuilder};
 
@@ -175,7 +175,7 @@ mod tests {
         let (d, pos) = mesh_design();
         let mut lse = LseModel::new(&d);
         for &gamma in &[0.1, 1.0, 5.0] {
-            assert!(lse.evaluate(&d, &pos, gamma) >= hpwl(&d, &pos) - 1e-9);
+            assert!(lse.evaluate(&d, &pos, gamma) >= d.hpwl_with_positions(&pos) - 1e-9);
         }
     }
 
@@ -185,7 +185,7 @@ mod tests {
         let mut lse = LseModel::new(&d);
         let mut wa = WaModel::new(&d);
         let gamma = 1.0;
-        let exact = hpwl(&d, &pos);
+        let exact = d.hpwl_with_positions(&pos);
         assert!(wa.evaluate(&d, &pos, gamma) <= exact + 1e-9);
         assert!(lse.evaluate(&d, &pos, gamma) >= exact - 1e-9);
     }
@@ -201,7 +201,7 @@ mod tests {
             .iter()
             .map(|n| 2.0 * gamma * (n.degree() as f64).ln() * 2.0)
             .sum();
-        let gap = lse.evaluate(&d, &pos, gamma) - hpwl(&d, &pos);
+        let gap = lse.evaluate(&d, &pos, gamma) - d.hpwl_with_positions(&pos);
         assert!(gap >= -1e-9 && gap <= bound + 1e-9);
     }
 

@@ -321,7 +321,6 @@ impl SmoothWirelength for WaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hpwl;
     use eplace_geometry::Rect;
     use eplace_netlist::{CellKind, DesignBuilder};
 
@@ -344,7 +343,10 @@ mod tests {
         let mut wa = WaModel::new(&d);
         for &gamma in &[0.1, 1.0, 10.0] {
             let smooth = wa.evaluate(&d, &pos, gamma);
-            assert!(smooth <= hpwl(&d, &pos) + 1e-9, "gamma={gamma}");
+            assert!(
+                smooth <= d.hpwl_with_positions(&pos) + 1e-9,
+                "gamma={gamma}"
+            );
         }
     }
 
@@ -352,7 +354,7 @@ mod tests {
     fn wa_converges_to_hpwl_as_gamma_shrinks() {
         let (d, pos) = star_design(5);
         let mut wa = WaModel::new(&d);
-        let exact = hpwl(&d, &pos);
+        let exact = d.hpwl_with_positions(&pos);
         let coarse = wa.evaluate(&d, &pos, 5.0);
         let fine = wa.evaluate(&d, &pos, 0.05);
         assert!((fine - exact).abs() < (coarse - exact).abs());

@@ -1,6 +1,6 @@
 //! Visualizes the electrostatic system of §IV: deposits two clusters of
 //! cells, solves the Poisson equation, and renders the potential ψ and the
-//! field直 directions as ASCII maps — the intuition behind Figure 3's
+//! field directions as ASCII maps — the intuition behind Figure 3's
 //! spreading animation.
 //!
 //! ```sh

@@ -3,19 +3,20 @@
 //! Journal mode (default) checks that every line parses as JSON, that
 //! `iter` records carry the full finite metric set, that `recovery` and
 //! `stop` records name a stage, iteration and reason (a stop's reason one
-//! of [`STOP_REASONS`]), that `route` records (one per routability round)
-//! carry their integer counts and finite scores, and that the journal ends
-//! with exactly one `summary` record whose phase seconds are consistent
-//! with its total. CI runs this over the journals of a `--journal` run and
-//! a `--routability --journal` run.
+//! of the [`StopReason`] keys), that `route` records (one per routability
+//! round) carry their integer counts and finite scores, and that the
+//! journal ends with exactly one `summary` record whose phase seconds are
+//! consistent with its total. CI runs this over the journals of a
+//! `--journal` run and a `--routability --journal` run.
 //!
-//! `--ledger` mode validates an `eplace-serve` job ledger instead: globally
-//! strictly-increasing sequence numbers, every per-job event stream obeying
-//! the daemon's state machine (first event `queued`, nothing after a
-//! terminal `done`/`cancelled`/`quarantined`, `retry` only after `failed`,
-//! …), and required fields per event (`checkpointed` carries an iteration,
-//! `done` a finite HPWL). A torn final line — the one thing a SIGKILL can
-//! leave behind — is tolerated, exactly as the daemon's own replay does.
+//! `--ledger` mode validates an `eplace-serve` job ledger instead. It reads
+//! the ledger through the daemon's own [`replay`], which enforces globally
+//! strictly-increasing sequence numbers and the required fields per event,
+//! and drops a torn tail (bytes after the last newline — the one thing a
+//! SIGKILL can leave behind). Every per-job event stream must then obey
+//! the daemon's state machine, [`JobEvent::may_follow`] (first event
+//! `queued`, nothing after a terminal `done`/`cancelled`/`quarantined`,
+//! `retry` only after `failed`, …).
 //!
 //! ```sh
 //! eplace-repro --fast --demo 300 --journal run.jsonl
@@ -23,17 +24,11 @@
 //! obs_check --ledger spool/ledger.jsonl
 //! ```
 
+use eplace_repro::core::StopReason;
 use eplace_repro::obs::json::{parse_json, JsonValue};
+use eplace_serve::{replay, JobEvent};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
-
-/// Why a GP stage may stop, as its `stop` record says.
-const STOP_REASONS: [&str; 5] = [
-    "target",
-    "stagnation",
-    "iteration_cap",
-    "cancelled",
-    "diverged",
-];
 
 struct Stats {
     iters: u64,
@@ -114,108 +109,32 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Allowed successor events for each job state (the daemon's state
-/// machine; see DESIGN.md §13). Terminal states allow nothing.
-fn ledger_successors(state: &str) -> &'static [&'static str] {
-    match state {
-        "" => &["queued"],
-        "queued" => &["started", "cancelled", "quarantined"],
-        "started" | "checkpointed" => &[
-            "checkpointed",
-            "done",
-            "failed",
-            "cancelled",
-            "quarantined",
-            "resumed",
-        ],
-        "resumed" => &["started", "resumed", "cancelled", "quarantined"],
-        "failed" => &["retry", "quarantined"],
-        "retry" => &["started", "cancelled", "quarantined"],
-        _ => &[], // done | cancelled | quarantined: terminal
-    }
-}
-
 fn check_ledger(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut states: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
-    let mut last_seq = 0u64;
-    let mut records = 0u64;
-    let mut torn = false;
-    for (idx, line) in lines.iter().enumerate() {
-        let no = idx + 1;
-        let value = match parse_json(line) {
-            Ok(v) => v,
-            // A SIGKILL can tear at most the final line; the daemon had not
-            // acted on it yet, so it is dropped, not an error.
-            Err(_) if no == lines.len() => {
-                torn = true;
-                break;
-            }
-            Err(e) => return Err(format!("line {no}: {e}")),
-        };
-        if str_field(&value, "type", no)? != "job" {
-            return Err(format!("line {no}: record type is not `job`"));
-        }
-        let seq = u64_field(&value, "seq", no)?;
-        if seq <= last_seq {
+    let records = replay(path).map_err(|e| e.to_string())?;
+    let mut last: BTreeMap<&str, &JobEvent> = BTreeMap::new();
+    for rec in &records {
+        let prev = last.get(rec.job.as_str()).copied();
+        if !rec.event.may_follow(prev) {
             return Err(format!(
-                "line {no}: seq {seq} does not increase past {last_seq}"
+                "seq {}: job `{}` cannot go `{}` -> `{}`",
+                rec.seq,
+                rec.job,
+                prev.map_or("<new>", JobEvent::key),
+                rec.event.key()
             ));
         }
-        last_seq = seq;
-        let job = str_field(&value, "job", no)?.to_string();
-        let event = str_field(&value, "event", no)?;
-        let state = states.entry(job.clone()).or_default();
-        if !ledger_successors(state).contains(&event) {
-            return Err(format!(
-                "line {no}: job `{job}` cannot go `{}` -> `{event}`",
-                if state.is_empty() { "<new>" } else { state }
-            ));
-        }
-        match event {
-            "started" | "failed" | "retry" => {
-                let attempt = u64_field(&value, "attempt", no)?;
-                if attempt == 0 {
-                    return Err(format!("line {no}: attempt must be >= 1"));
-                }
-            }
-            "checkpointed" | "resumed" => {
-                u64_field(&value, "iter", no)?;
-            }
-            "done" => {
-                finite_field(&value, "hpwl", no)?;
-            }
-            _ => {}
-        }
-        if event == "retry" {
-            u64_field(&value, "backoff_ms", no)?;
-        }
-        if matches!(event, "failed" | "quarantined") {
-            str_field(&value, "reason", no)?;
-        }
-        *state = event.to_string();
-        records += 1;
+        last.insert(&rec.job, &rec.event);
     }
-    let mut done = 0usize;
-    let mut terminal = 0usize;
-    for state in states.values() {
-        if state == "done" {
-            done += 1;
-        }
-        if matches!(state.as_str(), "done" | "cancelled" | "quarantined") {
-            terminal += 1;
-        }
-    }
+    let done = last
+        .values()
+        .filter(|e| matches!(e, JobEvent::Done { .. }))
+        .count();
+    let terminal = last.values().filter(|e| e.is_terminal()).count();
     Ok(format!(
-        "{records} records, {} jobs ({done} done, {terminal} terminal, {} in flight){}",
-        states.len(),
-        states.len() - terminal,
-        if torn {
-            ", torn final line dropped"
-        } else {
-            ""
-        }
+        "{} records, {} jobs ({done} done, {terminal} terminal, {} in flight)",
+        records.len(),
+        last.len(),
+        last.len() - terminal
     ))
 }
 
@@ -250,7 +169,7 @@ fn check(path: &str, expect_iters: Option<u64>) -> Result<Stats, String> {
                 let reason = str_field(&value, "reason", no)?;
                 u64_field(&value, "iter", no)?;
                 if kind == "stop" {
-                    if !STOP_REASONS.contains(&reason) {
+                    if !StopReason::ALL.iter().any(|r| r.key() == reason) {
                         return Err(format!("line {no}: unknown stop reason `{reason}`"));
                     }
                     stats.stops += 1;

@@ -43,7 +43,8 @@ pub use eplace_benchgen as benchgen;
 /// FFT / DCT / DST spectral transform substrate.
 pub use eplace_spectral as spectral;
 
-/// Smooth wirelength models (weighted-average, LSE) and HPWL.
+/// Smooth wirelength models (weighted-average, LSE); HPWL itself is
+/// [`Design::hpwl_with_positions`](eplace_netlist::Design::hpwl_with_positions).
 pub use eplace_wirelength as wirelength;
 
 /// Electrostatic (eDensity) density system and Poisson solver.

@@ -174,8 +174,12 @@ fn main() -> ExitCode {
     );
     if !report.mgp_converged {
         eprintln!(
-            "warning: mGP missed the density target: overflow {:.4} > {} after {} iterations",
-            report.mgp_overflow, target_overflow, report.mgp_iterations
+            "warning: mGP missed the density target: overflow {:.4} > {} after {} iterations \
+             (stopped on {})",
+            report.mgp_overflow,
+            target_overflow,
+            report.mgp_iterations,
+            report.mgp_stop.key()
         );
     }
     if let Some(mlg) = &report.mlg {

@@ -19,9 +19,9 @@ fn eplace_beats_every_non_edensity_family() {
     };
 
     let baselines: Vec<(&str, Box<dyn GlobalPlacer>)> = vec![
-        ("mincut", Box::new(MincutPlacer::default())),
-        ("quadratic", Box::new(QuadraticPlacer::default())),
-        ("bellshape", Box::new(BellshapePlacer::default())),
+        ("mincut", Box::new(MincutPlacer)),
+        ("quadratic", Box::new(QuadraticPlacer)),
+        ("bellshape", Box::new(BellshapePlacer)),
     ];
     for (name, placer) in baselines {
         let mut design = config.generate();

@@ -6,7 +6,7 @@ use eplace_repro::geometry::{Point, Rect};
 use eplace_repro::legalize::{check_legal, legalize};
 use eplace_repro::netlist::{CellKind, Design, DesignBuilder};
 use eplace_repro::spectral::{reference, DctPlan, DctScratch, FftPlan};
-use eplace_repro::wirelength::{hpwl, LseModel, SmoothWirelength, WaModel};
+use eplace_repro::wirelength::{LseModel, SmoothWirelength, WaModel};
 use eplace_testkit::{check, Gen};
 
 const CASES: u64 = 32;
@@ -84,7 +84,7 @@ fn wa_hpwl_lse_sandwich() {
         let pos: Vec<Point> = design.cells.iter().map(|c| c.pos).collect();
         let mut wa = WaModel::new(&design);
         let mut lse = LseModel::new(&design);
-        let exact = hpwl(&design, &pos);
+        let exact = design.hpwl_with_positions(&pos);
         let lo = wa.evaluate(&design, &pos, gamma);
         let hi = lse.evaluate(&design, &pos, gamma);
         assert!(

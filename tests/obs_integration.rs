@@ -4,7 +4,7 @@
 //! the run's wall-clock.
 
 use eplace_repro::benchgen::BenchmarkConfig;
-use eplace_repro::core::{EplaceConfig, GradientFault, Placer, Stage};
+use eplace_repro::core::{EplaceConfig, GradientFault, Placer, Stage, StopReason};
 use eplace_repro::netlist::Design;
 use eplace_repro::obs::json::{parse_json, JsonValue};
 use eplace_repro::obs::{MemoryJournal, Obs};
@@ -243,6 +243,7 @@ fn stagnation_stop_is_counted_and_journaled() {
     };
     let report = Placer::new(small_design(88), cfg).run().unwrap();
     assert!(!report.mgp_converged);
+    assert_eq!(report.mgp_stop, StopReason::Stagnation);
     let stops: Vec<JsonValue> = records(&journal)
         .into_iter()
         .filter(|r| {

@@ -147,7 +147,7 @@ fn nesterov_beats_cg_runtime_at_comparable_quality() {
 
     let mut design = config.generate();
     let t = std::time::Instant::now();
-    let cg = CgPlacer::default().global_place(&mut design);
+    let cg = CgPlacer.global_place(&mut design);
     let cg_secs = t.elapsed().as_secs_f64();
 
     assert!(eplace_report.mgp_converged);

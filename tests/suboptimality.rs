@@ -60,8 +60,8 @@ fn eplace_ratio_is_bounded_and_beats_both_baselines() {
             "seed {seed}: ratio {ratio} above the pinned ceiling {EPLACE_CEILING}"
         );
 
-        let cg = baseline_ratio(&CgPlacer::default(), &config);
-        let mincut = baseline_ratio(&MincutPlacer::default(), &config);
+        let cg = baseline_ratio(&CgPlacer, &config);
+        let mincut = baseline_ratio(&MincutPlacer, &config);
         assert!(
             ratio < cg,
             "seed {seed}: ePlace ratio {ratio} does not beat cg-fftpl's {cg}"
