@@ -7,9 +7,9 @@
 //! suboptimality ratio `final legal HPWL / certified optimal HPWL` per
 //! placer and suite size into `BENCH_peko.json` at the repository root.
 //!
-//! Every placer gets the identical downstream treatment (`run_cdp`, the
-//! ePlace flow's own cDP), so the ratios compare global-placement quality
-//! on equal footing.
+//! Every placer gets the identical downstream treatment (the ePlace flow's
+//! own discrete finish, `eplace_bench::paper::place_baseline`), so the
+//! ratios compare global-placement quality on equal footing.
 //!
 //! The file is re-parsed before the program exits 0, and every recorded
 //! ratio is checked to be finite and ≥ 1 (a "ratio" below 1 would mean a
@@ -26,9 +26,10 @@
 //! default 3), `--out PATH` (output path override).
 
 use eplace_baselines::{CgPlacer, GlobalPlacer, MincutPlacer};
+use eplace_bench::paper::place_baseline;
 use eplace_bench::report::{self, Args};
 use eplace_benchgen::{BenchmarkConfig, KnownOptimum};
-use eplace_core::{run_cdp, EplaceConfig, Placer};
+use eplace_core::{EplaceConfig, Placer};
 use eplace_obs::Record;
 use std::num::NonZeroU64;
 use std::time::Instant;
@@ -65,15 +66,16 @@ fn bench_suite(cells: usize, seed: u64) -> String {
     );
 
     // Baselines: global placement + the identical downstream finisher.
-    let baselines: [Box<dyn GlobalPlacer>; 2] = [Box::new(CgPlacer), Box::new(MincutPlacer)];
+    let baselines: [&dyn GlobalPlacer; 2] = [&CgPlacer, &MincutPlacer];
     let mut fragments = vec![placer_json("eplace", eplace_hpwl, &optimum, eplace_secs)];
     for placer in baselines {
         let (mut design, _) = config.generate_known_optimum();
         let t = Instant::now();
-        placer.global_place(&mut design);
-        design.remove_fillers();
-        run_cdp(&mut design, &eplace_cfg)
-            .expect("even Tetris failed to legalize a half-utilization PEKO design");
+        let (_, legal) = place_baseline(placer, &mut design, &eplace_cfg);
+        assert!(
+            legal,
+            "even Tetris failed to legalize a half-utilization PEKO design"
+        );
         let hpwl = design.hpwl();
         fragments.push(placer_json(
             placer.name(),

@@ -1,7 +1,7 @@
 //! The plumbing every bench and repro binary shares: the flag parser
 //! ([`Args`]), the bench thread-count knob ([`bench_exec`]), and the
 //! `BENCH_*.json` writer ([`emit`]) with each file's checks ([`GP`],
-//! [`PEKO`], [`ROUTE`]).
+//! [`PEKO`], [`ROUTE`], [`PAPER`]).
 
 use eplace_core::MAX_HPWL_COST;
 use eplace_exec::ExecConfig;
@@ -149,6 +149,23 @@ pub const ROUTE: BenchFile = BenchFile {
     check_doc: |_| Ok(()),
 };
 
+/// `repro`: every run's quality fields finite, and every claim's verdict
+/// the one [`crate::paper::verdict`] gives its stored numbers.
+pub const PAPER: BenchFile = BenchFile {
+    bin: "repro",
+    file: "BENCH_paper.json",
+    check_suite: check_paper_run,
+    check_doc: check_paper_claims,
+};
+
+impl BenchFile {
+    /// Where the file lives: `out` when given, else the repository root.
+    pub fn path(&self, out: Option<String>) -> PathBuf {
+        out.map(PathBuf::from)
+            .unwrap_or_else(|| repo_root().join(self.file))
+    }
+}
+
 /// Parses `doc`, requires a non-empty `suites` array and runs `bench`'s
 /// checks; the first violation is the error.
 fn validate(bench: &BenchFile, doc: &str) -> Result<(), String> {
@@ -176,9 +193,7 @@ pub fn emit(bench: &BenchFile, head: Record, suites: &[String], out: Option<Stri
         eprintln!("{}: self-validation failed: {e}", bench.bin);
         std::process::exit(1);
     }
-    let out = out
-        .map(PathBuf::from)
-        .unwrap_or_else(|| repo_root().join(bench.file));
+    let out = bench.path(out);
     eplace_obs::write_atomic(&out, format!("{doc}\n").as_bytes())
         .unwrap_or_else(|e| panic!("writing {}: {e}", out.display()));
     println!(
@@ -188,7 +203,7 @@ pub fn emit(bench: &BenchFile, head: Record, suites: &[String], out: Option<Stri
     );
 }
 
-fn repo_root() -> PathBuf {
+pub(crate) fn repo_root() -> PathBuf {
     // crates/bench → repository root.
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
@@ -295,6 +310,34 @@ fn check_route_suite(suite: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
+fn check_paper_run(run: &JsonValue) -> Result<(), String> {
+    let id = run
+        .get("id")
+        .and_then(JsonValue::as_str)
+        .ok_or("a run without an id")?;
+    for key in ["hpwl", "scaled_hpwl", "overflow", "seconds"] {
+        finite(run, key).map_err(|e| format!("run {id}: {e}"))?;
+    }
+    match run.get("legal").and_then(JsonValue::as_bool) {
+        Some(_) => Ok(()),
+        None => Err(format!("run {id}: legal is missing")),
+    }
+}
+
+fn check_paper_claims(doc: &JsonValue) -> Result<(), String> {
+    let claims = field(doc, "claims")?
+        .as_array()
+        .ok_or("claims is not an array")?;
+    if claims.is_empty() {
+        return Err("claims array is empty".into());
+    }
+    for claim in claims {
+        let id = claim.get("id").and_then(JsonValue::as_str).unwrap_or("?");
+        crate::paper::check_claim(claim).map_err(|e| format!("claim {id}: {e}"))?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +393,7 @@ mod tests {
 
     #[test]
     fn committed_bench_files_pass_their_writers_checks() {
-        for bench in [&GP, &PEKO, &ROUTE] {
+        for bench in [&GP, &PEKO, &ROUTE, &PAPER] {
             let path = repo_root().join(bench.file);
             let doc = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
@@ -367,5 +410,21 @@ mod tests {
         assert!(validate(&ROUTE, "{\"suites\":").is_err());
         let gp = r#"{"suites":[{"median_step_ns":null}]}"#;
         assert!(validate(&GP, gp).unwrap_err().contains("median_step_ns"));
+        let run = r#"{"id":"t/c/ePlace","hpwl":1,"scaled_hpwl":1,"overflow":0.1,"legal":true,"seconds":1}"#;
+        let claim = r#"{"id":"c","paper":4.7,"bound":null,"ours":0.3,"reference":0,"verdict":"reproduces"}"#;
+        let paper = |run: &str, claim: &str| format!(r#"{{"claims":[{claim}],"suites":[{run}]}}"#);
+        let err = validate(&PAPER, &paper(run, claim)).unwrap_err();
+        assert!(err.contains("the rule gives Some(\"direction\")"), "{err}");
+        assert!(validate(
+            &PAPER,
+            &paper(run, &claim.replace("\"reproduces", "\"direction"))
+        )
+        .is_ok());
+        let err = validate(
+            &PAPER,
+            &paper(&run.replace("\"hpwl\":1", "\"hpwl\":null"), claim),
+        )
+        .unwrap_err();
+        assert!(err.contains("t/c/ePlace") && err.contains("hpwl"), "{err}");
     }
 }

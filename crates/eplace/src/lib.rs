@@ -59,8 +59,7 @@ pub use problem::PlacementProblem;
 pub use recover::{FaultKind, GpCheckpoint, GradientFault};
 pub use routability::{RoutabilityConfig, RoutabilityOutcome, MAX_HPWL_COST};
 pub use trace::{
-    trace_to_csv, trace_to_csv_checked, validate_trace, IterationRecord, RuntimeProfile, Stage,
-    StageTiming, StopReason,
+    trace_to_csv_checked, IterationRecord, RuntimeProfile, Stage, StageTiming, StopReason,
 };
 
 pub use eplace_density::SpectralEngine;

@@ -167,12 +167,7 @@ impl RuntimeProfile {
 }
 
 /// Checks every record for non-finite metrics before a trace is persisted.
-///
-/// # Errors
-///
-/// [`eplace_errors::EplaceError::Validation`] naming the first offending
-/// record and field.
-pub fn validate_trace(records: &[IterationRecord]) -> Result<(), eplace_errors::EplaceError> {
+fn validate_trace(records: &[IterationRecord]) -> Result<(), eplace_errors::EplaceError> {
     for (i, r) in records.iter().enumerate() {
         let fields = [
             ("hpwl", r.hpwl),
@@ -192,13 +187,16 @@ pub fn validate_trace(records: &[IterationRecord]) -> Result<(), eplace_errors::
     Ok(())
 }
 
-/// [`trace_to_csv`] preceded by [`validate_trace`] — the writer behind the
+/// Renders iteration records as CSV
+/// (`stage,iteration,hpwl,overflow,...`) after checking every record for
+/// non-finite metrics — the writer behind the CLI's `--trace-csv` and the
 /// golden-trace bless workflow, so a poisoned trajectory can never become
 /// the reference snapshot.
 ///
 /// # Errors
 ///
-/// As [`validate_trace`].
+/// [`eplace_errors::EplaceError::Validation`] naming the first record and
+/// field that is not finite.
 pub fn trace_to_csv_checked(
     records: &[IterationRecord],
 ) -> Result<String, eplace_errors::EplaceError> {
@@ -206,9 +204,7 @@ pub fn trace_to_csv_checked(
     Ok(trace_to_csv(records))
 }
 
-/// Renders iteration records as CSV (`stage,iteration,hpwl,overflow,...`) —
-/// used by the `repro_fig2` binary to emit the Figure 2 series.
-pub fn trace_to_csv(records: &[IterationRecord]) -> String {
+fn trace_to_csv(records: &[IterationRecord]) -> String {
     let mut out =
         String::from("stage,iteration,hpwl,overflow,overlap,lambda,gamma,alpha,backtracks\n");
     for r in records {
