@@ -1,7 +1,7 @@
 //! The plumbing every bench and repro binary shares: the flag parser
 //! ([`Args`]), the bench thread-count knob ([`bench_exec`]), and the
 //! `BENCH_*.json` writer ([`emit`]) with each file's checks ([`GP`],
-//! [`PEKO`], [`ROUTE`], [`PAPER`]).
+//! [`PEKO`], [`ROUTE`], [`PAPER`], [`SCALE`]).
 
 use eplace_core::MAX_HPWL_COST;
 use eplace_exec::ExecConfig;
@@ -158,6 +158,16 @@ pub const PAPER: BenchFile = BenchFile {
     check_doc: check_paper_claims,
 };
 
+/// `bench_scale`: every size's flow legal with positive timings, HPWL and
+/// peak RSS, sizes ascending, and the `global_swap` growth ratio the one its
+/// two largest sizes give.
+pub const SCALE: BenchFile = BenchFile {
+    bin: "bench_scale",
+    file: "BENCH_scale.json",
+    check_suite: check_scale_suite,
+    check_doc: check_scale_growth,
+};
+
 impl BenchFile {
     /// Where the file lives: `out` when given, else the repository root.
     pub fn path(&self, out: Option<String>) -> PathBuf {
@@ -310,6 +320,61 @@ fn check_route_suite(suite: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
+fn check_scale_suite(suite: &JsonValue) -> Result<(), String> {
+    for key in [
+        "cells",
+        "objects",
+        "flow_seconds",
+        "mgp_iterations",
+        "legal_hpwl",
+        "peak_rss_mib",
+    ] {
+        positive(suite, key)?;
+    }
+    let stages = field(suite, "stage_seconds")?;
+    for stage in ["mgp", "cdp"] {
+        positive(stages, stage).map_err(|e| format!("stage_seconds: {e}"))?;
+    }
+    let spans = field(suite, "span_seconds")?;
+    for span in ["global_swap", "legalize_abacus", "detail_place"] {
+        positive(spans, span).map_err(|e| format!("span_seconds: {e}"))?;
+    }
+    if field(suite, "mgp_stop")?.as_str().is_none() {
+        return Err("mgp_stop is not a string".into());
+    }
+    match suite.get("legal").and_then(JsonValue::as_bool) {
+        Some(true) => Ok(()),
+        _ => Err("the flow did not legalize".into()),
+    }
+}
+
+fn check_scale_growth(doc: &JsonValue) -> Result<(), String> {
+    let suites = field(doc, "suites")?.as_array().unwrap_or_default();
+    let cells: Vec<f64> = suites
+        .iter()
+        .map(|s| finite(s, "cells"))
+        .collect::<Result<_, _>>()?;
+    if cells.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(format!("sizes are not ascending: {cells:?}"));
+    }
+    let [.., from, to] = suites else {
+        return Err("the growth needs two sizes or more".into());
+    };
+    let swap = |suite| finite(field(suite, "span_seconds")?, "global_swap");
+    let growth = field(doc, "global_swap_growth")?;
+    let expected = swap(to)? / swap(from)?;
+    let ratio = finite(growth, "seconds_ratio")?;
+    if finite(growth, "from_cells")? != finite(from, "cells")?
+        || finite(growth, "to_cells")? != finite(to, "cells")?
+        || (ratio - expected).abs() > 1e-12 * expected
+    {
+        return Err(format!(
+            "global_swap_growth does not match the two largest sizes (ratio {ratio}, they give {expected})"
+        ));
+    }
+    Ok(())
+}
+
 fn check_paper_run(run: &JsonValue) -> Result<(), String> {
     let id = run
         .get("id")
@@ -393,7 +458,7 @@ mod tests {
 
     #[test]
     fn committed_bench_files_pass_their_writers_checks() {
-        for bench in [&GP, &PEKO, &ROUTE, &PAPER] {
+        for bench in [&GP, &PEKO, &ROUTE, &PAPER, &SCALE] {
             let path = repo_root().join(bench.file);
             let doc = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
@@ -426,5 +491,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("t/c/ePlace") && err.contains("hpwl"), "{err}");
+
+        let suite = |cells: u32, swap: f64| {
+            format!(
+                r#"{{"cells":{cells},"objects":{cells},"flow_seconds":1,"stage_seconds":{{"mgp":1,"cdp":1}},"span_seconds":{{"global_swap":{swap},"legalize_abacus":1,"detail_place":1}},"mgp_stop":"target","mgp_iterations":9,"legal":true,"legal_hpwl":5,"peak_rss_mib":3}}"#
+            )
+        };
+        let scale = |ratio: f64, suites: [String; 2]| {
+            format!(
+                r#"{{"global_swap_growth":{{"from_cells":10,"to_cells":20,"seconds_ratio":{ratio}}},"suites":[{}]}}"#,
+                suites.join(",")
+            )
+        };
+        assert!(validate(&SCALE, &scale(3.0, [suite(10, 0.5), suite(20, 1.5)])).is_ok());
+        let err = validate(&SCALE, &scale(2.0, [suite(10, 0.5), suite(20, 1.5)])).unwrap_err();
+        assert!(err.contains("global_swap_growth"), "{err}");
+        let err = validate(&SCALE, &scale(3.0, [suite(20, 0.5), suite(10, 1.5)])).unwrap_err();
+        assert!(err.contains("ascending"), "{err}");
+        let illegal = suite(20, 1.5).replace("\"legal\":true", "\"legal\":false");
+        let err = validate(&SCALE, &scale(3.0, [suite(10, 0.5), illegal])).unwrap_err();
+        assert!(err.contains("legalize"), "{err}");
     }
 }

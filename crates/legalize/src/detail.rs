@@ -1,4 +1,5 @@
-use eplace_geometry::Point;
+use crate::swap::{max_degree, movable_std_cells, optimal_point};
+use eplace_geometry::{Point, Rect};
 use eplace_netlist::{CellKind, Design, NetId};
 
 /// Greedy detail placement: alternating passes of
@@ -15,23 +16,33 @@ use eplace_netlist::{CellKind, Design, NetId};
 ///
 /// This is the discrete optimization role NTUplace3's detail placer plays
 /// for ePlace's cDP stage (paper §III).
+///
+/// The rows and every scratch buffer are allocated once per call, so the
+/// passes allocate nothing per cell.
 pub fn detail_place(design: &mut Design, passes: usize) -> f64 {
     let before = design.hpwl();
     // Fixed cells and macros are obstacles the passes must not slide into.
-    let obstacles: Vec<eplace_geometry::Rect> = design
+    let obstacles: Vec<Rect> = design
         .cells
         .iter()
         .filter(|c| c.fixed || c.kind == CellKind::Macro || c.kind == CellKind::Terminal)
         .map(|c| c.rect())
         .collect();
+    let mut rows = Rows::new(design);
+    // Sized for the largest incident-net list: a cell's interval endpoints
+    // per axis, and the union of a window's nets.
+    let max_degree = max_degree(design, &rows.cells);
+    let mut xs = Vec::with_capacity(2 * max_degree);
+    let mut ys = Vec::with_capacity(2 * max_degree);
+    let mut nets = Vec::with_capacity(3 * max_degree);
     for _ in 0..passes {
-        let rows = rows_of(design);
-        for row in &rows {
-            slide_pass(design, row, &obstacles);
+        rows.regroup(design);
+        for row in rows.iter() {
+            slide_pass(design, row, &obstacles, &mut xs, &mut ys);
         }
-        let rows = rows_of(design);
-        for row in &rows {
-            reorder_pass(design, row, &obstacles);
+        rows.regroup(design);
+        for row in rows.iter() {
+            reorder_pass(design, row, &obstacles, &mut nets);
         }
     }
     before - design.hpwl()
@@ -40,10 +51,7 @@ pub fn detail_place(design: &mut Design, passes: usize) -> f64 {
 /// Obstacle-derived bound on the slide interval of a cell whose outline is
 /// `rect`: the nearest obstacle edges left and right within the same row
 /// band.
-fn obstacle_bounds(
-    rect: &eplace_geometry::Rect,
-    obstacles: &[eplace_geometry::Rect],
-) -> (f64, f64) {
+fn obstacle_bounds(rect: &Rect, obstacles: &[Rect]) -> (f64, f64) {
     let mut lo = f64::NEG_INFINITY;
     let mut hi = f64::INFINITY;
     for o in obstacles {
@@ -59,26 +67,56 @@ fn obstacle_bounds(
     (lo, hi)
 }
 
-/// Movable std cells grouped by row (y center), each group sorted by x.
-fn rows_of(design: &Design) -> Vec<Vec<usize>> {
-    let mut groups: std::collections::BTreeMap<i64, Vec<usize>> = Default::default();
-    for (i, c) in design.cells.iter().enumerate() {
-        if c.kind == CellKind::StdCell && c.is_movable() {
-            // Quantize y to merge float noise.
-            let key = (c.pos.y * 16.0).round() as i64;
-            groups.entry(key).or_default().push(i);
-        }
-    }
-    groups
-        .into_values()
-        .map(|mut v| {
-            v.sort_by(|&a, &b| design.cells[a].pos.x.total_cmp(&design.cells[b].pos.x));
-            v
-        })
-        .collect()
+/// Movable std cells grouped by row (y center), rows bottom to top, each
+/// sorted by x with ties in index order; regrouped in place, so no pass
+/// allocates.
+struct Rows {
+    /// The rows back to back.
+    cells: Vec<usize>,
+    /// Where each row ends in `cells`.
+    ends: Vec<usize>,
 }
 
-fn incident_hpwl(design: &Design, nets: &[NetId]) -> f64 {
+impl Rows {
+    fn new(design: &Design) -> Rows {
+        Rows {
+            cells: movable_std_cells(design),
+            ends: Vec::new(),
+        }
+    }
+
+    /// Regroups the cells by their current positions.
+    fn regroup(&mut self, design: &Design) {
+        // Quantize y to merge float noise.
+        let row = |i: usize| (design.cells[i].pos.y * 16.0).round() as i64;
+        let x = |i: usize| design.cells[i].pos.x;
+        self.cells.sort_unstable_by(|&a, &b| {
+            row(a)
+                .cmp(&row(b))
+                .then(x(a).total_cmp(&x(b)))
+                .then(a.cmp(&b))
+        });
+        self.ends.clear();
+        for (k, pair) in self.cells.windows(2).enumerate() {
+            if row(pair[0]) != row(pair[1]) {
+                self.ends.push(k + 1);
+            }
+        }
+        if !self.cells.is_empty() {
+            self.ends.push(self.cells.len());
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.cells[start..end])
+    }
+}
+
+/// Summed HPWL of `nets`, in order.
+pub(crate) fn incident_hpwl(design: &Design, nets: &[NetId]) -> f64 {
     nets.iter()
         .map(|&n| design.net_hpwl(&design.nets[n.index()]))
         .sum()
@@ -105,42 +143,18 @@ fn slide_bounds(design: &Design, row: &[usize], k: usize) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Median-based optimal x of a cell: the median of its incident nets'
-/// x-interval endpoints, each interval spanning the net's other pins (the
-/// cell's own pin is excluded). Nets with no other pin are skipped; `None`
-/// when no net remains.
-fn optimal_x(design: &Design, ci: usize) -> Option<f64> {
-    let mut lows = Vec::new();
-    let mut highs = Vec::new();
-    for &n in &design.cell_nets[ci] {
-        let net = &design.nets[n.index()];
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for pin in &net.pins {
-            if pin.cell.index() == ci {
-                continue;
-            }
-            let x = design.cells[pin.cell.index()].pos.x + pin.offset.x;
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
-        if lo.is_finite() {
-            lows.push(lo);
-            highs.push(hi);
-        }
-    }
-    if lows.is_empty() {
-        return None;
-    }
-    let mut all: Vec<f64> = lows.into_iter().chain(highs).collect();
-    all.sort_by(f64::total_cmp);
-    Some(all[all.len() / 2])
-}
-
-fn slide_pass(design: &mut Design, row: &[usize], obstacles: &[eplace_geometry::Rect]) {
+/// Slides each cell of `row` toward the x of its optimal point
+/// ([`optimal_point`]; `xs`/`ys` are its scratch).
+fn slide_pass(
+    design: &mut Design,
+    row: &[usize],
+    obstacles: &[Rect],
+    xs: &mut Vec<f64>,
+    ys: &mut Vec<f64>,
+) {
     for k in 0..row.len() {
         let ci = row[k];
-        let Some(target) = optimal_x(design, ci) else {
+        let Some(target) = optimal_point(design, ci, xs, ys).map(|p| p.x) else {
             continue;
         };
         let (mut lo, mut hi) = slide_bounds(design, row, k);
@@ -160,18 +174,19 @@ fn slide_pass(design: &mut Design, row: &[usize], obstacles: &[eplace_geometry::
         if (new_x - design.cells[ci].pos.x).abs() < 1e-9 {
             continue;
         }
-        let nets: Vec<NetId> = design.cell_nets[ci].clone();
         let old = design.cells[ci].pos;
-        let before = incident_hpwl(design, &nets);
+        let before = incident_hpwl(design, &design.cell_nets[ci]);
         design.cells[ci].pos = Point::new(new_x, old.y);
-        let after = incident_hpwl(design, &nets);
+        let after = incident_hpwl(design, &design.cell_nets[ci]);
         if after >= before {
             design.cells[ci].pos = old;
         }
     }
 }
 
-fn reorder_pass(design: &mut Design, row: &[usize], obstacles: &[eplace_geometry::Rect]) {
+/// Re-packs each disjoint window of three cells of `row` in its best
+/// permutation; `nets` is scratch for a window's nets.
+fn reorder_pass(design: &mut Design, row: &[usize], obstacles: &[Rect], nets: &mut Vec<NetId>) {
     const PERMS: [[usize; 3]; 6] = [
         [0, 1, 2],
         [0, 2, 1],
@@ -198,11 +213,11 @@ fn reorder_pass(design: &mut Design, row: &[usize], obstacles: &[eplace_geometry
         // Skip windows an obstacle cuts through: packing across it would
         // collide.
         let band = design.cells[cells[0]].rect();
-        let span = eplace_geometry::Rect::new(left_edge, band.yl, right_edge, band.yh);
+        let span = Rect::new(left_edge, band.yl, right_edge, band.yh);
         if obstacles.iter().any(|o| o.intersects(&span)) {
             continue;
         }
-        let mut nets: Vec<NetId> = Vec::new();
+        nets.clear();
         for &c in &cells {
             for &n in &design.cell_nets[c] {
                 if !nets.contains(&n) {
@@ -210,14 +225,12 @@ fn reorder_pass(design: &mut Design, row: &[usize], obstacles: &[eplace_geometry
                 }
             }
         }
-        let original: Vec<Point> = cells.iter().map(|&c| design.cells[c].pos).collect();
-        let mut best_cost = incident_hpwl(design, &nets);
-        let mut best_pos = original.clone();
+        let mut best_cost = incident_hpwl(design, nets);
+        let mut best_pos = cells.map(|c| design.cells[c].pos);
         for perm in &PERMS[1..] {
             // Pack the permuted cells from the left edge.
             let mut x = left_edge;
-            let mut ok = true;
-            let mut trial = vec![Point::ORIGIN; 3];
+            let mut trial = [Point::ORIGIN; 3];
             for &slot in perm {
                 let c = cells[slot];
                 let cw = design.cells[c].size.width;
@@ -225,18 +238,15 @@ fn reorder_pass(design: &mut Design, row: &[usize], obstacles: &[eplace_geometry
                 x += cw;
             }
             if x > right_edge + 1e-9 {
-                ok = false;
-            }
-            if !ok {
                 continue;
             }
             for (&c, &p) in cells.iter().zip(&trial) {
                 design.cells[c].pos = p;
             }
-            let cost = incident_hpwl(design, &nets);
+            let cost = incident_hpwl(design, nets);
             if cost < best_cost - 1e-12 {
                 best_cost = cost;
-                best_pos = trial.clone();
+                best_pos = trial;
             }
         }
         for (&c, &p) in cells.iter().zip(&best_pos) {

@@ -17,9 +17,12 @@
 //!   HPWL-improving moves are kept.
 //! * [`global_swap`] — cross-row refinement: exchange equal-footprint cells
 //!   toward their optimal regions (the FastPlace-DP/NTUplace move), trying
-//!   the few same-footprint partners nearest each cell's optimal point.
+//!   the few same-footprint partners nearest each cell's optimal point,
+//!   found through a per-footprint bin index rather than a scan.
 //! * [`check_legal`] — the post-condition oracle used by tests and the flow
-//!   driver (in-region, on-row, on-site, zero overlap).
+//!   driver: every movable std cell inside the region and on a row, and no
+//!   overlap. It does not check the site grid, and Abacus leaves most cells
+//!   off it.
 //!
 //! # Examples
 //!
@@ -71,8 +74,11 @@ impl std::fmt::Display for LegalizeError {
 
 impl std::error::Error for LegalizeError {}
 
-/// Verifies that every movable standard cell is inside the region, aligned
-/// to a row and a site boundary, and overlaps nothing.
+/// Verifies that no filler is left, that every movable standard cell lies
+/// inside the region and on a row (its bottom edge on the row's y, its span
+/// within the row's), and that no two std cells, macros or fixed cells
+/// overlap. Terminals are exempt from the overlap check. Whether a cell sits
+/// on the row's site grid is not checked.
 ///
 /// # Errors
 ///
