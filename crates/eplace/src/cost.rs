@@ -45,9 +45,14 @@ pub struct EplaceCost<'a> {
     pub(crate) delta_ref: f64,
     /// Density overflow τ at the last gradient evaluation.
     pub last_overflow: f64,
-    /// Smooth wirelength W̃(v) at the last evaluation.
+    /// Smooth wirelength W̃(v) at the last evaluation (not updated by
+    /// gradients when no moved object has a net).
     pub last_smooth_wl: f64,
     precondition: bool,
+    /// Whether any moved object has a net. Without one (the filler-only
+    /// phase) the WA gradient would only write zeros into the rows this
+    /// cost reads, so it is skipped and those rows keep their initial zeros.
+    moves_pins: bool,
     full_pos: Vec<Point>,
     full_grad: Vec<Point>,
     /// Time in density deposit/solve/sample.
@@ -92,6 +97,7 @@ impl<'a> EplaceCost<'a> {
             last_overflow: 1.0,
             last_smooth_wl: 0.0,
             precondition,
+            moves_pins: problem.degrees.iter().any(|&d| d > 0.0),
             full_pos,
             full_grad: vec![Point::ORIGIN; n],
             density_time: Duration::ZERO,
@@ -169,10 +175,12 @@ impl<'a> EplaceCost<'a> {
     pub fn init_lambda(&mut self, pos: &[Point]) -> f64 {
         // Evaluate both raw gradients once, reusing the owned full-design
         // gradient buffer (the WA model zeroes it before accumulating).
-        self.sync_full(pos);
-        self.last_smooth_wl =
-            self.wa
-                .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+        if self.moves_pins {
+            self.sync_full(pos);
+            self.last_smooth_wl =
+                self.wa
+                    .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+        }
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
         self.last_overflow = self.grid.overflow();
@@ -286,12 +294,14 @@ impl Gradient for EplaceCost<'_> {
         self.density_time += t0.elapsed();
 
         // Wirelength (29 %).
-        let t1 = Instant::now();
-        self.sync_full(pos);
-        self.last_smooth_wl =
-            self.wa
-                .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
-        self.wirelength_time += t1.elapsed();
+        if self.moves_pins {
+            let t1 = Instant::now();
+            self.sync_full(pos);
+            self.last_smooth_wl =
+                self.wa
+                    .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+            self.wirelength_time += t1.elapsed();
+        }
 
         // Combine + precondition, sampling each object's field through
         // the stencil its deposit built.
@@ -467,6 +477,43 @@ mod tests {
         assert!(cost.density_time > Duration::ZERO);
         assert!(cost.wirelength_time > Duration::ZERO);
         assert_eq!(cost.evaluations, 1);
+    }
+
+    #[test]
+    fn filler_only_problem_skips_the_wirelength_model() {
+        let mut d = BenchmarkConfig::mms_like("f", 53, 0.8, 4)
+            .scale(200)
+            .generate();
+        crate::initial_placement(&mut d);
+        crate::insert_fillers(&mut d, 1);
+        let p = PlacementProblem::fillers_only(&d);
+        assert!(!p.is_empty() && p.degrees.iter().all(|&k| k == 0.0));
+        let pos = p.positions(&d);
+        let obs = Obs::metrics();
+        let mut skipped = EplaceCost::new(&d, &p, 32, 32, true).with_obs(obs.clone());
+        assert!(!skipped.moves_pins);
+        // The same cost forced through the WA pass the phase used to run.
+        let mut full = EplaceCost::new(&d, &p, 32, 32, true);
+        full.moves_pins = true;
+        let lambda = skipped.init_lambda(&pos);
+        assert_eq!(lambda, 1.0);
+        assert_eq!(lambda.to_bits(), full.init_lambda(&pos).to_bits());
+        let mut g_skipped = vec![Point::ORIGIN; p.len()];
+        let mut g_full = vec![Point::ORIGIN; p.len()];
+        for _ in 0..2 {
+            skipped.gradient(&pos, &mut g_skipped);
+            full.gradient(&pos, &mut g_full);
+            for (a, b) in g_skipped.iter().zip(&g_full) {
+                assert_eq!(
+                    (a.x.to_bits(), a.y.to_bits()),
+                    (b.x.to_bits(), b.y.to_bits())
+                );
+            }
+        }
+        let snapshot = obs.snapshot();
+        assert_eq!(snapshot.counter("wa_gradients"), 0);
+        assert!(snapshot.spans.iter().all(|s| !s.path.contains("wa_")));
+        assert_eq!(snapshot.counter("grad_evals_total"), 2);
     }
 
     #[test]

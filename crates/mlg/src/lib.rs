@@ -26,6 +26,14 @@
 //! These schedule values and the RNG seed are fixed; [`MlgConfig`] sets
 //! only the effort (outer iterations, SA moves per macro).
 //!
+//! A move shifts one macro, so only that macro's terms of Eq. 14 can
+//! change, and only those are scored: its coverage of the new rectangle
+//! against its cached coverage of the current one, its incident nets' HPWL
+//! at both positions in one pass, and its overlap with the other macros
+//! and the fixed obstacles at both positions in one pass. Each sum keeps
+//! the order of a full recomputation, so every accepted move is the one
+//! recomputing would accept.
+//!
 //! # Examples
 //!
 //! ```
