@@ -3,7 +3,7 @@ use crate::recover::GradientFault;
 use crate::PlacementProblem;
 use eplace_density::DensityGrid;
 use eplace_exec::ExecConfig;
-use eplace_geometry::Point;
+use eplace_geometry::{clamp, Point, Rect};
 use eplace_netlist::Design;
 use eplace_obs::Obs;
 use eplace_wirelength::{GammaSchedule, SmoothWirelength, WaModel};
@@ -45,14 +45,15 @@ pub struct EplaceCost<'a> {
     pub(crate) delta_ref: f64,
     /// Density overflow τ at the last gradient evaluation.
     pub last_overflow: f64,
-    /// Smooth wirelength W̃(v) at the last evaluation (not updated by
-    /// gradients when no moved object has a net).
-    pub last_smooth_wl: f64,
     precondition: bool,
     /// Whether any moved object has a net. Without one (the filler-only
     /// phase) the WA gradient would only write zeros into the rows this
     /// cost reads, so it is skipped and those rows keep their initial zeros.
     moves_pins: bool,
+    /// Per movable object, the box its center must stay in for the object
+    /// to stay inside the region (the bounds `Rect::clamp_center` takes;
+    /// inverted on an axis where the object spans the whole region).
+    center_boxes: Vec<Rect>,
     full_pos: Vec<Point>,
     full_grad: Vec<Point>,
     /// Time in density deposit/solve/sample.
@@ -82,6 +83,22 @@ impl<'a> EplaceCost<'a> {
             grid.add_fixed(cell.rect());
         }
         let schedule = GammaSchedule::new(grid.bin_width().max(grid.bin_height()));
+        let region = design.region;
+        let center_boxes = problem
+            .movable
+            .iter()
+            .map(|&ci| {
+                let size = design.cells[ci].size;
+                let half_w = 0.5 * size.width.min(region.width());
+                let half_h = 0.5 * size.height.min(region.height());
+                Rect::new(
+                    region.xl + half_w,
+                    region.yl + half_h,
+                    region.xh - half_w,
+                    region.yh - half_h,
+                )
+            })
+            .collect();
         let full_pos: Vec<Point> = design.cells.iter().map(|c| c.pos).collect();
         let n = design.cells.len();
         EplaceCost {
@@ -95,9 +112,9 @@ impl<'a> EplaceCost<'a> {
             prev_hpwl: 0.0,
             delta_ref: 0.0,
             last_overflow: 1.0,
-            last_smooth_wl: 0.0,
             precondition,
             moves_pins: problem.degrees.iter().any(|&d| d > 0.0),
+            center_boxes,
             full_pos,
             full_grad: vec![Point::ORIGIN; n],
             density_time: Duration::ZERO,
@@ -177,9 +194,8 @@ impl<'a> EplaceCost<'a> {
         // gradient buffer (the WA model zeroes it before accumulating).
         if self.moves_pins {
             self.sync_full(pos);
-            self.last_smooth_wl =
-                self.wa
-                    .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+            self.wa
+                .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
         }
         self.grid.deposit(&self.problem.objects, pos);
         self.grid.solve();
@@ -255,9 +271,9 @@ impl<'a> EplaceCost<'a> {
         self.density_time += t0.elapsed();
         let t1 = Instant::now();
         self.sync_full(pos);
-        self.last_smooth_wl = self.wa.evaluate(self.design, &self.full_pos, self.gamma);
+        let smooth_wl = self.wa.evaluate(self.design, &self.full_pos, self.gamma);
         self.wirelength_time += t1.elapsed();
-        self.last_smooth_wl + self.lambda * energy
+        smooth_wl + self.lambda * energy
     }
 
     /// Exact HPWL at a movable-solution `pos` (fixed cells at their design
@@ -297,9 +313,8 @@ impl Gradient for EplaceCost<'_> {
         if self.moves_pins {
             let t1 = Instant::now();
             self.sync_full(pos);
-            self.last_smooth_wl =
-                self.wa
-                    .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
+            self.wa
+                .gradient(self.design, &self.full_pos, self.gamma, &mut self.full_grad);
             self.wirelength_time += t1.elapsed();
         }
 
@@ -340,14 +355,8 @@ impl Gradient for EplaceCost<'_> {
     }
 
     fn project(&self, pos: &mut [Point]) {
-        let region = self.design.region;
-        for (k, &ci) in self.problem.movable.iter().enumerate() {
-            let size = self.design.cells[ci].size;
-            pos[k] = region.clamp_center(
-                pos[k],
-                size.width.min(region.width()),
-                size.height.min(region.height()),
-            );
+        for (p, b) in pos.iter_mut().zip(&self.center_boxes) {
+            *p = Point::new(clamp(p.x, b.xl, b.xh), clamp(p.y, b.yl, b.yh));
         }
     }
 }
@@ -356,6 +365,7 @@ impl Gradient for EplaceCost<'_> {
 mod tests {
     use super::*;
     use eplace_benchgen::BenchmarkConfig;
+    use eplace_netlist::CellKind;
 
     fn setup() -> (Design, PlacementProblem) {
         let mut d = BenchmarkConfig::ispd05_like("c", 51).scale(200).generate();
@@ -464,6 +474,57 @@ mod tests {
                 d.cells[ci].size.height,
             );
             assert!(d.region.contains_rect(&r) || d.cells[ci].size.width > d.region.width());
+        }
+    }
+
+    #[test]
+    fn projection_is_bitwise_clamp_center() {
+        const INF: f64 = f64::INFINITY;
+        const NEG_INF: f64 = f64::NEG_INFINITY;
+        const NAN: f64 = f64::NAN;
+        // On this region an object as wide (tall) as the region gets an
+        // interval inverted by one rounding, whose midpoint `clamp` returns.
+        let region = Rect::new(0.7, 0.1, 10.3, 100.3);
+        assert!(region.xl + 0.5 * region.width() > region.xh - 0.5 * region.width());
+        assert!(region.yl + 0.5 * region.height() > region.yh - 0.5 * region.height());
+        let mut b = eplace_netlist::DesignBuilder::new("p", region);
+        b.add_cell("cell", 1.0, 1.0, CellKind::StdCell);
+        b.add_cell("wide", 20.0, 30.0, CellKind::Macro);
+        b.add_cell("tall", 2.0, 200.0, CellKind::Macro);
+        b.add_cell("pad", 1.0, 1.0, CellKind::Terminal);
+        b.add_cell("both", 50.0, 500.0, CellKind::Macro);
+        let small = b.build();
+        let (bench, _) = setup();
+        for d in [&small, &bench] {
+            let p = PlacementProblem::all_movables(d);
+            let cost = EplaceCost::new(d, &p, 8, 8, true);
+            let r = d.region;
+            let probes = [
+                r.center(),
+                Point::new(r.xl, r.yh),
+                Point::new(-1e9, 1e9),
+                Point::new(NAN, 3.0),
+                Point::new(2.0, NAN),
+                Point::new(INF, NEG_INF),
+            ];
+            for probe in probes {
+                let mut pos = vec![probe; p.len()];
+                cost.project(&mut pos);
+                for (k, &ci) in p.movable.iter().enumerate() {
+                    let size = d.cells[ci].size;
+                    let want = r.clamp_center(
+                        probe,
+                        size.width.min(r.width()),
+                        size.height.min(r.height()),
+                    );
+                    assert_eq!(
+                        (pos[k].x.to_bits(), pos[k].y.to_bits()),
+                        (want.x.to_bits(), want.y.to_bits()),
+                        "{} at {probe}",
+                        d.cells[ci].name
+                    );
+                }
+            }
         }
     }
 

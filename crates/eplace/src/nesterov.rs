@@ -79,6 +79,11 @@ pub struct NesterovOptimizer {
     max_backtracks: usize,
     backtracking: bool,
     last_alpha: f64,
+    /// `(‖v − v_prev‖, ‖g − g_prev‖)` — the next step's Lipschitz
+    /// prediction input — when the last step's accepting backtrack check
+    /// already computed it; `None` after construction, a restore, or a step
+    /// whose trial no check accepted.
+    lipschitz_norms: Option<(f64, f64)>,
     /// Total backtracks since construction (for the §V-C statistic).
     pub total_backtracks: usize,
     /// Steps taken.
@@ -144,6 +149,7 @@ impl NesterovOptimizer {
             max_backtracks,
             backtracking,
             last_alpha: 1.0,
+            lipschitz_norms: None,
             total_backtracks: 0,
             steps: 0,
             scratch_u: vec![Point::ORIGIN; n],
@@ -174,6 +180,7 @@ impl NesterovOptimizer {
             max_backtracks,
             backtracking,
             last_alpha: ck.last_alpha,
+            lipschitz_norms: None,
             // Adopt the checkpointed work counters: a split run must report
             // the same cumulative steps/backtracks as an uninterrupted one.
             total_backtracks: ck.total_backtracks,
@@ -221,6 +228,7 @@ impl NesterovOptimizer {
         self.g_prev.copy_from_slice(&ck.g_prev);
         self.a = ck.a;
         self.last_alpha = ck.last_alpha;
+        self.lipschitz_norms = None;
     }
 
     /// Scales the remembered steplength by `factor` — the sentinel's α clamp
@@ -260,8 +268,13 @@ impl NesterovOptimizer {
 
         // Lipschitz prediction (Eq. 10). If the gradient did not change
         // (converged / degenerate), keep the previous steplength.
-        let num = norm_diff(&self.v, &self.v_prev);
-        let den = norm_diff(&self.g, &self.g_prev);
+        let (num, den) = match self.lipschitz_norms.take() {
+            Some(norms) => norms,
+            None => (
+                norm_diff(&self.v, &self.v_prev),
+                norm_diff(&self.g, &self.g_prev),
+            ),
+        };
         let mut alpha = if den > 1e-30 {
             num / den
         } else {
@@ -272,14 +285,19 @@ impl NesterovOptimizer {
         }
 
         let mut backtracks = 0;
+        let mut accepted_norms = None;
         loop {
-            // Trial u_{k+1} and v_{k+1}.
-            for i in 0..self.u.len() {
-                self.scratch_u[i] = self.v[i] - self.g[i] * alpha;
+            // Trial u_{k+1} and v_{k+1}. Zipped slices, not indices: an
+            // indexed loop reloads every vector's bounds through `self`
+            // on each element.
+            for ((u_next, &v), &g) in self.scratch_u.iter_mut().zip(&self.v).zip(&self.g) {
+                *u_next = v - g * alpha;
             }
             cost.project(&mut self.scratch_u);
-            for i in 0..self.u.len() {
-                self.scratch_v[i] = self.scratch_u[i] + (self.scratch_u[i] - self.u[i]) * coef;
+            for ((v_next, &u_next), &u) in
+                self.scratch_v.iter_mut().zip(&self.scratch_u).zip(&self.u)
+            {
+                *v_next = u_next + (u_next - u) * coef;
             }
             cost.project(&mut self.scratch_v);
             cost.gradient(&self.scratch_v, &mut self.scratch_g);
@@ -288,6 +306,10 @@ impl NesterovOptimizer {
             }
             let ref_num = norm_diff(&self.scratch_v, &self.v);
             let ref_den = norm_diff(&self.scratch_g, &self.g);
+            // Once this trial is committed, (scratch_v, v) and
+            // (scratch_g, g) are (v, v_prev) and (g, g_prev): the pair is
+            // the next step's prediction input, bit for bit.
+            accepted_norms = Some((ref_num, ref_den));
             let alpha_ref = if ref_den > 1e-30 {
                 ref_num / ref_den
             } else {
@@ -303,6 +325,7 @@ impl NesterovOptimizer {
             if alpha * self.epsilon <= alpha_ref {
                 break;
             }
+            accepted_norms = None;
             alpha = alpha_ref;
             backtracks += 1;
         }
@@ -315,6 +338,7 @@ impl NesterovOptimizer {
         std::mem::swap(&mut self.g, &mut self.scratch_g);
         self.a = a_next;
         self.last_alpha = alpha;
+        self.lipschitz_norms = accepted_norms;
         self.steps += 1;
         self.total_backtracks += backtracks;
         self.obs.add("backtracks_total", backtracks as u64);
@@ -344,6 +368,24 @@ mod tests {
         fn gradient(&mut self, pos: &[Point], grad: &mut [Point]) {
             for i in 0..pos.len() {
                 grad[i] = (pos[i] - self.targets[i]) * self.scale[i];
+            }
+        }
+    }
+
+    /// Anisotropic gradient whose stiffness jumps 100× after 5
+    /// evaluations — mimicking an abrupt λ/γ parameter change. The
+    /// anisotropy keeps the iterate away from the optimum when the jump
+    /// lands, so the steps around it backtrack.
+    struct Shifting {
+        calls: usize,
+    }
+
+    impl Gradient for Shifting {
+        fn gradient(&mut self, pos: &[Point], grad: &mut [Point]) {
+            self.calls += 1;
+            let c = if self.calls > 5 { 100.0 } else { 1.0 };
+            for i in 0..pos.len() {
+                grad[i] = Point::new(pos[i].x * c, pos[i].y * 0.13 * c);
             }
         }
     }
@@ -442,22 +484,6 @@ mod tests {
 
     #[test]
     fn backtracks_fire_on_sudden_curvature_increase() {
-        /// Anisotropic gradient whose stiffness jumps 100× after 5
-        /// evaluations — mimicking an abrupt λ/γ parameter change. The
-        /// anisotropy keeps the iterate away from the optimum when the
-        /// jump lands.
-        struct Shifting {
-            calls: usize,
-        }
-        impl Gradient for Shifting {
-            fn gradient(&mut self, pos: &[Point], grad: &mut [Point]) {
-                self.calls += 1;
-                let c = if self.calls > 5 { 100.0 } else { 1.0 };
-                for i in 0..pos.len() {
-                    grad[i] = Point::new(pos[i].x * c, pos[i].y * 0.13 * c);
-                }
-            }
-        }
         let mut f = Shifting { calls: 0 };
         let mut opt =
             NesterovOptimizer::new(vec![Point::new(10.0, 10.0)], &mut f, 0.95, 10, true, 0.1);
@@ -539,18 +565,6 @@ mod tests {
     #[test]
     fn from_checkpoint_carries_work_counters() {
         // Stiffness jumps 100× mid-run so backtracks are guaranteed nonzero.
-        struct Shifting {
-            calls: usize,
-        }
-        impl Gradient for Shifting {
-            fn gradient(&mut self, pos: &[Point], grad: &mut [Point]) {
-                self.calls += 1;
-                let c = if self.calls > 5 { 100.0 } else { 1.0 };
-                for i in 0..pos.len() {
-                    grad[i] = Point::new(pos[i].x * c, pos[i].y * 0.13 * c);
-                }
-            }
-        }
         let mut f = Shifting { calls: 0 };
         let mut opt =
             NesterovOptimizer::new(vec![Point::new(10.0, 10.0)], &mut f, 0.95, 10, true, 0.1);
@@ -670,6 +684,84 @@ mod tests {
         opt.last_alpha = f64::NAN;
         opt.scale_alpha(0.25);
         assert_eq!(opt.last_alpha, 0.25);
+    }
+
+    /// The kept norm pair, when there is one, is the pair the next step
+    /// would compute, bit for bit.
+    fn assert_kept_norms_are_recomputed(opt: &NesterovOptimizer) {
+        if let Some((num, den)) = opt.lipschitz_norms {
+            assert_eq!(num.to_bits(), norm_diff(&opt.v, &opt.v_prev).to_bits());
+            assert_eq!(den.to_bits(), norm_diff(&opt.g, &opt.g_prev).to_bits());
+        }
+    }
+
+    #[test]
+    fn kept_lipschitz_norms_are_the_recomputed_ones() {
+        let init = vec![Point::new(10.0, 10.0), Point::new(-4.0, 7.0)];
+        for (backtracking, max_backtracks) in [(true, 10), (true, 1), (true, 0), (false, 10)] {
+            let mut f = Shifting { calls: 0 };
+            let mut opt = NesterovOptimizer::new(
+                init.clone(),
+                &mut f,
+                0.95,
+                max_backtracks,
+                backtracking,
+                0.1,
+            );
+            assert_eq!(opt.lipschitz_norms, None);
+            // Twin that recomputes both norms on every step.
+            let mut g = Shifting { calls: 0 };
+            let mut twin = NesterovOptimizer::new(
+                init.clone(),
+                &mut g,
+                0.95,
+                max_backtracks,
+                backtracking,
+                0.1,
+            );
+            let (mut kept, mut capped) = (0, 0);
+            let mut ck = None;
+            for i in 0..40 {
+                twin.lipschitz_norms = None;
+                let info = opt.step(&mut f);
+                assert_eq!(info.alpha.to_bits(), twin.step(&mut g).alpha.to_bits());
+                assert_eq!(opt.solution(), twin.solution());
+                assert_kept_norms_are_recomputed(&opt);
+                // No pair exactly when no check accepted the committed trial.
+                let cap = !backtracking || info.backtracks == max_backtracks;
+                assert_eq!(opt.lipschitz_norms.is_none(), cap, "step {i}");
+                kept += usize::from(!cap);
+                capped += usize::from(cap);
+                match i {
+                    10 => {
+                        opt.scale_alpha(0.5);
+                        twin.scale_alpha(0.5);
+                        assert_kept_norms_are_recomputed(&opt);
+                    }
+                    15 => ck = Some(opt.checkpoint()),
+                    20 => {
+                        let ck = ck.take().expect("checkpoint taken at step 15");
+                        opt.restore(&ck);
+                        twin.restore(&ck);
+                        assert_eq!(opt.lipschitz_norms, None);
+                    }
+                    25 => {
+                        opt = NesterovOptimizer::from_checkpoint(
+                            opt.checkpoint(),
+                            0.95,
+                            max_backtracks,
+                            backtracking,
+                        );
+                        assert_eq!(opt.lipschitz_norms, None);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(kept > 0, backtracking && max_backtracks > 0);
+            if (backtracking, max_backtracks) == (true, 1) {
+                assert!(capped > 0, "the cap of 1 backtrack was never reached");
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,18 @@
 //! indexed by cell), because the optimizer owns its own solution vectors
 //! (`u` and `v` in Nesterov's method) and evaluates both.
 //!
+//! [`WaModel`] reads the netlist from a flat pin table built once in
+//! [`WaModel::new`], and one per-net kernel serves its serial and its
+//! chunked parallel path. Of a `k`-pin net's `2k` shifted exponentials per
+//! axis, three have bits known without a call: the pin at the axis max has
+//! `e⁺ = exp(0) = 1`, the pin at the min has `e⁻ = 1`, and the min pin's
+//! `e⁺` and the max pin's `e⁻` are the same `exp((lo − hi)/γ)`. The kernel
+//! therefore calls `exp` `2k − 3` times per net axis (once for a two-pin
+//! net), and its results are bitwise those of evaluating all `2k`: the
+//! skipped values are the exact bits the calls return, and every sum keeps
+//! its pin order. Where `1/γ` or the net's span is not finite, the kernel
+//! evaluates all `2k`, since `0·(1/γ)` or `x − hi` can then be NaN.
+//!
 //! # Examples
 //!
 //! ```
