@@ -12,9 +12,9 @@
 //! hotspot cells re-place. Because a fresh λ ramp tends to over-spread the
 //! hotspot set, each round ends with a trust-region line search: the moved
 //! placement is blended back toward the pre-round placement by a factor
-//! α ∈ (0, 1], each blend is routed, and the α with the lowest total
-//! overflow within the HPWL budget wins. A round that cannot find an
-//! improving blend is rolled back and ends the loop. Inflated widths are
+//! α ∈ (0, 1], each blend within the HPWL budget is routed, and the α with
+//! the lowest total overflow wins. A round that cannot find an improving
+//! blend is rolled back and ends the loop. Inflated widths are
 //! restored on exit (inflation is a placement device, not a real size
 //! change), so legalization and scoring see the true cell sizes.
 //!
@@ -26,13 +26,13 @@
 //! provably cannot perturb the flow: this module is never entered.
 
 use crate::trace::{IterationRecord, Stage};
-use crate::{run_global_placement, EplaceConfig, PlacementProblem};
+use crate::{run_global_placement, EplaceConfig, GpOutcome, PlacementProblem};
 use eplace_errors::EplaceError;
 use eplace_geometry::Point;
 use eplace_netlist::{CellKind, Design};
 use eplace_obs::Record;
 use eplace_route::{
-    route_design, CapacityGrid, RoutabilityReport, RouteConfig, OVERFLOW_THRESHOLD,
+    route_design, CapacityGrid, RoutabilityReport, RouteConfig, RouteResult, OVERFLOW_THRESHOLD,
 };
 
 /// Blend factors tried by the per-round trust-region line search, largest
@@ -141,10 +141,14 @@ pub(crate) fn run_routability_loop(
     let obs = cfg.obs.clone();
     let _span = obs.span("routability");
     let exec = cfg.exec();
+    let route = |d: &Design| {
+        let _span = obs.span("route");
+        route_design(d, &rcfg.route, &exec)
+    };
     let hpwl_before = design.hpwl();
     let orig_widths: Vec<f64> = design.cells.iter().map(|c| c.size.width).collect();
 
-    let mut result = route_design(design, &rcfg.route, &exec);
+    let mut result = route(design);
     let initial = result.report.clone();
     journal_round(&obs, 0, &initial);
     let mut accepted = initial.clone();
@@ -161,30 +165,7 @@ pub(crate) fn run_routability_loop(
         inflated_cells += inflated;
 
         let saved_pos: Vec<Point> = design.cells.iter().map(|c| c.pos).collect();
-
-        // Local refinement: freeze everything outside the hotspots so the
-        // density system treats it as static charge and only the congested
-        // neighborhoods re-place.
-        let saved_fixed: Vec<bool> = design.cells.iter().map(|c| c.fixed).collect();
-        for (c, &h) in design.cells.iter_mut().zip(&hot) {
-            if !h {
-                c.fixed = true;
-            }
-        }
-        let problem = PlacementProblem::all_movables(design);
-        let refine = run_global_placement(
-            design,
-            &problem,
-            cfg,
-            Stage::RouteRefine,
-            None, // fresh λ ramp: refinement re-derives its own density pressure
-            Some(REFINE_ITERATIONS),
-            trace,
-        );
-        for (c, &f) in design.cells.iter_mut().zip(&saved_fixed) {
-            c.fixed = f;
-        }
-        let refine = match refine {
+        let refine = match refine(design, &hot, cfg, trace) {
             Ok(r) => r,
             Err(e) => {
                 for (c, &p) in design.cells.iter_mut().zip(&saved_pos) {
@@ -197,32 +178,24 @@ pub(crate) fn run_routability_loop(
         recoveries += refine.recoveries;
         let moved_pos: Vec<Point> = design.cells.iter().map(|c| c.pos).collect();
 
-        // Trust-region line search: blend the refinement back toward the
-        // pre-round placement and keep the best routed overflow within the
-        // cumulative HPWL budget. Routing the blend uses the *original*
-        // widths — the score must reflect the real design.
-        let mut best: Option<(f64, eplace_route::RouteResult)> = None;
-        for &alpha in &BLEND_ALPHAS {
-            let mut candidate = design.clone();
-            for ((c, &p0), (&p1, &w)) in candidate
-                .cells
-                .iter_mut()
-                .zip(&saved_pos)
-                .zip(moved_pos.iter().zip(&orig_widths))
-            {
-                c.pos = p0 + (p1 - p0) * alpha;
-                c.size.width = w;
-            }
-            let routed = route_design(&candidate, &rcfg.route, &exec);
-            let hpwl_cost = candidate.hpwl() / hpwl_before - 1.0;
-            let improves = routed.report.total_overflow < accepted.total_overflow
-                && best
-                    .as_ref()
-                    .is_none_or(|(_, b)| routed.report.total_overflow < b.report.total_overflow);
-            if hpwl_cost <= MAX_HPWL_COST && improves {
-                best = Some((alpha, routed));
-            }
-        }
+        let mut routed_blends = 0;
+        let best = best_blend(
+            design,
+            &saved_pos,
+            &moved_pos,
+            &orig_widths,
+            hpwl_before,
+            accepted.total_overflow,
+            |candidate| {
+                routed_blends += 1;
+                route(candidate)
+            },
+        );
+        obs.add("route_blends_routed", routed_blends);
+        obs.add(
+            "route_blends_over_budget",
+            BLEND_ALPHAS.len() as u64 - routed_blends,
+        );
 
         match best {
             Some((alpha, routed)) => {
@@ -257,6 +230,80 @@ pub(crate) fn run_routability_loop(
         hpwl_after,
         recoveries,
     })
+}
+
+/// Local refinement: freezes every cell outside the `hot` mask so the
+/// density system treats it as static charge and only the congested
+/// neighborhoods re-place, then restores the fixed flags.
+fn refine(
+    design: &mut Design,
+    hot: &[bool],
+    cfg: &EplaceConfig,
+    trace: &mut Vec<IterationRecord>,
+) -> Result<GpOutcome, EplaceError> {
+    let saved_fixed: Vec<bool> = design.cells.iter().map(|c| c.fixed).collect();
+    for (c, &h) in design.cells.iter_mut().zip(hot) {
+        if !h {
+            c.fixed = true;
+        }
+    }
+    let problem = PlacementProblem::all_movables(design);
+    let refine = run_global_placement(
+        design,
+        &problem,
+        cfg,
+        Stage::RouteRefine,
+        None, // fresh λ ramp: refinement re-derives its own density pressure
+        Some(REFINE_ITERATIONS),
+        trace,
+    );
+    for (c, &f) in design.cells.iter_mut().zip(&saved_fixed) {
+        c.fixed = f;
+    }
+    refine
+}
+
+/// Trust-region line search over one refinement round: blends the refined
+/// placement `moved` back toward the pre-round placement `saved`,
+/// `p₀ + α(p₁ − p₀)` for each α of [`BLEND_ALPHAS`], and returns the α
+/// whose routed overflow is lowest and strictly below `accepted_overflow`,
+/// with its routing. A blend is admissible only within the cumulative HPWL
+/// budget [`MAX_HPWL_COST`]; an over-budget (or NaN-cost) blend is never
+/// routed. Ties keep the larger α.
+///
+/// The blends are written into one clone of `design` carrying the
+/// *original* widths — the score must reflect the real design — and the
+/// clone is dropped on return.
+fn best_blend(
+    design: &Design,
+    saved: &[Point],
+    moved: &[Point],
+    orig_widths: &[f64],
+    hpwl_before: f64,
+    accepted_overflow: f64,
+    mut route: impl FnMut(&Design) -> RouteResult,
+) -> Option<(f64, RouteResult)> {
+    let mut candidate = design.clone();
+    restore_widths(&mut candidate, orig_widths);
+    let mut best: Option<(f64, RouteResult)> = None;
+    for &alpha in &BLEND_ALPHAS {
+        for ((c, &p0), &p1) in candidate.cells.iter_mut().zip(saved).zip(moved) {
+            c.pos = p0 + (p1 - p0) * alpha;
+        }
+        let hpwl_cost = candidate.hpwl() / hpwl_before - 1.0;
+        if hpwl_cost <= MAX_HPWL_COST {
+            let routed = route(&candidate);
+            let overflow = routed.report.total_overflow;
+            if overflow < accepted_overflow
+                && best
+                    .as_ref()
+                    .is_none_or(|(_, b)| overflow < b.report.total_overflow)
+            {
+                best = Some((alpha, routed));
+            }
+        }
+    }
+    best
 }
 
 /// Samples a cell's local congestion: its own gcell at full weight, the 8
@@ -364,5 +411,373 @@ fn journal_round(obs: &eplace_obs::Obs, round: usize, report: &RoutabilityReport
                 .f64_field("total_overflow", report.total_overflow)
                 .f64_field("peak_congestion", report.peak_congestion),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{initial_placement, insert_fillers};
+    use eplace_benchgen::BenchmarkConfig;
+    use eplace_exec::ExecConfig;
+
+    /// Oracle for [`best_blend`]: the search as it ran before over-budget
+    /// blends were skipped. Every α gets a fresh clone of `design` and is
+    /// routed before its HPWL cost is read.
+    fn best_blend_reference(
+        design: &Design,
+        saved: &[Point],
+        moved: &[Point],
+        orig_widths: &[f64],
+        hpwl_before: f64,
+        accepted_overflow: f64,
+        mut route: impl FnMut(&Design) -> RouteResult,
+    ) -> Option<(f64, RouteResult)> {
+        let mut best: Option<(f64, RouteResult)> = None;
+        for &alpha in &BLEND_ALPHAS {
+            let mut candidate = design.clone();
+            for ((c, &p0), (&p1, &w)) in candidate
+                .cells
+                .iter_mut()
+                .zip(saved)
+                .zip(moved.iter().zip(orig_widths))
+            {
+                c.pos = p0 + (p1 - p0) * alpha;
+                c.size.width = w;
+            }
+            let routed = route(&candidate);
+            let hpwl_cost = candidate.hpwl() / hpwl_before - 1.0;
+            let improves = routed.report.total_overflow < accepted_overflow
+                && best
+                    .as_ref()
+                    .is_none_or(|(_, b)| routed.report.total_overflow < b.report.total_overflow);
+            if hpwl_cost <= MAX_HPWL_COST && improves {
+                best = Some((alpha, routed));
+            }
+        }
+        best
+    }
+
+    /// The inputs of one refinement round's blend search.
+    struct Round {
+        /// The refined placement, with the round's inflated widths.
+        design: Design,
+        saved: Vec<Point>,
+        moved: Vec<Point>,
+        orig_widths: Vec<f64>,
+        hpwl_before: f64,
+        /// Overflow of the initial routing.
+        initial_overflow: f64,
+        /// Overflow the round had to beat.
+        accepted_overflow: f64,
+    }
+
+    fn route_config() -> RouteConfig {
+        RouteConfig {
+            capacity_scale: 0.5,
+            ..RouteConfig::default()
+        }
+    }
+
+    fn route(design: &Design) -> RouteResult {
+        route_design(design, &route_config(), &ExecConfig::serial())
+    }
+
+    /// The refinement rounds `run_routability_loop` runs on an
+    /// `ispd05_like` circuit at half track capacity, after mIP and mGP
+    /// under [`EplaceConfig::fast`], each committed through the reference
+    /// search.
+    fn real_rounds(cells: usize, seed: u64) -> Vec<Round> {
+        let cfg = EplaceConfig::fast();
+        let mut design = BenchmarkConfig::ispd05_like(format!("blend{cells}_{seed}"), seed)
+            .scale(cells)
+            .generate();
+        let mut trace = Vec::new();
+        initial_placement(&mut design);
+        insert_fillers(&mut design, cfg.seed);
+        let problem = PlacementProblem::all_movables(&design);
+        run_global_placement(
+            &mut design,
+            &problem,
+            &cfg,
+            Stage::Mgp,
+            None,
+            None,
+            &mut trace,
+        )
+        .unwrap();
+        design.remove_fillers();
+
+        let hpwl_before = design.hpwl();
+        let orig_widths: Vec<f64> = design.cells.iter().map(|c| c.size.width).collect();
+        let mut result = route(&design);
+        let initial_overflow = result.report.total_overflow;
+        let mut rounds = Vec::new();
+        while rounds.len() < RoutabilityConfig::default().max_rounds
+            && result.report.total_overflow > STOP_OVERFLOW
+        {
+            let (hot, inflated) = inflate(&mut design, &result.grid, &orig_widths);
+            if inflated == 0 {
+                break;
+            }
+            let saved: Vec<Point> = design.cells.iter().map(|c| c.pos).collect();
+            refine(&mut design, &hot, &cfg, &mut trace).unwrap();
+            let moved: Vec<Point> = design.cells.iter().map(|c| c.pos).collect();
+            let accepted_overflow = result.report.total_overflow;
+            let best = best_blend_reference(
+                &design,
+                &saved,
+                &moved,
+                &orig_widths,
+                hpwl_before,
+                accepted_overflow,
+                route,
+            );
+            rounds.push(Round {
+                design: design.clone(),
+                saved: saved.clone(),
+                moved: moved.clone(),
+                orig_widths: orig_widths.clone(),
+                hpwl_before,
+                initial_overflow,
+                accepted_overflow,
+            });
+            let Some((alpha, routed)) = best else { break };
+            for ((c, &p0), &p1) in design.cells.iter_mut().zip(&saved).zip(&moved) {
+                c.pos = p0 + (p1 - p0) * alpha;
+            }
+            result = routed;
+        }
+        rounds
+    }
+
+    fn point_bits(points: impl IntoIterator<Item = Point>) -> Vec<(u64, u64)> {
+        points
+            .into_iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect()
+    }
+
+    /// One round's nine blends at refined positions `moved`, each routed
+    /// once. The oracle searches look their routings up here: on one
+    /// design the router is a pure function of the positions.
+    struct Blends {
+        positions: Vec<Vec<(u64, u64)>>,
+        hpwl_costs: Vec<f64>,
+        routes: Vec<RouteResult>,
+    }
+
+    impl Blends {
+        fn new(round: &Round, moved: &[Point]) -> Blends {
+            let mut candidate = round.design.clone();
+            let (mut positions, mut hpwl_costs, mut routes) = (Vec::new(), Vec::new(), Vec::new());
+            for &alpha in &BLEND_ALPHAS {
+                for ((c, &p0), &p1) in candidate.cells.iter_mut().zip(&round.saved).zip(moved) {
+                    c.pos = p0 + (p1 - p0) * alpha;
+                }
+                positions.push(point_bits(candidate.cells.iter().map(|c| c.pos)));
+                hpwl_costs.push(candidate.hpwl() / round.hpwl_before - 1.0);
+                routes.push(route(&candidate));
+            }
+            Blends {
+                positions,
+                hpwl_costs,
+                routes,
+            }
+        }
+
+        /// The ladder index of the blend `design` holds.
+        fn index(&self, design: &Design) -> usize {
+            let pos = point_bits(design.cells.iter().map(|c| c.pos));
+            self.positions
+                .iter()
+                .position(|p| *p == pos)
+                .expect("the candidate is one of the blends")
+        }
+
+        fn route(&self, design: &Design) -> RouteResult {
+            self.routes[self.index(design)].clone()
+        }
+
+        /// Ladder indices of the blends within the HPWL budget.
+        fn in_budget(&self) -> Vec<usize> {
+            (0..BLEND_ALPHAS.len())
+                .filter(|&i| self.hpwl_costs[i] <= MAX_HPWL_COST)
+                .collect()
+        }
+    }
+
+    /// A routing's report (`Debug` prints every float's shortest
+    /// round-trip form, so equal strings mean equal bits) and every demand
+    /// bit of its grid.
+    fn route_bits(r: &RouteResult) -> (String, Vec<u64>) {
+        let demand = r.grid.h_demand().iter().chain(r.grid.v_demand());
+        (
+            format!("{:?}", r.report),
+            demand.map(|d| d.to_bits()).collect(),
+        )
+    }
+
+    /// Runs [`best_blend`] routing through `route` and the reference
+    /// routing through `reference_route` over `round` at refined positions
+    /// `moved`. Requires the same α and the same routing bit for bit, and
+    /// that [`best_blend`] routes exactly the blends of `blends` within the
+    /// HPWL budget, in ladder order. Returns the chosen α.
+    fn assert_matches_reference(
+        round: &Round,
+        moved: &[Point],
+        blends: &Blends,
+        accepted_overflow: f64,
+        route: impl Fn(&Design) -> RouteResult,
+        reference_route: impl Fn(&Design) -> RouteResult,
+    ) -> Option<f64> {
+        let mut routed = Vec::new();
+        let got = best_blend(
+            &round.design,
+            &round.saved,
+            moved,
+            &round.orig_widths,
+            round.hpwl_before,
+            accepted_overflow,
+            |d| {
+                routed.push(blends.index(d));
+                route(d)
+            },
+        );
+        assert_eq!(routed, blends.in_budget(), "{}", round.design.name);
+        let want = best_blend_reference(
+            &round.design,
+            &round.saved,
+            moved,
+            &round.orig_widths,
+            round.hpwl_before,
+            accepted_overflow,
+            reference_route,
+        );
+        let bits = |b: &Option<(f64, RouteResult)>| {
+            b.as_ref()
+                .map(|(alpha, r)| (alpha.to_bits(), route_bits(r)))
+        };
+        assert!(
+            bits(&got) == bits(&want),
+            "{}: α {:?}, reference {:?}",
+            round.design.name,
+            got.as_ref().map(|b| b.0),
+            want.as_ref().map(|b| b.0)
+        );
+        got.map(|b| b.0)
+    }
+
+    /// `p₀ + s(p₁ − p₀)`: the round's refinement step scaled by `s`.
+    fn scaled_step(round: &Round, s: f64) -> Vec<Point> {
+        round
+            .saved
+            .iter()
+            .zip(&round.moved)
+            .map(|(&p0, &p1)| p0 + (p1 - p0) * s)
+            .collect()
+    }
+
+    #[test]
+    fn blend_search_is_bitwise_the_reference() {
+        let mut fits = [0usize; BLEND_ALPHAS.len() + 1];
+        let mut chosen = 0;
+        let mut rounds = 0;
+        for cells in [400, 1_200] {
+            for seed in [3, 5, 8] {
+                for round in real_rounds(cells, seed) {
+                    rounds += 1;
+                    // A hundredth of the refinement step keeps every blend
+                    // within the HPWL budget; ten times puts most or all of
+                    // them over it.
+                    for s in [0.01, 1.0, 10.0] {
+                        let moved = scaled_step(&round, s);
+                        let blends = Blends::new(&round, &moved);
+                        fits[blends.in_budget().len()] += 1;
+                        for accepted in [
+                            f64::INFINITY,
+                            round.initial_overflow,
+                            round.accepted_overflow,
+                            0.0,
+                        ] {
+                            let alpha = assert_matches_reference(
+                                &round,
+                                &moved,
+                                &blends,
+                                accepted,
+                                route,
+                                |d| blends.route(d),
+                            );
+                            chosen += usize::from(alpha.is_some());
+                        }
+                    }
+                }
+            }
+        }
+        assert!(rounds >= 6, "only {rounds} refinement rounds");
+        assert!(fits[0] > 0, "no case put every blend over budget: {fits:?}");
+        assert!(
+            fits[BLEND_ALPHAS.len()] > 0,
+            "no case fit every blend: {fits:?}"
+        );
+        assert!(
+            fits[1..BLEND_ALPHAS.len()].iter().any(|&n| n > 0),
+            "no case fit only some blends: {fits:?}"
+        );
+        assert!(chosen > 0, "no case chose a blend");
+    }
+
+    #[test]
+    fn crafted_ties_and_non_finite_positions_match_the_reference() {
+        let round = real_rounds(400, 3).swap_remove(0);
+
+        // Every blend within budget, the routed overflows crafted so that
+        // α = 0.55 and α = 0.45 tie for the lowest: the larger α wins.
+        let moved = scaled_step(&round, 0.01);
+        let blends = Blends::new(&round, &moved);
+        assert_eq!(blends.in_budget().len(), BLEND_ALPHAS.len());
+        let crafted = |d: &Design| {
+            let i = blends.index(d);
+            let mut r = blends.routes[i].clone();
+            r.report.total_overflow = if BLEND_ALPHAS[i] == 0.55 || BLEND_ALPHAS[i] == 0.45 {
+                1.0
+            } else {
+                2.0 + i as f64
+            };
+            r
+        };
+        let alpha =
+            assert_matches_reference(&round, &moved, &blends, f64::INFINITY, crafted, crafted);
+        assert_eq!(alpha, Some(0.55));
+
+        // Every cell of one net at x = +∞: the net's span is ∞ − ∞ = NaN,
+        // so every blend's HPWL cost is NaN, and none is routed or chosen.
+        let net = round
+            .design
+            .nets
+            .iter()
+            .find(|n| n.pins.len() >= 2)
+            .expect("a net with two pins");
+        let mut moved = round.moved.clone();
+        for pin in &net.pins {
+            moved[pin.cell.index()].x = f64::INFINITY;
+        }
+        let blends = Blends::new(&round, &moved);
+        assert!(blends.hpwl_costs.iter().all(|c| c.is_nan()));
+        for accepted in [f64::INFINITY, round.accepted_overflow] {
+            let alpha = assert_matches_reference(&round, &moved, &blends, accepted, route, route);
+            assert_eq!(alpha, None);
+        }
+
+        // One cell at NaN. `Design::hpwl` skips a NaN pin (`f64::min` and
+        // `max` return the other operand) and the router puts it in gcell
+        // (0, 0), so such a blend can still be admissible; the two searches
+        // must agree on it all the same.
+        let mut moved = round.moved.clone();
+        moved[net.pins[0].cell.index()] = Point::new(f64::NAN, f64::NAN);
+        let blends = Blends::new(&round, &moved);
+        for accepted in [f64::INFINITY, round.accepted_overflow] {
+            assert_matches_reference(&round, &moved, &blends, accepted, route, route);
+        }
     }
 }

@@ -319,8 +319,9 @@ mod tests {
 
     #[test]
     fn negative_weight_lifts_a_deposit_exactly() {
-        // The grid is itself a RouteSink; a −w run cancels a +w run
-        // bitwise, which is what the rip-up pass relies on.
+        // The grid is itself a RouteSink; on an empty grid a −w run
+        // cancels a +w run bitwise. Over other demand the sums round, so
+        // the rip-up pass never relies on an exact cancel.
         let mut g = grid();
         g.h_run(0, 5, 1, 2.0);
         g.v_run(0, 2, 3, 1.5);

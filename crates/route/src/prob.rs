@@ -81,9 +81,12 @@ fn for_each_candidate(seg: &Segment, mut emit: impl FnMut(Candidate)) -> f64 {
 /// Deposits `seg`'s expected demand (spread over its candidate routes,
 /// scaled by `scale × seg.weight`) into `sink`, returning the segment's
 /// (signed) shortest-route wirelength contribution. `scale = 1.0` deposits,
-/// `scale = −1.0` lifts a previous deposit exactly — the deposits are sums
-/// of identical terms with flipped sign, so lift-after-deposit restores
-/// every bin bit-for-bit.
+/// `scale = −1.0` lifts a previous deposit: it adds the same terms with
+/// flipped sign. On an empty grid that cancels bit for bit, but a bin
+/// holding other demand rounds each addition, so a lift and a re-deposit
+/// can leave a bin a rounding error from where it started. Nothing relies
+/// on an exact lift: the router's rip-up pass recomputes `total_overflow`
+/// after every undo, and every step stays deterministic.
 pub fn deposit_probabilistic(
     seg: &Segment,
     sink: &mut impl RouteSink,

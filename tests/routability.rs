@@ -219,3 +219,49 @@ fn routability_journal_passes_obs_check() {
     assert!(stderr.contains("total_overflow"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn blend_search_spans_and_counters_add_up() {
+    // The routability span holds one `route` call for the initial routing
+    // and one per routed blend; every blend of every refinement round is
+    // either routed or over the HPWL budget; and recording changes no bit.
+    let obs = Obs::metrics();
+    let cfg = EplaceConfig {
+        routability: Some(scarce_routability()),
+        threads: 1,
+        obs: obs.clone(),
+        ..EplaceConfig::fast()
+    };
+    let mut placer = Placer::new(congested_design(94), cfg);
+    let report = placer.run().unwrap();
+    let snap = obs.snapshot();
+    let calls = |path: &str| snap.span(path).map_or(0, |s| s.calls);
+    let routed = snap.counter("route_blends_routed");
+    let over_budget = snap.counter("route_blends_over_budget");
+    let refinements = calls("flow/routability/routegp");
+    assert!(refinements > 0, "refinement must engage");
+    assert!(
+        routed > 0 && over_budget > 0,
+        "{routed} routed, {over_budget} over budget"
+    );
+    assert_eq!(calls("flow/routability/route"), 1 + routed);
+    // The blend ladder has nine α.
+    assert_eq!(routed + over_budget, 9 * refinements);
+
+    let (plain, plain_report) = run(94, Some(scarce_routability()), 1);
+    assert_eq!(
+        format!("{:?}", report.routability),
+        format!("{:?}", plain_report.routability),
+        "a metrics recorder changed the routability outcome"
+    );
+    let bits = |d: &Design| -> Vec<(u64, u64)> {
+        d.cells
+            .iter()
+            .map(|c| (c.pos.x.to_bits(), c.pos.y.to_bits()))
+            .collect()
+    };
+    assert!(
+        bits(placer.design()) == bits(&plain),
+        "a metrics recorder changed the final placement"
+    );
+}
