@@ -202,7 +202,7 @@ impl Subproblem {
         {
             let mut seen = std::collections::HashSet::new();
             for &c in order {
-                for &n in &design.cell_nets[c] {
+                for &n in design.nets_of(c) {
                     if seen.insert(n) {
                         net_ids.push(n);
                     }
@@ -212,11 +212,10 @@ impl Subproblem {
         let mut nets = Vec::with_capacity(net_ids.len());
         let mut cell_nets = vec![Vec::new(); order.len()];
         for n in net_ids {
-            let net = &design.nets[n.index()];
             let mut members = Vec::new();
             let mut ext_left = 0;
             let mut ext_right = 0;
-            for pin in &net.pins {
+            for pin in design.net_pins(n.index()) {
                 let ci = pin.cell.index();
                 if let Some(&k) = local_of.get(&ci) {
                     if !members.contains(&k) {

@@ -346,7 +346,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(_, c)| c.kind == CellKind::Macro)
-            .map(|(i, _)| d.cell_nets[i].len())
+            .map(|(i, _)| d.nets_of(i).len())
             .sum();
         assert!(macro_degrees > 0);
     }

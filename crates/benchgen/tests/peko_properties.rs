@@ -54,10 +54,8 @@ fn every_cell_is_connected() {
         let (cfg, n) = arbitrary_peko(g);
         let (design, _) = cfg.scale(n).generate_known_optimum();
         let mut connected = vec![false; design.cells.len()];
-        for net in &design.nets {
-            for pin in &net.pins {
-                connected[pin.cell.index()] = true;
-            }
+        for pin in &design.pins {
+            connected[pin.cell.index()] = true;
         }
         for (i, c) in connected.iter().enumerate() {
             assert!(*c, "cell {i} ({}) is on no net", design.cells[i].name);

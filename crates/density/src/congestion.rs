@@ -89,7 +89,7 @@ impl CongestionMap {
         let bin_h = region.height() / ny as f64;
         let bin_area = bin_w * bin_h;
         let mut demand = vec![0.0; nx * ny];
-        for net in &design.nets {
+        for (n, net) in design.nets.iter().enumerate() {
             if net.pins.len() < 2 {
                 continue;
             }
@@ -100,7 +100,7 @@ impl CongestionMap {
                 f64::NEG_INFINITY,
                 f64::NEG_INFINITY,
             );
-            for pin in &net.pins {
+            for pin in design.net_pins(n) {
                 let p = pin_pos(pin);
                 bb.xl = bb.xl.min(p.x);
                 bb.xh = bb.xh.max(p.x);

@@ -80,7 +80,6 @@ pub fn insert_fillers(design: &mut Design, seed: u64) -> usize {
             fixed: false,
             pos: Point::new(x, y),
         });
-        design.cell_nets.push(Vec::new());
     }
     count
 }

@@ -213,11 +213,10 @@ pub fn quadratic_solve(design: &mut Design, anchors: &[Anchor], rebuilds: usize)
 /// connected component at a single point (HPWL → 0), which is a useless —
 /// and for the downstream λ calibration, degenerate — start.
 fn has_fixed_pin(design: &Design) -> bool {
-    design.nets.iter().any(|net| {
-        net.pins
-            .iter()
-            .any(|pin| !design.cells[pin.cell.index()].is_movable())
-    })
+    design
+        .pins
+        .iter()
+        .any(|pin| !design.cells[pin.cell.index()].is_movable())
 }
 
 /// Runs quadratic initial placement on every movable cell of `design`,
@@ -259,8 +258,9 @@ fn coord(p: Point, axis: usize) -> f64 {
 /// Assembles the B2B system for one axis at the current positions.
 fn build_b2b(design: &Design, var_of: &[usize], axis: usize, sys: &mut QuadSystem) {
     const MIN_DIST: f64 = 1.0;
-    for net in &design.nets {
-        let p = net.pins.len();
+    for (n, net) in design.nets.iter().enumerate() {
+        let pins = design.net_pins(n);
+        let p = pins.len();
         if p < 2 {
             continue;
         }
@@ -270,7 +270,7 @@ fn build_b2b(design: &Design, var_of: &[usize], axis: usize, sys: &mut QuadSyste
         };
         let (mut lo_i, mut hi_i) = (0, 0);
         let (mut lo_c, mut hi_c) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (k, pin) in net.pins.iter().enumerate() {
+        for (k, pin) in pins.iter().enumerate() {
             let c = pin_coord(pin);
             if c < lo_c {
                 lo_c = c;
@@ -286,8 +286,8 @@ fn build_b2b(design: &Design, var_of: &[usize], axis: usize, sys: &mut QuadSyste
         }
         let scale = net.weight * 2.0 / (p as f64 - 1.0);
         let mut connect = |ka: usize, kb: usize| {
-            let pa = &net.pins[ka];
-            let pb = &net.pins[kb];
+            let pa = &pins[ka];
+            let pb = &pins[kb];
             if pa.cell == pb.cell {
                 return;
             }

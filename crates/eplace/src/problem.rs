@@ -53,7 +53,7 @@ impl PlacementProblem {
                 CellKind::Macro => DensityObject::movable_macro(cell.size, design.target_density),
                 _ => DensityObject::movable(cell.size),
             });
-            degrees.push(design.cell_nets[i].len() as f64);
+            degrees.push(design.nets_of(i).len() as f64);
             charges.push(cell.area());
         }
         PlacementProblem {

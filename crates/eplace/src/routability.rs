@@ -752,14 +752,12 @@ mod tests {
 
         // Every cell of one net at x = +∞: the net's span is ∞ − ∞ = NaN,
         // so every blend's HPWL cost is NaN, and none is routed or chosen.
-        let net = round
-            .design
-            .nets
-            .iter()
-            .find(|n| n.pins.len() >= 2)
+        let net = (0..round.design.nets.len())
+            .find(|&n| round.design.net_pins(n).len() >= 2)
             .expect("a net with two pins");
+        let pins = round.design.net_pins(net);
         let mut moved = round.moved.clone();
-        for pin in &net.pins {
+        for pin in pins {
             moved[pin.cell.index()].x = f64::INFINITY;
         }
         let blends = Blends::new(&round, &moved);
@@ -769,15 +767,16 @@ mod tests {
             assert_eq!(alpha, None);
         }
 
-        // One cell at NaN. `Design::hpwl` skips a NaN pin (`f64::min` and
-        // `max` return the other operand) and the router puts it in gcell
-        // (0, 0), so such a blend can still be admissible; the two searches
-        // must agree on it all the same.
+        // One cell at NaN. `Design::hpwl` makes each of its nets' length
+        // NaN, so every blend's HPWL cost is NaN, and again none is routed
+        // or chosen.
         let mut moved = round.moved.clone();
-        moved[net.pins[0].cell.index()] = Point::new(f64::NAN, f64::NAN);
+        moved[pins[0].cell.index()] = Point::new(f64::NAN, f64::NAN);
         let blends = Blends::new(&round, &moved);
+        assert!(blends.hpwl_costs.iter().all(|c| c.is_nan()));
         for accepted in [f64::INFINITY, round.accepted_overflow] {
-            assert_matches_reference(&round, &moved, &blends, accepted, route, route);
+            let alpha = assert_matches_reference(&round, &moved, &blends, accepted, route, route);
+            assert_eq!(alpha, None);
         }
     }
 }

@@ -1,11 +1,13 @@
-//! Steady-state allocation audit for the mGP/cGP hot path.
+//! Steady-state allocation audit for the mGP/cGP hot path and the LSE model.
 //!
 //! The optimizer loop — Nesterov step, density deposit + spectral solve,
 //! WA wirelength gradient, combine/precondition — is designed to run out of
-//! preallocated buffers after warm-up. This test installs a counting global
-//! allocator and asserts the invariant directly: once the first iterations
-//! have sized every scratch buffer, further `step` calls perform **zero**
-//! heap allocations at threads = 1.
+//! preallocated buffers after warm-up, and so is the LSE wirelength
+//! gradient the bell-shape baseline evaluates. This test installs a
+//! counting global allocator and asserts the invariant directly: once the
+//! first iterations have sized every scratch buffer, further `step` calls
+//! and `LseModel::gradient` calls perform **zero** heap allocations at
+//! threads = 1.
 //!
 //! The file holds exactly one `#[test]` so no concurrent test thread can
 //! allocate while the counter is armed.
@@ -15,6 +17,8 @@ use eplace_core::PlacementProblem;
 use eplace_core::{
     initial_placement, insert_fillers, EplaceCost, NesterovOptimizer, SpectralEngine,
 };
+use eplace_geometry::Point;
+use eplace_wirelength::{LseModel, SmoothWirelength};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -153,4 +157,21 @@ fn steady_state_gp_iteration_allocates_nothing() {
          {allocs} heap allocations; the stencil slots must not grow"
     );
     assert!(optimizer.solution().iter().all(|p| p.is_finite()));
+
+    // The LSE model runs the same net loop out of scratch sized for the
+    // design's largest net, and its gradient vector is the caller's.
+    let pos: Vec<Point> = design.cells.iter().map(|c| c.pos).collect();
+    let mut lse = LseModel::new(&design);
+    let mut grad = vec![Point::ORIGIN; pos.len()];
+    let gamma = 4.0 * bin;
+    let first = lse.gradient(&design, &pos, gamma, &mut grad);
+    let allocs = count_allocs(4, || {
+        lse.gradient(&design, &pos, gamma, &mut grad);
+        lse.evaluate(&design, &pos, gamma);
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state LSE gradients performed {allocs} heap allocations"
+    );
+    assert!(first.is_finite() && grad.iter().all(|g| g.is_finite()));
 }

@@ -175,9 +175,9 @@ fn slide_pass(
             continue;
         }
         let old = design.cells[ci].pos;
-        let before = incident_hpwl(design, &design.cell_nets[ci]);
+        let before = incident_hpwl(design, design.nets_of(ci));
         design.cells[ci].pos = Point::new(new_x, old.y);
-        let after = incident_hpwl(design, &design.cell_nets[ci]);
+        let after = incident_hpwl(design, design.nets_of(ci));
         if after >= before {
             design.cells[ci].pos = old;
         }
@@ -219,7 +219,7 @@ fn reorder_pass(design: &mut Design, row: &[usize], obstacles: &[Rect], nets: &m
         }
         nets.clear();
         for &c in &cells {
-            for &n in &design.cell_nets[c] {
+            for &n in design.nets_of(c) {
                 if !nets.contains(&n) {
                     nets.push(n);
                 }

@@ -74,35 +74,45 @@ impl std::fmt::Display for LegalizeError {
 
 impl std::error::Error for LegalizeError {}
 
-/// Verifies that no filler is left, that every movable standard cell lies
-/// inside the region and on a row (its bottom edge on the row's y, its span
-/// within the row's), and that no two std cells, macros or fixed cells
+/// Verifies that no filler is left, that every cell has a finite
+/// position, that every movable cell lies inside the region, that every
+/// movable standard cell lies on a row (its bottom edge on the row's y, its
+/// span within the row's), and that no two std cells, macros or fixed cells
 /// overlap. Terminals are exempt from the overlap check. Whether a cell sits
 /// on the row's site grid is not checked.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first violation.
+/// Returns a human-readable description of the first violation, naming the
+/// cell.
 pub fn check_legal(design: &Design) -> Result<(), String> {
     let tol = 1e-6;
+    let region = design.region;
     let mut placed: Vec<(usize, eplace_geometry::Rect)> = Vec::new();
     for (i, cell) in design.cells.iter().enumerate() {
         if cell.kind == CellKind::Filler {
             return Err(format!("filler `{}` present at legality check", cell.name));
         }
-        if cell.fixed || cell.kind != CellKind::StdCell {
-            if cell.kind != CellKind::Terminal {
-                placed.push((i, cell.rect()));
-            }
-            continue;
+        if !cell.pos.is_finite() {
+            return Err(format!(
+                "cell `{}` at non-finite position {}",
+                cell.name, cell.pos
+            ));
         }
         let r = cell.rect();
-        if r.xl < design.region.xl - tol
-            || r.xh > design.region.xh + tol
-            || r.yl < design.region.yl - tol
-            || r.yh > design.region.yh + tol
+        if !cell.fixed
+            && (r.xl < region.xl - tol
+                || r.xh > region.xh + tol
+                || r.yl < region.yl - tol
+                || r.yh > region.yh + tol)
         {
             return Err(format!("cell `{}` outside region", cell.name));
+        }
+        if cell.fixed || cell.kind != CellKind::StdCell {
+            if cell.kind != CellKind::Terminal {
+                placed.push((i, r));
+            }
+            continue;
         }
         let on_row = design.rows.iter().any(|row| {
             (r.yl - row.y).abs() < tol && r.xl >= row.x - tol && r.xh <= row.x + row.width + tol
@@ -171,6 +181,51 @@ mod tests {
         let mut d = b.build();
         d.cells[a.index()].pos = Point::new(-10.0, 6.0);
         assert!(check_legal(&d).unwrap_err().contains("region"));
+    }
+
+    /// A 100 × 48 region with two rows and a 20 × 24 movable macro `m`.
+    fn macro_design() -> Design {
+        let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 100.0, 48.0));
+        b.uniform_rows(24.0, 1.0);
+        let m = b.add_cell("m", 20.0, 24.0, CellKind::Macro);
+        let mut d = b.build();
+        d.cells[m.index()].pos = Point::new(50.0, 12.0);
+        assert!(check_legal(&d).is_ok());
+        d
+    }
+
+    #[test]
+    fn check_legal_catches_a_movable_macro_outside_the_region() {
+        let mut d = macro_design();
+        d.cells[0].pos = Point::new(500.0, 500.0);
+        assert_eq!(check_legal(&d).unwrap_err(), "cell `m` outside region");
+        // A fixed macro may stick out; only movable cells must fit.
+        d.cells[0].fixed = true;
+        assert!(check_legal(&d).is_ok());
+    }
+
+    #[test]
+    fn check_legal_catches_a_non_finite_position() {
+        for (x, y) in [
+            (f64::NAN, f64::NAN),
+            (50.0, f64::NAN),
+            (f64::INFINITY, 12.0),
+        ] {
+            for fixed in [false, true] {
+                let mut d = macro_design();
+                d.cells[0].pos = Point::new(x, y);
+                d.cells[0].fixed = fixed;
+                let err = check_legal(&d).unwrap_err();
+                assert!(err.starts_with("cell `m` at non-finite position"), "{err}");
+            }
+        }
+        // A std cell too.
+        let mut b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 100.0, 24.0));
+        b.uniform_rows(12.0, 1.0);
+        let a = b.add_cell("a", 4.0, 12.0, CellKind::StdCell);
+        let mut d = b.build();
+        d.cells[a.index()].pos = Point::new(f64::NAN, 6.0);
+        assert!(check_legal(&d).unwrap_err().contains("`a` at non-finite"));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn global_swap(design: &mut Design, passes: usize) -> f64 {
                 continue;
             }
             let (nearest, count) = index.nearest(k, target);
-            let own_hpwl = incident_hpwl(design, &design.cell_nets[ci]);
+            let own_hpwl = incident_hpwl(design, design.nets_of(ci));
             let mut best: Option<(f64, usize)> = None;
             for &kj in &nearest[..count] {
                 let delta = swap_gain(design, ci, movable[kj], own_hpwl, &mut nets);
@@ -115,7 +115,7 @@ pub(crate) fn movable_std_cells(design: &Design) -> Vec<usize> {
 pub(crate) fn max_degree(design: &Design, cells: &[usize]) -> usize {
     cells
         .iter()
-        .map(|&ci| design.cell_nets[ci].len())
+        .map(|&ci| design.nets_of(ci).len())
         .max()
         .unwrap_or(0)
 }
@@ -379,13 +379,13 @@ impl Kept {
 /// placement. `nets` is scratch for the union.
 fn swap_gain(design: &mut Design, a: usize, b: usize, a_hpwl: f64, nets: &mut Vec<NetId>) -> f64 {
     nets.clear();
-    nets.extend_from_slice(&design.cell_nets[a]);
-    for &n in &design.cell_nets[b] {
+    nets.extend_from_slice(design.nets_of(a));
+    for &n in design.nets_of(b) {
         if !nets.contains(&n) {
             nets.push(n);
         }
     }
-    let own = design.cell_nets[a].len();
+    let own = design.nets_of(a).len();
     let before = nets[own..].iter().fold(a_hpwl, |sum, &n| {
         sum + design.net_hpwl(&design.nets[n.index()])
     });
@@ -411,13 +411,12 @@ pub(crate) fn optimal_point(
 ) -> Option<Point> {
     xs.clear();
     ys.clear();
-    for &n in &design.cell_nets[ci] {
-        let net = &design.nets[n.index()];
+    for &n in design.nets_of(ci) {
         let mut lo_x = f64::INFINITY;
         let mut hi_x = f64::NEG_INFINITY;
         let mut lo_y = f64::INFINITY;
         let mut hi_y = f64::NEG_INFINITY;
-        for pin in &net.pins {
+        for pin in design.net_pins(n.index()) {
             if pin.cell.index() == ci {
                 continue;
             }
@@ -547,8 +546,8 @@ mod tests {
     /// The reference's swap gain: both sums over the whole union of the two
     /// cells' nets, with a fresh buffer.
     fn reference_gain(design: &mut Design, a: usize, b: usize) -> f64 {
-        let mut nets = design.cell_nets[a].clone();
-        for &n in &design.cell_nets[b] {
+        let mut nets = design.nets_of(a).to_vec();
+        for &n in design.nets_of(b) {
             if !nets.contains(&n) {
                 nets.push(n);
             }

@@ -1,6 +1,6 @@
 use crate::{MlgConfig, FINAL_MAX_ACCEPT, INITIAL_MAX_ACCEPT, INITIAL_RADIUS_FACTOR, KAPPA, SEED};
 use eplace_geometry::{Point, Rect};
-use eplace_netlist::{CellKind, Design, NetId};
+use eplace_netlist::{CellKind, Design};
 use eplace_prng::rngs::StdRng;
 use eplace_prng::{Rng, SeedableRng};
 
@@ -41,8 +41,6 @@ struct MacroState {
     /// Current center.
     pos: Point,
     size: eplace_geometry::Size,
-    /// Nets incident to this macro.
-    nets: Vec<NetId>,
     /// Std-cell area covered at `pos` (this macro's share of `D`), set when
     /// the macro is collected and on every accepted move.
     coverage: f64,
@@ -153,7 +151,6 @@ pub fn legalize_macros(design: &mut Design, cfg: &MlgConfig) -> MlgReport {
             cell: i,
             pos: c.pos,
             size: c.size,
-            nets: design.cell_nets[i].clone(),
             coverage: cover.covered(&rect_of(c.pos, c.size)),
         })
         .collect();
@@ -233,7 +230,7 @@ pub fn legalize_macros(design: &mut Design, cfg: &MlgConfig) -> MlgReport {
             let d_cover = coverage - ms.coverage;
             let (o_old, o_new) = overlap_with_others(&macros, mi, &old_rect, &new_rect, &obstacles);
             let d_overlap = o_new - o_old;
-            let (w_old, w_new) = incident_hpwl(design, &ms.nets, ms.cell, new_pos);
+            let (w_old, w_new) = incident_hpwl(design, ms.cell, new_pos);
             let delta = (w_new - w_old) + mu_d * d_cover + mu_o * d_overlap;
 
             let accept = if delta <= 0.0 {
@@ -282,21 +279,22 @@ fn total_coverage(macros: &[MacroState]) -> f64 {
     macros.iter().map(|ms| ms.coverage).sum()
 }
 
-/// HPWL of `nets` with macro `cell` where the design has it and at
-/// `new_pos`, in one pass: each net's two bounding boxes take the same
-/// pins in the same order as [`Design::net_hpwl`], and min/max are exact,
-/// so both sums equal two separate passes bit for bit.
-fn incident_hpwl(design: &Design, nets: &[NetId], cell: usize, new_pos: Point) -> (f64, f64) {
+/// HPWL of macro `cell`'s nets with the macro where the design has it and
+/// at `new_pos`, in one pass: each net's two bounding boxes take the same
+/// pins in the same order, and keep the same extremes, as
+/// [`Design::net_hpwl`], so both sums equal two separate passes bit for bit.
+fn incident_hpwl(design: &Design, cell: usize, new_pos: Point) -> (f64, f64) {
     let mut w_old = 0.0;
     let mut w_new = 0.0;
-    for &n in nets {
+    for &n in design.nets_of(cell) {
         let net = &design.nets[n.index()];
-        if net.pins.len() < 2 {
+        let pins = design.net_pins(n.index());
+        if pins.len() < 2 {
             continue;
         }
         let mut old = Bounds::EMPTY;
         let mut new = Bounds::EMPTY;
-        for pin in &net.pins {
+        for pin in pins {
             let p = design.cells[pin.cell.index()].pos + pin.offset;
             old.include(p);
             new.include(if pin.cell.index() == cell {
@@ -327,11 +325,21 @@ impl Bounds {
         max_y: f64::NEG_INFINITY,
     };
 
+    /// Widens the box to hold `p` by comparison, as [`Design::net_hpwl`]
+    /// does: the earlier pin wins a tie, and a NaN coordinate sticks.
     fn include(&mut self, p: Point) {
-        self.min_x = self.min_x.min(p.x);
-        self.max_x = self.max_x.max(p.x);
-        self.min_y = self.min_y.min(p.y);
-        self.max_y = self.max_y.max(p.y);
+        if p.x < self.min_x || p.x.is_nan() {
+            self.min_x = p.x;
+        }
+        if p.x > self.max_x || p.x.is_nan() {
+            self.max_x = p.x;
+        }
+        if p.y < self.min_y || p.y.is_nan() {
+            self.min_y = p.y;
+        }
+        if p.y > self.max_y || p.y.is_nan() {
+            self.max_y = p.y;
+        }
     }
 
     fn half_perimeter(&self) -> f64 {
@@ -384,7 +392,7 @@ fn overlap_with_others(
 mod tests {
     use super::*;
     use eplace_benchgen::BenchmarkConfig;
-    use eplace_netlist::DesignBuilder;
+    use eplace_netlist::{DesignBuilder, NetId};
 
     impl CoverageGrid {
         /// Oracle for [`CoverageGrid::covered`]: each bin's x-overlap
@@ -464,7 +472,6 @@ mod tests {
                 cell: i,
                 pos: c.pos,
                 size: c.size,
-                nets: design.cell_nets[i].clone(),
                 coverage: 0.0,
             })
             .collect();
@@ -532,9 +539,10 @@ mod tests {
                     cover.covered_reference(&new_rect) - cover.covered_reference(&old_rect);
                 let d_overlap = overlap_reference(&macros, mi, &new_rect, &obstacles)
                     - overlap_reference(&macros, mi, &old_rect, &obstacles);
-                let w_old = hpwl_reference(design, &macros[mi].nets);
-                design.cells[macros[mi].cell].pos = new_pos;
-                let w_new = hpwl_reference(design, &macros[mi].nets);
+                let cell = macros[mi].cell;
+                let w_old = hpwl_reference(design, design.nets_of(cell));
+                design.cells[cell].pos = new_pos;
+                let w_new = hpwl_reference(design, design.nets_of(cell));
                 let delta = (w_new - w_old) + mu_d * d_cover + mu_o * d_overlap;
                 let accept = if delta <= 0.0 {
                     true

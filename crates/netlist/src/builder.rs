@@ -3,8 +3,11 @@ use eplace_geometry::{Point, Rect, Size};
 
 /// Incremental constructor for [`Design`].
 ///
-/// Handles id assignment and incidence-list bookkeeping so callers (parsers,
-/// the benchmark generator, tests) can build designs declaratively.
+/// Handles id assignment and the flat pin array so callers (parsers, the
+/// benchmark generator, tests) can build designs declaratively; [`build`]
+/// derives each cell's incident nets.
+///
+/// [`build`]: DesignBuilder::build
 ///
 /// # Examples
 ///
@@ -29,15 +32,7 @@ impl DesignBuilder {
     /// Starts a new design named `name` over the placement region `region`.
     pub fn new(name: impl Into<String>, region: Rect) -> Self {
         DesignBuilder {
-            design: Design {
-                name: name.into(),
-                cells: Vec::new(),
-                nets: Vec::new(),
-                region,
-                rows: Vec::new(),
-                target_density: 1.0,
-                cell_nets: Vec::new(),
-            },
+            design: Design::empty(name.into(), region),
         }
     }
 
@@ -85,7 +80,6 @@ impl DesignBuilder {
             fixed,
             pos,
         });
-        self.design.cell_nets.push(Vec::new());
         id
     }
 
@@ -106,25 +100,17 @@ impl DesignBuilder {
         weight: f64,
     ) -> NetId {
         let id = NetId(self.design.nets.len() as u32);
-        let pins: Vec<Pin> = pins
-            .into_iter()
-            .map(|(cell, offset)| {
-                assert!(
-                    cell.index() < self.design.cells.len(),
-                    "net pin references unknown cell {cell}"
-                );
-                Pin::new(cell, offset)
-            })
-            .collect();
-        for pin in &pins {
-            let list = &mut self.design.cell_nets[pin.cell.index()];
-            if list.last() != Some(&id) {
-                list.push(id);
-            }
+        let start = self.design.pins.len();
+        for (cell, offset) in pins {
+            assert!(
+                cell.index() < self.design.cells.len(),
+                "net pin references unknown cell {cell}"
+            );
+            self.design.pins.push(Pin::new(cell, offset));
         }
         self.design.nets.push(Net {
             name: name.into(),
-            pins,
+            pins: start..self.design.pins.len(),
             weight,
         });
         id
@@ -152,8 +138,10 @@ impl DesignBuilder {
         self
     }
 
-    /// Finalizes the design.
-    pub fn build(self) -> Design {
+    /// Finalizes the design: derives every cell's incident nets, in
+    /// ascending net id, a net with several pins on one cell listed once.
+    pub fn build(mut self) -> Design {
+        self.design.build_incidence();
         self.design
     }
 }
@@ -182,7 +170,7 @@ mod tests {
             vec![(a, Point::new(-0.2, 0.0)), (a, Point::new(0.2, 0.0))],
         );
         let d = b.build();
-        assert_eq!(d.cell_nets[0].len(), 1);
+        assert_eq!(d.nets_of(0), &[NetId(0)]);
         assert_eq!(d.nets[0].degree(), 2);
     }
 

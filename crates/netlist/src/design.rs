@@ -1,6 +1,7 @@
 use eplace_errors::EplaceError;
 use eplace_geometry::{Point, Rect, Size};
 use std::fmt;
+use std::ops::Range;
 
 /// Index of a [`Cell`] within [`Design::cells`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -124,8 +125,9 @@ impl Pin {
 pub struct Net {
     /// Net name.
     pub name: String,
-    /// Connection points.
-    pub pins: Vec<Pin>,
+    /// The net's connection points: this range of [`Design::pins`], in pin
+    /// order. [`Design::net_pins`] returns them as a slice.
+    pub pins: Range<usize>,
     /// Net weight from the `.wts` file (1.0 in all contest suites).
     pub weight: f64,
 }
@@ -162,6 +164,13 @@ impl Row {
 }
 
 /// A complete placement instance: netlist + region + rows + density target.
+///
+/// The netlist is stored flat. [`Design::pins`] holds every net's pins, net
+/// by net, and each [`Net`] names its run of that array. Which nets touch
+/// which cell is derived from the pins once, when
+/// [`DesignBuilder::build`](crate::DesignBuilder::build) finishes the
+/// design: each cell's nets are one contiguous run of a single array.
+/// [`Design::net_pins`] and [`Design::nets_of`] read both as slices.
 #[derive(Debug, Clone)]
 pub struct Design {
     /// Benchmark name.
@@ -171,31 +180,96 @@ pub struct Design {
     pub cells: Vec<Cell>,
     /// All nets.
     pub nets: Vec<Net>,
+    /// All pins, net by net: net `n`'s pins are `pins[nets[n].pins]`.
+    pub pins: Vec<Pin>,
     /// The placement region `R`.
     pub region: Rect,
     /// Standard-cell rows decomposing the region.
     pub rows: Vec<Row>,
     /// Benchmark density upper bound `ρ_t` (1.0 when unconstrained).
     pub target_density: f64,
-    /// For every cell, the nets incident to it; `cell_nets[i].len()` is the
-    /// vertex degree `|E_i|` used by the preconditioner (Eq. 12).
-    pub cell_nets: Vec<Vec<NetId>>,
+    /// Cell `c`'s nets are `incidence[cell_start[c]..cell_start[c + 1]]`:
+    /// one entry per cell the builder made, plus one.
+    cell_start: Vec<usize>,
+    /// Every built cell's incident nets, cell by cell, each run in
+    /// ascending net id with no net twice.
+    incidence: Vec<NetId>,
 }
 
 impl Design {
-    /// Rebuilds [`Design::cell_nets`] from the current net list. Call after
-    /// bulk-editing nets.
-    pub fn rebuild_cell_nets(&mut self) {
-        let mut incident = vec![Vec::new(); self.cells.len()];
+    /// An empty design over `region`, for the builder to fill.
+    pub(crate) fn empty(name: String, region: Rect) -> Self {
+        Design {
+            name,
+            cells: Vec::new(),
+            nets: Vec::new(),
+            pins: Vec::new(),
+            region,
+            rows: Vec::new(),
+            target_density: 1.0,
+            cell_start: vec![0],
+            incidence: Vec::new(),
+        }
+    }
+
+    /// Derives the incidence from the pins: every cell lists the nets with
+    /// a pin on it in ascending net id, a net with several pins on the cell
+    /// once.
+    pub(crate) fn build_incidence(&mut self) {
+        const NONE: usize = usize::MAX;
+        let cells = self.cells.len();
+        // The last net each cell was counted for; nets come in id order.
+        let mut last = vec![NONE; cells];
+        let mut start = vec![0; cells + 1];
         for (ni, net) in self.nets.iter().enumerate() {
-            for pin in &net.pins {
-                let list: &mut Vec<NetId> = &mut incident[pin.cell.index()];
-                if list.last() != Some(&NetId(ni as u32)) {
-                    list.push(NetId(ni as u32));
+            for pin in &self.pins[net.pins.clone()] {
+                let c = pin.cell.index();
+                if last[c] != ni {
+                    last[c] = ni;
+                    start[c + 1] += 1;
                 }
             }
         }
-        self.cell_nets = incident;
+        for c in 0..cells {
+            start[c + 1] += start[c];
+        }
+        let mut incidence = vec![NetId(0); start[cells]];
+        let mut next = start[..cells].to_vec();
+        last.fill(NONE);
+        for (ni, net) in self.nets.iter().enumerate() {
+            for pin in &self.pins[net.pins.clone()] {
+                let c = pin.cell.index();
+                if last[c] != ni {
+                    last[c] = ni;
+                    incidence[next[c]] = NetId(ni as u32);
+                    next[c] += 1;
+                }
+            }
+        }
+        self.cell_start = start;
+        self.incidence = incidence;
+    }
+
+    /// The pins of net `n`, in the net's pin order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a net of the design.
+    #[inline]
+    pub fn net_pins(&self, n: usize) -> &[Pin] {
+        &self.pins[self.nets[n].pins.clone()]
+    }
+
+    /// The nets incident to cell `c`, in ascending net id, each once:
+    /// `nets_of(c).len()` is the vertex degree `|E_c|` the preconditioner
+    /// uses (Eq. 12). Empty for a cell added after the design was built,
+    /// such as a filler.
+    #[inline]
+    pub fn nets_of(&self, c: usize) -> &[NetId] {
+        match self.cell_start.get(c..c + 2) {
+            Some(&[lo, hi]) => &self.incidence[lo..hi],
+            _ => &[],
+        }
     }
 
     /// Absolute position of a pin at the current placement.
@@ -207,7 +281,9 @@ impl Design {
     /// Half-perimeter wirelength of one net at the current placement (Eq. 1),
     /// including the net weight.
     pub fn net_hpwl(&self, net: &Net) -> f64 {
-        net_hpwl_at(net, |i| self.cells[i].pos)
+        net_hpwl_at(&self.pins[net.pins.clone()], net.weight, |i| {
+            self.cells[i].pos
+        })
     }
 
     /// Total half-perimeter wirelength `W(v)` (Eq. 1).
@@ -231,7 +307,7 @@ impl Design {
         );
         self.nets
             .iter()
-            .map(|net| net_hpwl_at(net, |i| positions[i]))
+            .map(|net| net_hpwl_at(&self.pins[net.pins.clone()], net.weight, |i| positions[i]))
             .sum()
     }
 
@@ -294,8 +370,8 @@ impl Design {
     }
 
     /// Removes all filler cells (they are always a suffix of `cells`) and
-    /// returns how many were removed. Fillers carry no pins, so nets are
-    /// unaffected.
+    /// returns how many were removed. Fillers carry no pins, so nets and
+    /// the incidence are unaffected.
     pub fn remove_fillers(&mut self) -> usize {
         let keep = self
             .cells
@@ -304,16 +380,17 @@ impl Design {
             .unwrap_or(self.cells.len());
         let removed = self.cells.len() - keep;
         self.cells.truncate(keep);
-        self.cell_nets.truncate(keep);
         removed
     }
 
-    /// Checks that the design is one the placer can use: every pin on an
-    /// existing non-filler cell, every net weight finite and non-negative,
-    /// every cell size and every row's height and site width finite and
-    /// positive, fillers a suffix of [`Design::cells`], `cell_nets` in step
-    /// with the cells, and a non-degenerate region. The Bookshelf reader
-    /// runs this on every design it returns.
+    /// Checks that the design is one the placer can use: every net's pins
+    /// inside [`Design::pins`] and on existing non-filler cells, every net
+    /// weight finite and non-negative, every cell size and every row's
+    /// height and site width finite and positive, fillers a suffix of
+    /// [`Design::cells`], the incidence in step with the cells (a cell added
+    /// after the design was built is a filler, a removed one had no nets),
+    /// and a non-degenerate region. The Bookshelf reader runs this
+    /// on every design it returns.
     ///
     /// # Errors
     ///
@@ -323,7 +400,15 @@ impl Design {
         let invalid = |message: String| Err(EplaceError::invalid("design", message));
         let positive = |v: f64| v.is_finite() && v > 0.0;
         for (ni, net) in self.nets.iter().enumerate() {
-            for pin in &net.pins {
+            let Some(pins) = self.pins.get(net.pins.clone()) else {
+                return invalid(format!(
+                    "net {ni} ({}) has pins {:?} of {}",
+                    net.name,
+                    net.pins,
+                    self.pins.len()
+                ));
+            };
+            for pin in pins {
                 let ci = pin.cell.index();
                 if ci >= self.cells.len() {
                     return invalid(format!("net {ni} references missing cell {ci}"));
@@ -361,8 +446,16 @@ impl Design {
                 ));
             }
         }
-        if self.cell_nets.len() != self.cells.len() {
-            return invalid("cell_nets length differs from cells".into());
+        let built = self.cell_start.len() - 1;
+        if let Some(i) = (self.cells.len()..built).find(|&i| !self.nets_of(i).is_empty()) {
+            return invalid(format!("removed cell {i} still has nets"));
+        }
+        if let Some(i) = (built..self.cells.len()).find(|&i| self.cells[i].kind != CellKind::Filler)
+        {
+            return invalid(format!(
+                "cell {i} ({}) was added after the netlist was built",
+                self.cells[i].name
+            ));
         }
         if !self.region.is_valid() {
             return invalid("placement region is degenerate".into());
@@ -371,24 +464,35 @@ impl Design {
     }
 }
 
-/// The one HPWL kernel: the weighted half perimeter of `net` with cell `i`
-/// at `pos(i)`. Nets with fewer than two pins have none.
-fn net_hpwl_at(net: &Net, pos: impl Fn(usize) -> Point) -> f64 {
-    if net.pins.len() < 2 {
+/// The one HPWL kernel: the weighted half perimeter of a net with `pins`
+/// and `weight`, with cell `i` at `pos(i)`. Nets with fewer than two pins
+/// have none. Each extreme is kept by comparison, the earlier pin winning a
+/// tie as `f64::min`/`f64::max` do here, but a NaN coordinate sticks where
+/// they would skip it: a pin at NaN makes the net's length NaN.
+fn net_hpwl_at(pins: &[Pin], weight: f64, pos: impl Fn(usize) -> Point) -> f64 {
+    if pins.len() < 2 {
         return 0.0;
     }
-    let mut min_x = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    let mut min_y = f64::INFINITY;
-    let mut max_y = f64::NEG_INFINITY;
-    for pin in &net.pins {
+    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
+    for pin in pins {
         let p = pos(pin.cell.index()) + pin.offset;
-        min_x = min_x.min(p.x);
-        max_x = max_x.max(p.x);
-        min_y = min_y.min(p.y);
-        max_y = max_y.max(p.y);
+        widen(&mut min_x, &mut max_x, p.x);
+        widen(&mut min_y, &mut max_y, p.y);
     }
-    net.weight * ((max_x - min_x) + (max_y - min_y))
+    weight * ((max_x - min_x) + (max_y - min_y))
+}
+
+/// Widens the interval `lo..=hi` to hold `v`; a NaN `v` makes both ends
+/// NaN, and they stay NaN.
+#[inline]
+fn widen(lo: &mut f64, hi: &mut f64, v: f64) {
+    if v < *lo || v.is_nan() {
+        *lo = v;
+    }
+    if v > *hi || v.is_nan() {
+        *hi = v;
+    }
 }
 
 #[cfg(test)]
@@ -427,7 +531,7 @@ mod tests {
     #[test]
     fn hpwl_respects_pin_offsets() {
         let mut d = two_cell_design();
-        d.nets[0].pins[0].offset = Point::new(1.0, 0.0);
+        d.pins[0].offset = Point::new(1.0, 0.0);
         assert_eq!(d.hpwl(), 29.0);
     }
 
@@ -491,8 +595,41 @@ mod tests {
     #[test]
     fn validate_rejects_out_of_range_pin() {
         let mut d = two_cell_design();
-        d.nets[0].pins[0].cell = CellId(99);
+        d.pins[0].cell = CellId(99);
         assert!(d.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_pin_range_outside_the_pins() {
+        let reversed = Range { start: 2, end: 1 };
+        for bad in [1..3, reversed] {
+            let mut d = two_cell_design();
+            d.nets[0].pins = bad;
+            let msg = rejection(&d);
+            assert!(msg.starts_with("net 0 (n) has pins"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_cells_out_of_step_with_the_netlist() {
+        // A non-filler added after the build has no incidence.
+        let mut d = two_cell_design();
+        let mut extra = d.cells[1].clone();
+        extra.name = "late".into();
+        d.cells.push(extra.clone());
+        let msg = rejection(&d);
+        assert!(msg.starts_with("cell 2 (late) was added after"), "{msg}");
+        // A filler may be; it has no nets.
+        d.cells[2].kind = CellKind::Filler;
+        assert!(d.validate().is_ok());
+        assert!(d.nets_of(2).is_empty());
+        // Cells removed from under the built netlist.
+        d.cells.truncate(1);
+        let msg = rejection(&d);
+        assert!(msg.starts_with("net 0 references missing cell 1"), "{msg}");
+        d.pins[1].cell = CellId(0);
+        let msg = rejection(&d);
+        assert!(msg.starts_with("removed cell 1 still has nets"), "{msg}");
     }
 
     /// The offending design's validation message; panics when it passes.
@@ -573,8 +710,89 @@ mod tests {
     #[test]
     fn degree_bookkeeping() {
         let d = two_cell_design();
-        assert_eq!(d.cell_nets[0].len(), 1);
-        assert_eq!(d.cell_nets[1].len(), 1);
+        assert_eq!(d.nets_of(0), &[NetId(0)]);
+        assert_eq!(d.nets_of(1), &[NetId(0)]);
         assert_eq!(d.nets[0].degree(), 2);
+        assert_eq!(d.net_pins(0), &d.pins[..]);
+    }
+
+    /// Today's incidence rule, one list per cell: nets in id order, a net
+    /// pushed unless it is already the cell's last entry.
+    fn nested_incidence(d: &Design) -> Vec<Vec<NetId>> {
+        let mut incident = vec![Vec::new(); d.cells.len()];
+        for (ni, net) in d.nets.iter().enumerate() {
+            for pin in &d.pins[net.pins.clone()] {
+                let list: &mut Vec<NetId> = &mut incident[pin.cell.index()];
+                if list.last() != Some(&NetId(ni as u32)) {
+                    list.push(NetId(ni as u32));
+                }
+            }
+        }
+        incident
+    }
+
+    #[test]
+    fn incidence_is_the_nested_lists_flattened() {
+        let mut b = DesignBuilder::new("t", Rect::new(0.0, 0.0, 100.0, 100.0));
+        let ids: Vec<CellId> = (0..6)
+            .map(|i| b.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::StdCell))
+            .collect();
+        let pin = |i: usize| (ids[i], Point::new(0.1 * i as f64, 0.0));
+        b.add_net("a", vec![pin(0), pin(1), pin(0)]); // one cell twice, apart
+        b.add_net("b", vec![pin(2), pin(2)]);
+        b.add_net("empty", vec![]);
+        b.add_net("c", vec![pin(4), pin(1), pin(2), pin(1)]);
+        b.add_net("d", vec![pin(1)]);
+        let mut d = b.build();
+        let nested = nested_incidence(&d);
+        for (c, list) in nested.iter().enumerate() {
+            assert_eq!(d.nets_of(c), &list[..], "cell {c}");
+        }
+        assert_eq!(d.nets_of(1), &[NetId(0), NetId(3), NetId(4)]);
+        assert!(d.nets_of(3).is_empty() && d.nets_of(5).is_empty());
+        for (n, net) in d.nets.iter().enumerate() {
+            assert_eq!(d.net_pins(n), &d.pins[net.pins.clone()]);
+        }
+        // Fillers come and go past the built incidence.
+        d.cells.push(Cell {
+            name: "f".into(),
+            size: Size::new(1.0, 1.0),
+            kind: CellKind::Filler,
+            fixed: false,
+            pos: Point::ORIGIN,
+        });
+        assert!(d.nets_of(6).is_empty() && d.nets_of(7).is_empty());
+        assert!(d.validate().is_ok());
+        assert_eq!(d.remove_fillers(), 1);
+        assert_eq!(d.nets_of(4), &[NetId(3)]);
+        assert!(d.validate().is_ok());
+    }
+
+    #[test]
+    fn a_cell_at_nan_makes_hpwl_nan() {
+        for (x, y) in [(f64::NAN, 30.0), (20.0, f64::NAN)] {
+            let mut d = two_cell_design();
+            d.cells[1].pos = Point::new(x, y);
+            assert!(d.net_hpwl(&d.nets[0]).is_nan());
+            assert!(d.hpwl().is_nan());
+            let pos: Vec<Point> = d.cells.iter().map(|c| c.pos).collect();
+            assert!(d.hpwl_with_positions(&pos).is_nan());
+        }
+        // The NaN pin comes first, last, or between two finite ones.
+        let mut b = DesignBuilder::new("t", Rect::new(0.0, 0.0, 100.0, 100.0));
+        let ids: Vec<CellId> = (0..3)
+            .map(|i| b.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::StdCell))
+            .collect();
+        b.add_net("n", ids.iter().map(|&c| (c, Point::ORIGIN)).collect());
+        let d = b.build();
+        for at in 0..3 {
+            let mut pos = vec![
+                Point::new(1.0, 2.0),
+                Point::new(5.0, 3.0),
+                Point::new(2.0, 9.0),
+            ];
+            pos[at] = Point::new(f64::NAN, f64::NAN);
+            assert!(d.hpwl_with_positions(&pos).is_nan(), "NaN pin {at}");
+        }
     }
 }

@@ -9,6 +9,11 @@
 //! Positions are stored *per cell* as the cell's **center**; global placement
 //! treats them continuously, legalization snaps them to rows/sites.
 //!
+//! The netlist is stored flat, once: every net's pins sit in one array,
+//! [`Design::pins`], and each cell's incident nets are one run of a single
+//! array that [`DesignBuilder::build`] derives. Readers take slices through
+//! [`Design::net_pins`] and [`Design::nets_of`].
+//!
 //! [`Design::validate`] is the one check that a design is placeable
 //! (finite positive sizes and rows, non-negative net weights, pins on real
 //! cells); the Bookshelf reader runs it on every design it returns, and

@@ -118,12 +118,10 @@ fn validate_accepts_all_builder_outputs() {
         let d = b.build();
         assert!(d.validate().is_ok(), "{:?}", d.validate());
         // Degree bookkeeping is consistent with the nets.
-        let total_incidences: usize = d.cell_nets.iter().map(Vec::len).sum();
-        let distinct_per_net: usize = d
-            .nets
-            .iter()
+        let total_incidences: usize = (0..d.cells.len()).map(|c| d.nets_of(c).len()).sum();
+        let distinct_per_net: usize = (0..d.nets.len())
             .map(|n| {
-                let mut cells: Vec<_> = n.pins.iter().map(|p| p.cell).collect();
+                let mut cells: Vec<_> = d.net_pins(n).iter().map(|p| p.cell).collect();
                 cells.sort();
                 cells.dedup();
                 cells.len()

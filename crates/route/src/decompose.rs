@@ -46,7 +46,7 @@ pub fn decompose(design: &Design, grid: &CapacityGrid) -> Vec<Segment> {
             continue;
         }
         gcells.clear();
-        for pin in &net.pins {
+        for pin in design.net_pins(net_idx) {
             let g = grid.gcell_of(design.pin_position(pin));
             if !gcells.contains(&g) {
                 gcells.push(g);

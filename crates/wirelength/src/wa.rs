@@ -1,73 +1,18 @@
+use crate::net::{NetBuffers, Shift};
 use crate::SmoothWirelength;
 use eplace_exec::{chunk_range, deterministic_chunks, for_each_chunk, ExecConfig};
 use eplace_geometry::Point;
-use eplace_netlist::{Design, Net};
+use eplace_netlist::Design;
 use eplace_obs::Obs;
-use std::ops::Range;
 
 /// Nets below this count are not worth fanning out to worker threads.
 const MIN_PARALLEL_NETS: usize = 64;
 
-/// The netlist in flat arrays, built once by [`WaModel::new`]: net `n`'s
-/// pins are entries `start[n]..start[n + 1]` of `cell` and `offset`, in the
-/// net's pin order, so a gradient walks three contiguous arrays instead of
-/// one `Vec<Pin>` per net.
-#[derive(Debug, Clone)]
-struct PinTable {
-    start: Vec<usize>,
-    cell: Vec<u32>,
-    offset: Vec<Point>,
-    weight: Vec<f64>,
-}
-
-impl PinTable {
-    fn new(design: &Design) -> Self {
-        let pins = design.nets.iter().map(Net::degree).sum();
-        let mut start = Vec::with_capacity(design.nets.len() + 1);
-        let mut cell = Vec::with_capacity(pins);
-        let mut offset = Vec::with_capacity(pins);
-        start.push(0);
-        for net in &design.nets {
-            for pin in &net.pins {
-                cell.push(pin.cell.0);
-                offset.push(pin.offset);
-            }
-            start.push(cell.len());
-        }
-        PinTable {
-            start,
-            cell,
-            offset,
-            weight: design.nets.iter().map(|n| n.weight).collect(),
-        }
-    }
-
-    fn nets(&self) -> usize {
-        self.weight.len()
-    }
-
-    fn max_degree(&self) -> usize {
-        self.start
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// `x.exp()`. Test builds count the calls made on each thread.
-#[inline(always)]
-fn exp(x: f64) -> f64 {
-    #[cfg(test)]
-    tests::EXP_CALLS.with(|n| n.set(n.get() + 1));
-    x.exp()
-}
-
 /// Smooth length `S⁺/D⁺ − S⁻/D⁻` of one net along one axis, from the pin
 /// coordinates `coords`; writes each pin's derivative into `deriv` when
 /// given. `exp_pos`/`exp_neg` are scratch of at least `coords.len()`.
-/// Exponentials whose bits are known are not evaluated ([`WaModel`]'s
-/// 2k − 3 rule).
+/// Exponentials whose bits are known are not evaluated (the 2k − 3 rule of
+/// [`Shift`]).
 fn axis_value(
     coords: &[f64],
     exp_pos: &mut [f64],
@@ -75,19 +20,7 @@ fn axis_value(
     deriv: Option<&mut [f64]>,
     inv_gamma: f64,
 ) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &c in coords {
-        lo = lo.min(c);
-        hi = hi.max(c);
-    }
-    let known = inv_gamma.is_finite() && (hi - lo).is_finite();
-    // e⁺ of a pin at `lo` and e⁻ of a pin at `hi`: one argument, one call.
-    let shared = if known {
-        exp((lo - hi) * inv_gamma)
-    } else {
-        0.0
-    };
+    let shift = Shift::new(coords, inv_gamma);
     let (mut d_pos, mut s_pos) = (0.0, 0.0);
     let (mut d_neg, mut s_neg) = (0.0, 0.0);
     for ((&c, ep_out), en_out) in coords
@@ -95,13 +28,7 @@ fn axis_value(
         .zip(exp_pos.iter_mut())
         .zip(exp_neg.iter_mut())
     {
-        let (ep, en) = if known && c == hi {
-            (1.0, shared)
-        } else if known && c == lo {
-            (shared, 1.0)
-        } else {
-            (exp((c - hi) * inv_gamma), exp((lo - c) * inv_gamma))
-        };
+        let (ep, en) = shift.exps(c);
         *ep_out = ep;
         *en_out = en;
         d_pos += ep;
@@ -123,89 +50,6 @@ fn axis_value(
     s_pos / d_pos - s_neg / d_neg
 }
 
-/// Per-worker scratch of the net kernel: one net's pin coordinates, their
-/// exponentials and per-pin derivatives on both axes, sized to the largest
-/// net. Every entry is written before it is read.
-#[derive(Debug, Clone)]
-struct NetBuffers {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    exp_pos: Vec<f64>,
-    exp_neg: Vec<f64>,
-    grad_x: Vec<f64>,
-    grad_y: Vec<f64>,
-}
-
-impl NetBuffers {
-    fn with_degree(max_degree: usize) -> Self {
-        NetBuffers {
-            x: vec![0.0; max_degree],
-            y: vec![0.0; max_degree],
-            exp_pos: vec![0.0; max_degree],
-            exp_neg: vec![0.0; max_degree],
-            grad_x: vec![0.0; max_degree],
-            grad_y: vec![0.0; max_degree],
-        }
-    }
-
-    /// The net kernel, serving the serial and the chunked path alike: sums
-    /// the weighted smooth length of the nets `nets` of `table` in order
-    /// (nets with fewer than two pins add nothing), accumulating per-cell
-    /// derivatives into `grad` when provided.
-    fn sum_nets(
-        &mut self,
-        table: &PinTable,
-        nets: Range<usize>,
-        pos: &[Point],
-        inv_gamma: f64,
-        mut grad: Option<&mut [Point]>,
-    ) -> f64 {
-        let want = grad.is_some();
-        let mut total = 0.0;
-        for n in nets {
-            let pins = table.start[n]..table.start[n + 1];
-            let k = pins.len();
-            if k < 2 {
-                continue;
-            }
-            let cells = &table.cell[pins.clone()];
-            for ((&c, o), (x, y)) in cells
-                .iter()
-                .zip(&table.offset[pins])
-                .zip(self.x.iter_mut().zip(self.y.iter_mut()))
-            {
-                let p = pos[c as usize];
-                *x = p.x + o.x;
-                *y = p.y + o.y;
-            }
-            let wx = axis_value(
-                &self.x[..k],
-                &mut self.exp_pos,
-                &mut self.exp_neg,
-                want.then_some(&mut self.grad_x[..k]),
-                inv_gamma,
-            );
-            let wy = axis_value(
-                &self.y[..k],
-                &mut self.exp_pos,
-                &mut self.exp_neg,
-                want.then_some(&mut self.grad_y[..k]),
-                inv_gamma,
-            );
-            let w = table.weight[n];
-            if let Some(g) = grad.as_deref_mut() {
-                for ((&c, dx), dy) in cells.iter().zip(&self.grad_x).zip(&self.grad_y) {
-                    let slot = &mut g[c as usize];
-                    slot.x += w * dx;
-                    slot.y += w * dy;
-                }
-            }
-            total += w * (wx + wy);
-        }
-        total
-    }
-}
-
 /// Pooled per-chunk state for the parallel evaluation: one worker scratch
 /// plus the chunk's partial gradient vector and running total. The pool
 /// lives on the model, so steady-state gradient calls allocate nothing.
@@ -217,9 +61,9 @@ struct WaChunkScratch {
 }
 
 impl WaChunkScratch {
-    fn new(max_degree: usize) -> Self {
+    fn new(scratch: NetBuffers) -> Self {
         WaChunkScratch {
-            scratch: NetBuffers::with_degree(max_degree),
+            scratch,
             grad: Vec::new(),
             total: 0.0,
         }
@@ -249,38 +93,29 @@ impl WaChunkScratch {
 ///
 /// Exponentials are shifted by the per-net max/min coordinate before
 /// evaluation, so arbitrarily spread nets never overflow: pin `j` gets
-/// `e⁺ⱼ = exp((xⱼ − hi)/γ)` and `e⁻ⱼ = exp((lo − xⱼ)/γ)`.
+/// `e⁺ⱼ = exp((xⱼ − hi)/γ)` and `e⁻ⱼ = exp((lo − xⱼ)/γ)`. Of a `k`-pin
+/// net's `2k` such values per axis, three have known bits, so the model
+/// calls `exp` `2k − 3` times per net axis (once for a two-pin net); every
+/// skipped value is the bit pattern the call would have returned and every
+/// sum keeps its pin order, so the results are bitwise those of evaluating
+/// all `2k`. Where `1/γ` or the net's span is not finite, every exponential
+/// is evaluated.
 ///
-/// **2k − 3 exponentials per net axis.** Three of a net's `2k` shifted
-/// exponentials have known bits. A pin at `hi` has `e⁺ = exp(±0) = 1`, a
-/// pin at `lo` has `e⁻ = 1`, and the `e⁺` of a pin at `lo` and the `e⁻`
-/// of a pin at `hi` are both `exp((lo − hi)/γ)`, one call. A net whose
-/// extremes are held by one pin each thus calls `exp` `2k − 3` times per
-/// axis instead of `2k` (once instead of four times for a two-pin net),
-/// fewer when pins tie at an extreme. Every skipped value is the bit
-/// pattern the call would have returned (`0·(1/γ)` is `±0` and
-/// `exp(±0) = 1` exactly, and the shared argument is the same product), and
-/// every sum keeps its pin order, so the results are bitwise those of
-/// evaluating all `2k`. That needs `1/γ` and `hi − lo` finite (otherwise
-/// `0·(1/γ)` or `xⱼ − hi` may be NaN); a net axis where either is not falls
-/// back to evaluating every exponential.
-///
-/// The model flattens the netlist into a pin table when it is built, and
-/// owns all scratch buffers, making evaluation and gradient computation
-/// allocation-free — wirelength gradients are 29 % of mGP runtime in the
-/// paper (Fig. 7), so the hot path matters. The table belongs to the design
-/// passed to [`WaModel::new`]: evaluate only that design's nets (its
-/// positions may change freely).
+/// The model reads the netlist straight from the design it is handed
+/// ([`Design::net_pins`]'s flat array) and owns all scratch buffers, making
+/// evaluation and gradient computation allocation-free — wirelength
+/// gradients are 29 % of mGP runtime in the paper (Fig. 7), so the hot path
+/// matters. [`WaModel::new`] sizes the scratch for its design's largest net;
+/// a larger net grows it once.
 ///
 /// With [`WaModel::set_exec`] the per-net loop fans out across worker
 /// threads: nets are split into chunks whose boundaries depend only on the
 /// net count, each chunk accumulates into its own scratch gradient, and the
 /// partials are reduced in chunk order — so results are identical for every
 /// thread count ≥ 2 and within rounding (`≤ 1e-9` relative) of the serial
-/// path. Both paths run the same per-net kernel.
+/// path. Both paths run the same net loop, which [`crate::LseModel`] shares.
 #[derive(Debug, Clone)]
 pub struct WaModel {
-    table: PinTable,
     scratch: NetBuffers,
     /// Scratch pool for the chunked parallel path (empty until first used).
     chunk_pool: Vec<WaChunkScratch>,
@@ -289,15 +124,11 @@ pub struct WaModel {
 }
 
 impl WaModel {
-    /// Creates a model for `design`'s nets: builds the pin table and sizes
-    /// the scratch for the largest net (serial execution; see
-    /// [`WaModel::set_exec`]).
+    /// Creates a model with scratch sized for `design`'s largest net (serial
+    /// execution; see [`WaModel::set_exec`]).
     pub fn new(design: &Design) -> Self {
-        let table = PinTable::new(design);
-        let scratch = NetBuffers::with_degree(table.max_degree());
         WaModel {
-            table,
-            scratch,
+            scratch: NetBuffers::for_design(design),
             chunk_pool: Vec::new(),
             exec: ExecConfig::serial(),
             obs: Obs::disabled(),
@@ -329,46 +160,31 @@ impl WaModel {
         gamma: f64,
         mut grad: Option<&mut [Point]>,
     ) -> f64 {
-        debug_assert_eq!(
-            design.nets.len(),
-            self.table.nets(),
-            "WaModel evaluated on a design other than its own"
-        );
         if let Some(g) = grad.as_deref_mut() {
             for p in g.iter_mut() {
                 *p = Point::ORIGIN;
             }
         }
         let inv_gamma = 1.0 / gamma;
-        let n_nets = self.table.nets();
+        let axis = |c: &[f64], ep: &mut [f64], en: &mut [f64], d: Option<&mut [f64]>| {
+            axis_value(c, ep, en, d, inv_gamma)
+        };
+        let n_nets = design.nets.len();
         if self.exec.is_serial() || n_nets < MIN_PARALLEL_NETS {
-            self.scratch
-                .sum_nets(&self.table, 0..n_nets, pos, inv_gamma, grad)
-        } else {
-            self.run_parallel(pos, inv_gamma, grad)
+            return self.scratch.sum_nets(design, 0..n_nets, pos, &axis, grad);
         }
-    }
-
-    /// Chunked fan-out over nets with ordered reduction of the per-chunk
-    /// totals and gradient vectors.
-    fn run_parallel(
-        &mut self,
-        pos: &[Point],
-        inv_gamma: f64,
-        mut grad: Option<&mut [Point]>,
-    ) -> f64 {
-        let n_nets = self.table.nets();
-        // Chunk boundaries depend only on the net count (never the thread
-        // count): they fix the floating-point reduction order.
+        // Chunked fan-out over nets with ordered reduction of the per-chunk
+        // totals and gradient vectors. Chunk boundaries depend only on the
+        // net count (never the thread count): they fix the floating-point
+        // reduction order.
         let chunks = deterministic_chunks(n_nets, 256, 8);
         let want = grad.is_some();
         let slots = grad.as_deref().map_or(0, |g| g.len());
-        let max_degree = self.table.max_degree();
         if self.chunk_pool.len() < chunks {
+            let scratch = &self.scratch;
             self.chunk_pool
-                .resize_with(chunks, || WaChunkScratch::new(max_degree));
+                .resize_with(chunks, || WaChunkScratch::new(scratch.clone()));
         }
-        let table = &self.table;
         let states = &mut self.chunk_pool[..chunks];
         for_each_chunk(&self.exec, states, |i, state| {
             state.reset(want.then_some(slots));
@@ -378,7 +194,7 @@ impl WaModel {
                 total,
             } = state;
             let range = chunk_range(n_nets, chunks, i);
-            *total = scratch.sum_nets(table, range, pos, inv_gamma, want.then_some(&mut grad[..]));
+            *total = scratch.sum_nets(design, range, pos, &axis, want.then_some(&mut grad[..]));
         });
         let mut total = 0.0;
         for state in &self.chunk_pool[..chunks] {
@@ -411,21 +227,18 @@ impl SmoothWirelength for WaModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::net::EXP_CALLS;
     use crate::GammaSchedule;
     use eplace_benchgen::BenchmarkConfig;
     use eplace_geometry::Rect;
-    use eplace_netlist::{CellKind, DesignBuilder};
+    use eplace_netlist::{CellKind, DesignBuilder, Pin};
     use std::cell::Cell;
+    use std::ops::Range;
 
-    thread_local! {
-        /// `exp` calls made by the net kernel on this thread.
-        pub(super) static EXP_CALLS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// The per-net loop the pin table replaced, kept as the oracle: each
-    /// net reads its pins through its own `Vec<Pin>` and every pin pays
+    /// The per-net loop before the 2k − 3 rule, kept as the oracle: each
+    /// net's coordinates are gathered one axis at a time and every pin pays
     /// both exponentials on both axes.
     #[derive(Debug, Clone)]
     struct NetScratch {
@@ -507,25 +320,25 @@ mod tests {
 
         fn net_value(
             &mut self,
-            net: &Net,
+            pins: &[Pin],
+            w: f64,
             pos: &[Point],
             gamma: f64,
             grad: Option<&mut [Point]>,
         ) -> f64 {
-            let k = net.pins.len();
+            let k = pins.len();
             self.reserve(k);
             let want = grad.is_some();
-            let w = net.weight;
-            for (j, pin) in net.pins.iter().enumerate() {
+            for (j, pin) in pins.iter().enumerate() {
                 self.coords[j] = pos[pin.cell.index()].x + pin.offset.x;
             }
             let wx = self.axis_value(k, gamma, want, false);
-            for (j, pin) in net.pins.iter().enumerate() {
+            for (j, pin) in pins.iter().enumerate() {
                 self.coords[j] = pos[pin.cell.index()].y + pin.offset.y;
             }
             let wy = self.axis_value(k, gamma, want, true);
             if let Some(g) = grad {
-                for (j, pin) in net.pins.iter().enumerate() {
+                for (j, pin) in pins.iter().enumerate() {
                     let slot = &mut g[pin.cell.index()];
                     slot.x += w * self.grad_x[j];
                     slot.y += w * self.grad_y[j];
@@ -549,11 +362,13 @@ mod tests {
         let mut run = |range: Range<usize>| {
             let mut grad = vec![Point::ORIGIN; pos.len()];
             let mut total = 0.0;
-            for net in &design.nets[range] {
-                if net.pins.len() < 2 {
+            for n in range {
+                let pins = design.net_pins(n);
+                if pins.len() < 2 {
                     continue;
                 }
-                total += scratch.net_value(net, pos, gamma, Some(&mut grad));
+                let w = design.nets[n].weight;
+                total += scratch.net_value(pins, w, pos, gamma, Some(&mut grad));
             }
             (total, grad)
         };
@@ -575,7 +390,7 @@ mod tests {
     /// Bitwise equality, except that a NaN matches any NaN: Rust leaves NaN
     /// sign and payload unspecified (the compiler may swap the operands of
     /// `x * y`, and x86 keeps the first one's NaN).
-    fn same(a: f64, b: f64) -> bool {
+    pub(crate) fn same(a: f64, b: f64) -> bool {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
@@ -601,7 +416,7 @@ mod tests {
     }
 
     /// γ across the schedule's range, τ = 1 down to 0, on a 64-bin grid.
-    fn schedule_gammas(d: &Design) -> Vec<f64> {
+    pub(crate) fn schedule_gammas(d: &Design) -> Vec<f64> {
         let schedule = GammaSchedule::new(d.region.width() / 64.0);
         [1.0, 0.7, 0.4, 0.1, 0.0]
             .iter()
@@ -609,7 +424,7 @@ mod tests {
             .collect()
     }
 
-    fn positions(d: &Design) -> Vec<Point> {
+    pub(crate) fn positions(d: &Design) -> Vec<Point> {
         d.cells.iter().map(|c| c.pos).collect()
     }
 
@@ -652,7 +467,7 @@ mod tests {
 
     /// Pin coordinates of nets that hit every branch of the skipped
     /// exponentials and their fallback.
-    const CRAFTED: [&[(f64, f64)]; 16] = {
+    pub(crate) const CRAFTED: [&[(f64, f64)]; 16] = {
         const INF: f64 = f64::INFINITY;
         const NEG_INF: f64 = f64::NEG_INFINITY;
         const NAN: f64 = f64::NAN;
@@ -678,7 +493,7 @@ mod tests {
 
     /// `copies` rounds of the crafted nets `cases`, with weights ≠ 1; one
     /// cell per pin, plus one cell on two pins of net 13.
-    fn crafted_design(cases: &[usize], copies: usize) -> (Design, Vec<Point>) {
+    pub(crate) fn crafted_design(cases: &[usize], copies: usize) -> (Design, Vec<Point>) {
         let mut b = DesignBuilder::new("crafted", Rect::new(0.0, 0.0, 100.0, 100.0));
         let mut pos = Vec::new();
         for copy in 0..copies {
@@ -735,7 +550,7 @@ mod tests {
         }
     }
 
-    fn exp_calls(f: impl FnOnce()) -> u64 {
+    pub(crate) fn exp_calls(f: impl FnOnce()) -> u64 {
         let before = EXP_CALLS.with(Cell::get);
         f();
         EXP_CALLS.with(Cell::get) - before
@@ -787,7 +602,7 @@ mod tests {
         assert!(calls <= bound && bound < every);
     }
 
-    fn star_design(k: usize) -> (Design, Vec<Point>) {
+    pub(crate) fn star_design(k: usize) -> (Design, Vec<Point>) {
         let mut b = DesignBuilder::new("star", Rect::new(0.0, 0.0, 100.0, 100.0));
         let ids: Vec<_> = (0..k)
             .map(|i| b.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::StdCell))
