@@ -2,9 +2,11 @@
 //!
 //! Runs the steady-state mGP iteration — Nesterov step, WA wirelength
 //! gradient, density deposit + spectral Poisson solve — on benchgen suites
-//! at three sizes, records the median per-iteration wall time plus the
-//! per-phase span breakdown from `eplace-obs`, and writes `BENCH_gp.json`
-//! at the repository root. A separate `transform` record times one Poisson
+//! at four sizes (density grids 64, 128, 256 and 512, the last the grid a
+//! 10⁵-object flow runs at), records the median per-iteration wall time
+//! plus the per-phase span breakdown from `eplace-obs` and the share of
+//! the step its child spans cover, and writes `BENCH_gp.json` at the
+//! repository root. A separate `transform` record times one Poisson
 //! transform round (the analysis DCT-II and the two field syntheses a
 //! solve runs) at grid 256 under both spectral engines and reports the
 //! v2/v1 median speedup. The file is re-parsed and checked
@@ -13,7 +15,7 @@
 //! the engine-v2 transform round is slower than v1 (speedup < 1.0).
 //!
 //! ```text
-//! cargo run --release --bin bench_gp              # full 3-size sweep
+//! cargo run --release --bin bench_gp              # full 4-size sweep
 //! cargo run --release --bin bench_gp -- --smoke   # smallest suite only (CI)
 //! ```
 //!
@@ -30,12 +32,13 @@ use eplace_core::{
 };
 use eplace_density::grid_dimension;
 use eplace_exec::ExecConfig;
+use eplace_obs::json::parse_json;
 use eplace_obs::{Obs, Record};
 use eplace_spectral::{SpectralEngine, Transform2d};
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 
-const SUITE_SIZES: &[usize] = &[1_000, 4_000, 16_000];
+const SUITE_SIZES: &[usize] = &[1_000, 4_000, 16_000, 48_000];
 const WARMUP_STEPS: usize = 3;
 /// Grid side for the engine-v1-vs-v2 transform-round comparison — the
 /// production mGP grid size the spectral-engine-v2 speedup target is
@@ -93,6 +96,15 @@ fn bench_suite(cells: usize, samples: usize, exec: ExecConfig) -> String {
         optimizer.step(&mut cost)
     });
 
+    let spans = spans_to_json(&obs);
+    let coverage = parse_json(&spans)
+        .map_err(|e| e.to_string())
+        .and_then(|spans| report::step_coverage(&spans))
+        .unwrap_or_else(|e| panic!("gp_step/{cells} spans: {e}"));
+    eprintln!(
+        "gp_step/{cells}: child spans cover {:.1} % of nesterov_step",
+        100.0 * coverage
+    );
     Record::new("suite")
         .u64_field("cells", cells as u64)
         .u64_field("objects", problem.len() as u64)
@@ -101,7 +113,8 @@ fn bench_suite(cells: usize, samples: usize, exec: ExecConfig) -> String {
         .u64_field("median_step_ns", m.median.as_nanos() as u64)
         .u64_field("min_step_ns", m.min.as_nanos() as u64)
         .u64_field("mean_step_ns", m.mean.as_nanos() as u64)
-        .raw_field("spans", &spans_to_json(&obs))
+        .f64_field("step_coverage", coverage)
+        .raw_field("spans", &spans)
         .into_line()
 }
 

@@ -123,8 +123,9 @@ pub struct BenchFile {
     check_doc: fn(&JsonValue) -> Result<(), String>,
 }
 
-/// `bench_gp`: finite positive step timings with the hot-path spans, and a
-/// spectral engine-v2 transform round no slower than v1.
+/// `bench_gp`: finite positive step timings with the hot-path spans, child
+/// spans covering at least [`MIN_STEP_COVERAGE`] of every suite's step, and
+/// a spectral engine-v2 transform round no slower than v1.
 pub const GP: BenchFile = BenchFile {
     bin: "bench_gp",
     file: "BENCH_gp.json",
@@ -238,6 +239,30 @@ fn field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
     obj.get(key).ok_or_else(|| format!("missing {key}"))
 }
 
+/// The least share of `nesterov_step`'s time its direct child spans must
+/// account for in every `bench_gp` suite: 5 points below the lowest
+/// suite's measured coverage (97.5 %, at 4 000 cells, in two full runs).
+pub const MIN_STEP_COVERAGE: f64 = 0.925;
+
+/// The share of `nesterov_step`'s time its direct child spans
+/// (`nesterov_step/<name>`) account for, from a suite's `spans` object.
+pub fn step_coverage(spans: &JsonValue) -> Result<f64, String> {
+    let JsonValue::Object(members) = spans else {
+        return Err("spans is not an object".into());
+    };
+    let step = finite(field(spans, "nesterov_step")?, "total_ns")?;
+    let mut children = 0.0;
+    for (path, span) in members {
+        if path
+            .strip_prefix("nesterov_step/")
+            .is_some_and(|name| !name.contains('/'))
+        {
+            children += finite(span, "total_ns").map_err(|e| format!("span {path}: {e}"))?;
+        }
+    }
+    Ok(children / step)
+}
+
 fn check_gp_suite(suite: &JsonValue) -> Result<(), String> {
     for key in ["median_step_ns", "min_step_ns", "mean_step_ns"] {
         positive(suite, key)?;
@@ -249,6 +274,14 @@ fn check_gp_suite(suite: &JsonValue) -> Result<(), String> {
         "nesterov_step/density_sample",
     ] {
         positive(field(spans, path)?, "total_ns").map_err(|e| format!("span {path}: {e}"))?;
+    }
+    let coverage = step_coverage(spans)?;
+    if coverage < MIN_STEP_COVERAGE {
+        return Err(format!(
+            "nesterov_step's child spans cover {:.1} % of it, below the {:.1} % floor",
+            100.0 * coverage,
+            100.0 * MIN_STEP_COVERAGE
+        ));
     }
     Ok(())
 }
@@ -475,6 +508,17 @@ mod tests {
         assert!(validate(&ROUTE, "{\"suites\":").is_err());
         let gp = r#"{"suites":[{"median_step_ns":null}]}"#;
         assert!(validate(&GP, gp).unwrap_err().contains("median_step_ns"));
+        let gp = |deposit: u32| {
+            format!(
+                r#"{{"suites":[{{"median_step_ns":1,"min_step_ns":1,"mean_step_ns":1,"spans":{{"nesterov_step":{{"total_ns":100}},"nesterov_step/density_deposit":{{"total_ns":{deposit}}},"nesterov_step/density_deposit/inner":{{"total_ns":50}},"nesterov_step/density_solve":{{"total_ns":40}},"nesterov_step/density_sample":{{"total_ns":10}}}}}}],"transform":{{"v1_median_ns":2,"v2_median_ns":1,"speedup":2}}}}"#
+            )
+        };
+        assert!(validate(&GP, &gp(45)).is_ok());
+        let err = validate(&GP, &gp(30)).unwrap_err();
+        assert!(
+            err.contains("80.0 %") && err.contains("92.5 % floor"),
+            "{err}"
+        );
         let run = r#"{"id":"t/c/ePlace","hpwl":1,"scaled_hpwl":1,"overflow":0.1,"legal":true,"seconds":1}"#;
         let claim = r#"{"id":"c","paper":4.7,"bound":null,"ours":0.3,"reference":0,"verdict":"reproduces"}"#;
         let paper = |run: &str, claim: &str| format!(r#"{{"claims":[{claim}],"suites":[{run}]}}"#);

@@ -11,6 +11,7 @@
 //! the last backtracking check is reused as the next iteration's gradient,
 //! so a single-pass iteration costs exactly one gradient evaluation.
 
+use crate::placer::in_span;
 use eplace_geometry::Point;
 use eplace_obs::Obs;
 
@@ -193,8 +194,10 @@ impl NesterovOptimizer {
     }
 
     /// Sets the observability recorder: each [`NesterovOptimizer::step`]
-    /// records a `nesterov_step` span and its backtracks go into the
-    /// `backtracks_total` counter. Recording never changes the trajectory.
+    /// records a `nesterov_step` span, with child spans for its own passes
+    /// (`trial_update`, `project`, `norm_diff`) beside the cost's, and its
+    /// backtracks go into the `backtracks_total` counter. Recording never
+    /// changes the trajectory.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -268,12 +271,15 @@ impl NesterovOptimizer {
 
         // Lipschitz prediction (Eq. 10). If the gradient did not change
         // (converged / degenerate), keep the previous steplength.
+        let obs = &self.obs;
         let (num, den) = match self.lipschitz_norms.take() {
             Some(norms) => norms,
-            None => (
-                norm_diff(&self.v, &self.v_prev),
-                norm_diff(&self.g, &self.g_prev),
-            ),
+            None => in_span(obs, "norm_diff", || {
+                (
+                    norm_diff(&self.v, &self.v_prev),
+                    norm_diff(&self.g, &self.g_prev),
+                )
+            }),
         };
         let mut alpha = if den > 1e-30 {
             num / den
@@ -290,22 +296,30 @@ impl NesterovOptimizer {
             // Trial u_{k+1} and v_{k+1}. Zipped slices, not indices: an
             // indexed loop reloads every vector's bounds through `self`
             // on each element.
-            for ((u_next, &v), &g) in self.scratch_u.iter_mut().zip(&self.v).zip(&self.g) {
-                *u_next = v - g * alpha;
-            }
-            cost.project(&mut self.scratch_u);
-            for ((v_next, &u_next), &u) in
-                self.scratch_v.iter_mut().zip(&self.scratch_u).zip(&self.u)
-            {
-                *v_next = u_next + (u_next - u) * coef;
-            }
-            cost.project(&mut self.scratch_v);
+            in_span(obs, "trial_update", || {
+                for ((u_next, &v), &g) in self.scratch_u.iter_mut().zip(&self.v).zip(&self.g) {
+                    *u_next = v - g * alpha;
+                }
+            });
+            in_span(obs, "project", || cost.project(&mut self.scratch_u));
+            in_span(obs, "trial_update", || {
+                for ((v_next, &u_next), &u) in
+                    self.scratch_v.iter_mut().zip(&self.scratch_u).zip(&self.u)
+                {
+                    *v_next = u_next + (u_next - u) * coef;
+                }
+            });
+            in_span(obs, "project", || cost.project(&mut self.scratch_v));
             cost.gradient(&self.scratch_v, &mut self.scratch_g);
             if !self.backtracking || backtracks >= self.max_backtracks {
                 break;
             }
-            let ref_num = norm_diff(&self.scratch_v, &self.v);
-            let ref_den = norm_diff(&self.scratch_g, &self.g);
+            let (ref_num, ref_den) = in_span(obs, "norm_diff", || {
+                (
+                    norm_diff(&self.scratch_v, &self.v),
+                    norm_diff(&self.scratch_g, &self.g),
+                )
+            });
             // Once this trial is committed, (scratch_v, v) and
             // (scratch_g, g) are (v, v_prev) and (g, g_prev): the pair is
             // the next step's prediction input, bit for bit.

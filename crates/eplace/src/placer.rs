@@ -174,7 +174,7 @@ fn timed_stage<T>(
 }
 
 /// Runs `f` inside the span `name`.
-fn in_span<T>(obs: &Obs, name: &'static str, f: impl FnOnce() -> T) -> T {
+pub(crate) fn in_span<T>(obs: &Obs, name: &'static str, f: impl FnOnce() -> T) -> T {
     let _span = obs.span(name);
     f()
 }

@@ -1,6 +1,8 @@
 use crate::fft::HalfFft;
+use crate::lanes::{neg, Lanes, Lines};
 use crate::{Complex, FftPlan, Pow2};
 use eplace_errors::EplaceError;
+use std::array;
 use std::f64::consts::PI;
 
 /// A reusable plan for cosine/sine transforms of one fixed power-of-two size.
@@ -20,6 +22,11 @@ use std::f64::consts::PI;
 /// final store (`1.0` for none); DCT-III scaled by `2/N` inverts the
 /// DCT-II.
 ///
+/// Behind each public one-line method sits one kernel generic over a lane
+/// count `L`: [`crate::Transform2d`] runs it on `L` lines a fixed distance
+/// apart per call, every lane computing the one-line arithmetic, and the
+/// public methods are its `L = 1` instance.
+///
 /// V1 runs in `O(N log N)` via Makhoul's repacking onto a single `N`-point
 /// complex FFT, bit-for-bit identical to the textbook pipeline it replaces:
 ///
@@ -31,8 +38,8 @@ use std::f64::consts::PI;
 ///   bit-reversed order from precomputed conjugate twiddles, run the raw
 ///   inverse butterflies, and fuse the `1/N` normalization (and the DCT-III
 ///   `N/2` scale / DST sign flips) into the unpacking store;
-/// * every kernel reads the whole line into scratch before its first
-///   store, so a row or column transforms without a bounce buffer.
+/// * every kernel reads its whole lines into scratch before its first
+///   store, so rows and columns transform without a bounce buffer.
 ///
 /// # Examples
 ///
@@ -84,32 +91,33 @@ pub struct DctPlan {
     refold: Vec<Complex>,
 }
 
-/// Work buffers for the [`DctPlan`] kernels of one plan size.
+/// Work buffers for the [`DctPlan`] kernels of one plan size, holding `L`
+/// lines per slot (the public one-line kernels take the default `L = 1`).
 ///
 /// A caller builds one per plan size and passes it to every kernel call,
 /// so repeated transforms are allocation-free (the placer transforms the
 /// grid three times per Nesterov iteration).
 #[derive(Debug, Clone)]
-pub struct DctScratch {
+pub struct DctScratch<const L: usize = 1> {
     /// Complex FFT workspace (v1 full-size path).
-    freq: Vec<Complex>,
+    freq: Vec<Lanes<L>>,
     /// Engine-v2 half-size ping-pong buffer A (`N/2` slots).
-    half_a: Vec<Complex>,
+    half_a: Vec<Lanes<L>>,
     /// Engine-v2 half-size ping-pong buffer B (`N/2` slots).
-    half_b: Vec<Complex>,
+    half_b: Vec<Lanes<L>>,
     /// Engine-v2 natural-order Hermitian half-spectrum (`N/2 + 1` slots).
-    vh: Vec<Complex>,
+    vh: Vec<Lanes<L>>,
 }
 
-impl DctScratch {
+impl<const L: usize> DctScratch<L> {
     /// Scratch sized for a plan of length `size`.
     pub fn new(size: usize) -> Self {
         let h = size / 2;
         DctScratch {
-            freq: vec![Complex::ZERO; size],
-            half_a: vec![Complex::ZERO; h],
-            half_b: vec![Complex::ZERO; h],
-            vh: vec![Complex::ZERO; h + 1],
+            freq: vec![Lanes::ZERO; size],
+            half_a: vec![Lanes::ZERO; h],
+            half_b: vec![Lanes::ZERO; h],
+            vh: vec![Lanes::ZERO; h + 1],
         }
     }
 
@@ -127,8 +135,8 @@ impl DctScratch {
 }
 
 /// Which synthesis a kernel runs.
-#[derive(Clone, Copy)]
-enum Synth {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Synth {
     /// `1/N` then `N/2` — the DCT-III scale.
     Dct3,
     /// Coefficients read mirrored, the DCT-III scale, then the DST's
@@ -224,16 +232,11 @@ impl DctPlan {
         false
     }
 
-    fn check(&self, len: usize, what: &str) {
-        assert_eq!(len, self.size, "{what} length mismatch");
-    }
-
-    fn check_strided(&self, len: usize, offset: usize, stride: usize, what: &str) {
-        assert!(stride > 0, "{what} stride must be positive");
-        assert!(
-            offset + (self.size - 1) * stride < len,
-            "{what} strided line (offset {offset}, stride {stride}) exceeds buffer length {len}"
-        );
+    /// Panics unless `lines` lie in a buffer of `len` elements and the
+    /// scratch was built for this plan's size.
+    fn check<const L: usize>(&self, len: usize, lines: Lines, scratch: &DctScratch<L>, what: &str) {
+        lines.check::<L>(len, self.size, what);
+        assert_eq!(scratch.len(), self.size, "{what} scratch length mismatch");
     }
 
     /// Forward DCT-II `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))` of the strided
@@ -250,22 +253,30 @@ impl DctPlan {
         stride: usize,
         scratch: &mut DctScratch,
     ) {
-        self.check_strided(data.len(), offset, stride, "dct2");
-        self.check(scratch.len(), "dct2 scratch");
+        self.dct2_lines(data, Lines::one(offset, stride), scratch)
+    }
+
+    /// [`DctPlan::dct2_strided`] of the `L` lines `lines`, in place.
+    pub(crate) fn dct2_lines<const L: usize>(
+        &self,
+        data: &mut [f64],
+        lines: Lines,
+        scratch: &mut DctScratch<L>,
+    ) {
+        self.check(data.len(), lines, scratch, "dct2");
         if self.size == 1 {
             return;
         }
         for (slot, &src) in scratch.freq.iter_mut().zip(&self.packed_rev) {
-            *slot = Complex::from(data[offset + src as usize * stride]);
+            *slot = Lanes::from_re(lines.load(data, lines.at(src as usize)));
         }
         self.fft.butterflies(&mut scratch.freq, false);
         // Post-twiddle keeping only the real component: the identical
         // multiply-subtract the full complex product performs for its real
         // part.
-        let mut i = offset;
-        for (z, t) in scratch.freq.iter().zip(&self.fwd_twiddles) {
-            data[i] = z.re * t.re - z.im * t.im;
-            i += stride;
+        for (u, (z, t)) in scratch.freq.iter().zip(&self.fwd_twiddles).enumerate() {
+            let re: [f64; L] = array::from_fn(|l| z.re[l] * t.re - z.im[l] * t.im);
+            lines.store(data, lines.at(u), re);
         }
     }
 
@@ -290,7 +301,13 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_strided(data, offset, stride, scale, scratch, Synth::Dct3)
+        self.synth_lines(
+            data,
+            Lines::one(offset, stride),
+            scale,
+            scratch,
+            Synth::Dct3,
+        )
     }
 
     /// DST-III-style synthesis used for the electric field,
@@ -317,54 +334,56 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_strided(data, offset, stride, scale, scratch, Synth::Dst3)
+        self.synth_lines(
+            data,
+            Lines::one(offset, stride),
+            scale,
+            scratch,
+            Synth::Dst3,
+        )
     }
 
-    /// V1 synthesis core. Rebuilds the Hermitian FFT spectrum
-    /// `V[u] = e^{iπu/(2N)}·(X[u] − i·X[N−u])` (with `X[N] ≡ 0`) directly in
-    /// bit-reversed order, so the inverse butterflies run with no separate
-    /// permutation pass; the DST reads the coefficients mirrored
+    /// V1 synthesis core, over `L` lines. Rebuilds the Hermitian FFT
+    /// spectrum `V[u] = e^{iπu/(2N)}·(X[u] − i·X[N−u])` (with `X[N] ≡ 0`)
+    /// directly in bit-reversed order, so the inverse butterflies run with no
+    /// separate permutation pass; the DST reads the coefficients mirrored
     /// (`X'[u] = X[N−u]`, `X'[0] = 0`) instead of materializing them in a
     /// second buffer. The store unpacks the even/odd interleave, every
     /// output performing the identical `re·(1/N)·(N/2)` chain (then the DST
     /// sign flip, then `·scale`) the historical separate passes performed.
-    fn synth_strided(
+    pub(crate) fn synth_lines<const L: usize>(
         &self,
         data: &mut [f64],
-        offset: usize,
-        stride: usize,
+        lines: Lines,
         scale: f64,
-        scratch: &mut DctScratch,
+        scratch: &mut DctScratch<L>,
         mode: Synth,
     ) {
-        self.check_strided(data.len(), offset, stride, mode.name());
-        self.check(scratch.len(), mode.name());
+        self.check(data.len(), lines, scratch, mode.name());
         let n = self.size;
         if n == 1 {
-            data[offset] = self.synth_size_one(data[offset], mode) * scale;
+            self.synth_size_one::<L>(data, lines, scale, mode);
             return;
         }
-        let end = offset + n * stride;
+        let coeff = |u: usize| lines.load::<L>(data, lines.at(u));
         match mode {
             Synth::Dct3 => {
                 for (slot, &ju) in scratch.freq.iter_mut().zip(self.fft.bit_rev_table()) {
                     let u = ju as usize;
-                    let us = u * stride;
                     *slot = if u == 0 {
-                        Complex::from(data[offset])
+                        Lanes::from_re(coeff(0))
                     } else {
-                        Complex::new(data[offset + us], -data[end - us]) * self.inv_twiddles[u]
+                        Lanes::new(coeff(u), neg(coeff(n - u))) * self.inv_twiddles[u]
                     };
                 }
             }
             Synth::Dst3 => {
                 for (slot, &ju) in scratch.freq.iter_mut().zip(self.fft.bit_rev_table()) {
                     let u = ju as usize;
-                    let us = u * stride;
                     *slot = if u == 0 {
-                        Complex::ZERO
+                        Lanes::ZERO
                     } else {
-                        Complex::new(data[end - us], -data[offset + us]) * self.inv_twiddles[u]
+                        Lanes::new(coeff(n - u), neg(coeff(u))) * self.inv_twiddles[u]
                     };
                 }
             }
@@ -374,20 +393,22 @@ impl DctPlan {
         let half_n = n as f64 / 2.0;
         let (lo, hi) = scratch.freq.split_at(n / 2);
         let pairs = lo.iter().zip(hi.iter().rev());
-        let mut i = offset;
+        let unpack = |v: f64| (v * inv_n) * half_n;
         match mode {
             Synth::Dct3 => {
-                for (a, b) in pairs {
-                    data[i] = ((a.re * inv_n) * half_n) * scale;
-                    data[i + stride] = ((b.re * inv_n) * half_n) * scale;
-                    i += 2 * stride;
+                for (m, (a, b)) in pairs.enumerate() {
+                    lines.store(data, lines.at(2 * m), a.re.map(|v| unpack(v) * scale));
+                    lines.store(data, lines.at(2 * m + 1), b.re.map(|v| unpack(v) * scale));
                 }
             }
             Synth::Dst3 => {
-                for (a, b) in pairs {
-                    data[i] = ((a.re * inv_n) * half_n) * scale;
-                    data[i + stride] = (-((b.re * inv_n) * half_n)) * scale;
-                    i += 2 * stride;
+                for (m, (a, b)) in pairs.enumerate() {
+                    lines.store(data, lines.at(2 * m), a.re.map(|v| unpack(v) * scale));
+                    lines.store(
+                        data,
+                        lines.at(2 * m + 1),
+                        b.re.map(|v| (-unpack(v)) * scale),
+                    );
                 }
             }
         }
@@ -414,62 +435,68 @@ impl DctPlan {
         stride: usize,
         scratch: &mut DctScratch,
     ) {
-        self.check_strided(data.len(), offset, stride, "dct2");
-        self.check(scratch.len(), "dct2 scratch");
+        self.dct2_v2_lines(data, Lines::one(offset, stride), scratch)
+    }
+
+    /// [`DctPlan::dct2_v2`] of the `L` lines `lines`, in place.
+    pub(crate) fn dct2_v2_lines<const L: usize>(
+        &self,
+        data: &mut [f64],
+        lines: Lines,
+        scratch: &mut DctScratch<L>,
+    ) {
+        self.check(data.len(), lines, scratch, "dct2");
         let n = self.size;
         if n == 1 {
             return;
         }
         let h = n / 2;
+        let x = |i: usize| lines.load::<L>(data, lines.at(i));
         // Makhoul fold: half-FFT input m packs samples makhoul(2m) and
         // makhoul(2m+1) — even slots (4m, 4m+2) for m < H/2, odd slots
         // (2N−1−4m, 2N−3−4m) for m ≥ H/2, the exact mirror of the synthesis
         // store. For n ≥ 8 the gather is fused into the first radix-4 pass;
         // n = 4 gathers explicitly because its half FFT opens with radix-2.
         let in_b = if n == 2 {
-            scratch.half_a[0] = Complex::new(data[offset], data[offset + stride]);
+            scratch.half_a[0] = Lanes::new(x(0), x(1));
             false
         } else if n == 4 {
-            scratch.half_a[0] = Complex::new(data[offset], data[offset + 2 * stride]);
-            scratch.half_a[1] = Complex::new(data[offset + 3 * stride], data[offset + stride]);
+            scratch.half_a[0] = Lanes::new(x(0), x(2));
+            scratch.half_a[1] = Lanes::new(x(3), x(1));
             self.half
                 .run(&mut scratch.half_a, &mut scratch.half_b, false)
         } else {
-            self.half.run_folded_fwd(
-                data,
-                offset,
-                stride,
-                &mut scratch.half_a,
-                &mut scratch.half_b,
-            )
+            self.half
+                .run_folded_fwd(data, lines, &mut scratch.half_a, &mut scratch.half_b)
         };
-        let z: &[Complex] = if in_b {
+        let z: &[Lanes<L>] = if in_b {
             &scratch.half_b
         } else {
             &scratch.half_a
         };
         // Bin 0 and the Nyquist-pair bin H are purely real.
         let z0 = z[0];
-        data[offset] = z0.re + z0.im;
-        data[offset + h * stride] = self.fwd_twiddles[h].re * (z0.re - z0.im);
+        let wh = self.fwd_twiddles[h].re;
+        let dc: [f64; L] = array::from_fn(|l| z0.re[l] + z0.im[l]);
+        let nyquist: [f64; L] = array::from_fn(|l| wh * (z0.re[l] - z0.im[l]));
+        lines.store(data, lines.at(0), dc);
+        lines.store(data, lines.at(h), nyquist);
         // Each u < H yields twice the full-size spectrum bin
         // `U[u] = (Z[u] + conj(Z[H−u])) − s[u]·(Z[u] − conj(Z[H−u]))`; the
         // half-scaled projection tables absorb the 1/2, and Hermitian
         // symmetry gives bin `N−u` from the same `U[u]` for free.
-        let mut iu = offset + stride;
-        let mut ib = offset + (n - 1) * stride;
         let bins = z[1..]
             .iter()
             .zip(z[1..].iter().rev())
             .zip(&self.unfold[1..h])
             .zip(&self.fwd_half[1..]);
-        for (((&zu, &zr), s), g) in bins {
+        for (u, (((&zu, &zr), s), g)) in (1..).zip(bins) {
             let zc = zr.conj();
-            let u = (zu + zc) - *s * (zu - zc);
-            data[iu] = g[0] * u.re - g[1] * u.im;
-            data[ib] = g[2] * u.re + g[3] * u.im;
-            iu += stride;
-            ib -= stride;
+            let v = (zu + zc) - *s * (zu - zc);
+            let lo: [f64; L] = array::from_fn(|l| g[0] * v.re[l] - g[1] * v.im[l]);
+            let hi: [f64; L] = array::from_fn(|l| g[2] * v.re[l] + g[3] * v.im[l]);
+            lines.store(data, lines.at(u), lo);
+            lines.store(data, lines.at(n - u), hi);
         }
     }
 
@@ -491,7 +518,13 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_v2(data, offset, stride, scale, scratch, Synth::Dct3)
+        self.synth_v2_lines(
+            data,
+            Lines::one(offset, stride),
+            scale,
+            scratch,
+            Synth::Dct3,
+        )
     }
 
     /// Engine-v2 DST-III synthesis over the strided line
@@ -511,53 +544,53 @@ impl DctPlan {
         scale: f64,
         scratch: &mut DctScratch,
     ) {
-        self.synth_v2(data, offset, stride, scale, scratch, Synth::Dst3)
+        self.synth_v2_lines(
+            data,
+            Lines::one(offset, stride),
+            scale,
+            scratch,
+            Synth::Dst3,
+        )
     }
 
-    /// Engine-v2 synthesis core: rebuild the natural-order Hermitian
-    /// half-spectrum `Vh[u] = conj(W[u])·(X[u] − i·X[N−u])` for `u ≤ H`,
-    /// refold the even/odd halves into one half-size inverse input
+    /// Engine-v2 synthesis core, over `L` lines: rebuild the natural-order
+    /// Hermitian half-spectrum `Vh[u] = conj(W[u])·(X[u] − i·X[N−u])` for
+    /// `u ≤ H`, refold the even/odd halves into one half-size inverse input
     /// `Zc[u] = (Vh[u] + conj(Vh[H−u])) + i·e^{2πiu/N}·(Vh[u] − conj(Vh[H−u]))`,
     /// run the unscaled half-size inverse FFT, and unpack
     /// `y[2m] = Re(z[m])·½`, `y[2m+1] = Im(z[m])·½` through the inverse
     /// Makhoul permutation fused into the store, `½ = (1/N)·(N/2)` being the
     /// DCT-III scale. The store computes `(value·½)·scale` so a fused
     /// `scale` is bitwise identical to a separate scaling pass.
-    fn synth_v2(
+    pub(crate) fn synth_v2_lines<const L: usize>(
         &self,
         data: &mut [f64],
-        offset: usize,
-        stride: usize,
+        lines: Lines,
         scale: f64,
-        scratch: &mut DctScratch,
+        scratch: &mut DctScratch<L>,
         mode: Synth,
     ) {
-        self.check_strided(data.len(), offset, stride, mode.name());
-        self.check(scratch.len(), mode.name());
+        self.check(data.len(), lines, scratch, mode.name());
         let n = self.size;
         if n == 1 {
-            data[offset] = self.synth_size_one(data[offset], mode) * scale;
+            self.synth_size_one::<L>(data, lines, scale, mode);
             return;
         }
         let h = n / 2;
-        let vh = &mut scratch.vh;
-        let mut iu = offset + stride;
-        let mut ib = offset + (n - 1) * stride;
+        let coeff = |u: usize| lines.load::<L>(data, lines.at(u));
+        let (vh0, vh_rest) = scratch.vh.split_at_mut(1);
+        let spectrum = (1..).zip(vh_rest.iter_mut().zip(&self.inv_twiddles[1..=h]));
         match mode {
             Synth::Dct3 => {
-                vh[0] = Complex::from(data[offset]);
-                for (slot, w) in vh[1..].iter_mut().zip(&self.inv_twiddles[1..=h]) {
-                    *slot = Complex::new(data[iu], -data[ib]) * *w;
-                    iu += stride;
-                    ib -= stride;
+                vh0[0] = Lanes::from_re(coeff(0));
+                for (u, (slot, w)) in spectrum {
+                    *slot = Lanes::new(coeff(u), neg(coeff(n - u))) * *w;
                 }
             }
             Synth::Dst3 => {
-                vh[0] = Complex::ZERO;
-                for (slot, w) in vh[1..].iter_mut().zip(&self.inv_twiddles[1..=h]) {
-                    *slot = Complex::new(data[ib], -data[iu]) * *w;
-                    iu += stride;
-                    ib -= stride;
+                vh0[0] = Lanes::ZERO;
+                for (u, (slot, w)) in spectrum {
+                    *slot = Lanes::new(coeff(n - u), neg(coeff(u))) * *w;
                 }
             }
         }
@@ -578,18 +611,22 @@ impl DctPlan {
             let in_b = self
                 .half
                 .run(&mut scratch.half_a, &mut scratch.half_b, true);
-            let z: &[Complex] = if in_b {
+            let z: &[Lanes<L>] = if in_b {
                 &scratch.half_b
             } else {
                 &scratch.half_a
             };
             // H = 1: slot 0 lands on even output 0, slot 1 on odd output 1.
-            data[offset] = (z[0].re * 0.5) * scale;
-            let odd = z[0].im * 0.5;
-            data[offset + stride] = match mode {
-                Synth::Dct3 => odd * scale,
-                Synth::Dst3 => (-odd) * scale,
-            };
+            let z0 = z[0];
+            lines.store(data, lines.at(0), z0.re.map(|v| (v * 0.5) * scale));
+            let odd = z0.im.map(|v| {
+                let odd = v * 0.5;
+                match mode {
+                    Synth::Dct3 => odd * scale,
+                    Synth::Dst3 => (-odd) * scale,
+                }
+            });
+            lines.store(data, lines.at(1), odd);
             return;
         }
         // For n ≥ 4, H is even: pairs with m < H/2 land on even output
@@ -601,27 +638,37 @@ impl DctPlan {
             &mut scratch.half_a,
             &mut scratch.half_b,
             data,
-            offset,
-            stride,
+            lines,
             scale,
             matches!(mode, Synth::Dst3),
         );
     }
 
-    fn synth_size_one(&self, coeff: f64, mode: Synth) -> f64 {
-        match mode {
-            // Same value, same order of multiplies as the historical
-            // inverse-DCT-II-then-scale pipeline: c · (N/2) with N = 1.
-            Synth::Dct3 => coeff * (self.size as f64 / 2.0),
-            Synth::Dst3 => 0.0,
-        }
+    /// The length-1 synthesis of every line, `·scale` fused: the same value,
+    /// in the same order of multiplies, as the historical
+    /// inverse-DCT-II-then-scale pipeline (`c·(N/2)` with `N = 1`; the DST's
+    /// one basis function is `sin(0)`).
+    fn synth_size_one<const L: usize>(
+        &self,
+        data: &mut [f64],
+        lines: Lines,
+        scale: f64,
+        mode: Synth,
+    ) {
+        let at = lines.at(0);
+        let coeff = lines.load::<L>(data, at);
+        let y = coeff.map(|c| match mode {
+            Synth::Dct3 => (c * (self.size as f64 / 2.0)) * scale,
+            Synth::Dst3 => 0.0 * scale,
+        });
+        lines.store(data, at, y);
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::reference;
+    use crate::{reference, SpectralEngine};
 
     /// The V1 DCT-II of `x` as one contiguous line (offset 0, stride 1).
     pub(crate) fn dct2(plan: &DctPlan, x: &[f64]) -> Vec<f64> {
@@ -980,6 +1027,92 @@ pub(crate) mod tests {
                 }
                 for (a, b) in fused.iter().zip(&separate) {
                     assert_eq!(a.to_bits(), b.to_bits(), "dst {dst} n {n}");
+                }
+            }
+        }
+    }
+
+    /// Bitwise equality in which a NaN matches any NaN.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// `engine`'s DCT-II (`mode = None`) or synthesis at scale 0.3 over the
+    /// `L` lines `lines`.
+    fn run<const L: usize>(
+        plan: &DctPlan,
+        engine: SpectralEngine,
+        mode: Option<Synth>,
+        data: &mut [f64],
+        lines: Lines,
+    ) {
+        let scratch = &mut DctScratch::<L>::new(plan.len());
+        match (engine, mode) {
+            (SpectralEngine::V1, None) => plan.dct2_lines(data, lines, scratch),
+            (SpectralEngine::V1, Some(m)) => plan.synth_lines(data, lines, 0.3, scratch, m),
+            (SpectralEngine::V2, None) => plan.dct2_v2_lines(data, lines, scratch),
+            (SpectralEngine::V2, Some(m)) => plan.synth_v2_lines(data, lines, 0.3, scratch, m),
+        }
+    }
+
+    #[test]
+    fn lane_kernels_are_bitwise_one_line_kernels() {
+        // Four lines through one lane-group call, laid out as a row group
+        // (stride 1, lines apart) and as a column group (lines adjacent),
+        // must each get the bits the one-line kernel gives that line alone.
+        // Lane 2 carries infinities and NaN, the others signed zeros and
+        // subnormals, so a lane reading its neighbour shows.
+        const L: usize = 4;
+        let value = |line: usize, i: usize| -> f64 {
+            let k = line * 31 + i;
+            match (line, i % 9) {
+                (2, 4) => f64::INFINITY,
+                (2, 6) => f64::NAN,
+                (2, 7) => f64::NEG_INFINITY,
+                (_, 1) => -0.0,
+                (_, 3) => 0.0,
+                (_, 5) => f64::MIN_POSITIVE / (1 + k) as f64,
+                _ => (k as f64 * 0.37).sin() * 3.0,
+            }
+        };
+        for &n in &[1usize, 2, 4, 8, 16, 64, 256] {
+            let plan = DctPlan::new(n).unwrap();
+            let layouts = [
+                Lines {
+                    offset: 2,
+                    stride: 1,
+                    dist: n + 3,
+                },
+                Lines {
+                    offset: 1,
+                    stride: L + 3,
+                    dist: 1,
+                },
+            ];
+            for lines in layouts {
+                let len = lines.at(n - 1) + (L - 1) * lines.dist + 2;
+                let mut base = vec![-7.25; len];
+                for l in 0..L {
+                    for i in 0..n {
+                        base[lines.at(i) + l * lines.dist] = value(l, i);
+                    }
+                }
+                let one_line = |l: usize| Lines::one(lines.offset + l * lines.dist, lines.stride);
+                for engine in [SpectralEngine::V1, SpectralEngine::V2] {
+                    for mode in [None, Some(Synth::Dct3), Some(Synth::Dst3)] {
+                        let mut wide = base.clone();
+                        run::<L>(&plan, engine, mode, &mut wide, lines);
+                        let mut narrow = base.clone();
+                        for l in 0..L {
+                            run::<1>(&plan, engine, mode, &mut narrow, one_line(l));
+                        }
+                        for (i, (a, b)) in wide.iter().zip(&narrow).enumerate() {
+                            assert!(
+                                same_bits(*a, *b),
+                                "n {n} {lines:?} {engine:?} {mode:?} at {i}: {a} vs {b}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -1,6 +1,8 @@
+use crate::lanes::{Lanes, Lines};
 use crate::{Complex, Pow2};
 use eplace_errors::EplaceError;
 use std::f64::consts::PI;
+use std::ops::{Add, Mul, Sub};
 
 /// A reusable plan for radix-2 complex FFTs of one fixed power-of-two size.
 ///
@@ -15,8 +17,9 @@ use std::f64::consts::PI;
 /// `inverse(forward(x)) == x`.
 ///
 /// The V1 DCT kernels ([`crate::DctPlan`]) run this plan's butterflies on
-/// their own fused loads and stores; `forward` and `inverse` are the
-/// textbook pipeline those kernels are pinned to bit for bit.
+/// their own fused loads and stores, over a group of lines at once;
+/// `forward` and `inverse` run the same butterflies on one [`Complex`]
+/// line, as the textbook pipeline those kernels are pinned to bit for bit.
 ///
 /// # Examples
 ///
@@ -154,7 +157,13 @@ impl FftPlan {
     /// multiply/add sequence per butterfly — including the multiplies by the
     /// `(1, −0)` twiddle, which must not be skipped or signed zeros would
     /// change — so every output bit matches the generic pass.
-    pub(crate) fn butterflies(&self, data: &mut [Complex], invert: bool) {
+    ///
+    /// `T` is one line ([`Complex`]) or a lane group ([`Lanes`]) whose lanes
+    /// share each twiddle; every lane computes the one-line arithmetic.
+    pub(crate) fn butterflies<T>(&self, data: &mut [T], invert: bool)
+    where
+        T: Copy + Add<Output = T> + Sub<Output = T> + Mul<Complex, Output = T>,
+    {
         let n = self.size;
         let tw: &[Complex] = if invert {
             &self.inv_twiddles
@@ -279,14 +288,19 @@ impl HalfFft {
     }
 
     /// Runs the forward (`invert = false`, `X[k] = Σ x[n]·e^{-2πikn/N}`) or
-    /// unscaled inverse (`invert = true`, no `1/N`) transform of the data in
-    /// `a`, ping-ponging through `b`. Returns `true` when the result ends in
-    /// `b`, `false` when it ends in `a`.
+    /// unscaled inverse (`invert = true`, no `1/N`) transform of the `L`
+    /// lines in `a`, ping-ponging through `b`. Returns `true` when the result
+    /// ends in `b`, `false` when it ends in `a`.
     ///
     /// # Panics
     ///
     /// Panics if either buffer length differs from the plan size.
-    pub(crate) fn run(&self, a: &mut [Complex], b: &mut [Complex], invert: bool) -> bool {
+    pub(crate) fn run<const L: usize>(
+        &self,
+        a: &mut [Lanes<L>],
+        b: &mut [Lanes<L>],
+        invert: bool,
+    ) -> bool {
         assert_eq!(a.len(), self.size, "HalfFft buffer a length mismatch");
         assert_eq!(b.len(), self.size, "HalfFft buffer b length mismatch");
         let stages = if invert { &self.inv } else { &self.fwd };
@@ -296,11 +310,11 @@ impl HalfFft {
     /// The ping-pong stage loop shared by every entry point: runs `stages`
     /// starting at `stride` with the current data in `a` (`in_b = false`) or
     /// `b`. Returns the final `(in_b, stride)`.
-    fn run_stages(
+    fn run_stages<const L: usize>(
         stages: &[HalfFftStage],
         mut stride: usize,
-        a: &mut [Complex],
-        b: &mut [Complex],
+        a: &mut [Lanes<L>],
+        b: &mut [Lanes<L>],
         invert: bool,
         mut in_b: bool,
     ) -> (bool, usize) {
@@ -323,9 +337,9 @@ impl HalfFft {
 
     /// Forward transform with the Makhoul fold fused into the first radix-4
     /// pass: instead of gathering `data` into a complex buffer and re-reading
-    /// it, the first butterfly loads its four inputs straight from the real
-    /// strided line (`L(j) = data[offset + j·stride]`, fold pair `m` packing
-    /// `L` at the even slots `(4m, 4m+2)` for `m < H/2` and the odd slots
+    /// it, the first butterfly loads its four inputs straight from the `L`
+    /// real lines (`X(j)` = element `j` of each line, fold pair `m` packing
+    /// `X` at the even slots `(4m, 4m+2)` for `m < H/2` and the odd slots
     /// `(2N−1−4m, 2N−3−4m)` for `m ≥ H/2`). One full memory round trip
     /// cheaper than `run`; bit-identical to gather-then-`run` because the
     /// butterfly arithmetic is unchanged.
@@ -336,13 +350,12 @@ impl HalfFft {
     /// # Panics
     ///
     /// Panics if either buffer length differs from the plan size.
-    pub(crate) fn run_folded_fwd(
+    pub(crate) fn run_folded_fwd<const L: usize>(
         &self,
         data: &[f64],
-        offset: usize,
-        stride: usize,
-        a: &mut [Complex],
-        b: &mut [Complex],
+        lines: Lines,
+        a: &mut [Lanes<L>],
+        b: &mut [Lanes<L>],
     ) -> bool {
         assert_eq!(a.len(), self.size, "HalfFft buffer a length mismatch");
         assert_eq!(b.len(), self.size, "HalfFft buffer b length mismatch");
@@ -350,35 +363,36 @@ impl HalfFft {
             Some((HalfFftStage::Radix4 { tw, .. }, rest)) => (tw, rest),
             _ => unreachable!("run_folded_fwd requires size >= 4"),
         };
-        Self::radix4_first_folded(data, offset, stride, first, a);
+        Self::radix4_first_folded(data, lines, first, a);
         Self::run_stages(rest, 4, a, b, false, false).0
     }
 
     /// The fused first pass of [`HalfFft::run_folded_fwd`]: a radix-4
     /// decimation-in-frequency butterfly whose inputs come from the folded
-    /// real line. With `s = 1` the four sources for butterfly `p` are fold
+    /// real lines. With `s = 1` the four sources for butterfly `p` are fold
     /// pairs `p`, `p + H/4`, `p + H/2`, `p + 3H/4`; resolving the Makhoul
     /// map turns those into six incremental index streams over `data`.
-    fn radix4_first_folded(
+    fn radix4_first_folded<const L: usize>(
         data: &[f64],
-        offset: usize,
-        stride: usize,
+        lines: Lines,
         tw: &[[Complex; 3]],
-        y: &mut [Complex],
+        y: &mut [Lanes<L>],
     ) {
         let h = y.len();
         let n = 2 * h;
+        let stride = lines.stride;
         let step = 4 * stride;
-        let mut ia = offset;
-        let mut ib = offset + h * stride;
-        let mut ic = offset + (n - 1) * stride;
-        let mut id = offset + (h - 1) * stride;
+        let mut ia = lines.at(0);
+        let mut ib = lines.at(h);
+        let mut ic = lines.at(n - 1);
+        let mut id = lines.at(h - 1);
+        let pair = |re: usize, im: usize| Lanes::new(lines.load(data, re), lines.load(data, im));
         for (w, yp) in tw.iter().zip(y.chunks_exact_mut(4)) {
             let [w1, w2, w3] = *w;
-            let a = Complex::new(data[ia], data[ia + 2 * stride]);
-            let b = Complex::new(data[ib], data[ib + 2 * stride]);
-            let c = Complex::new(data[ic], data[ic - 2 * stride]);
-            let d = Complex::new(data[id], data[id - 2 * stride]);
+            let a = pair(ia, ia + 2 * stride);
+            let b = pair(ib, ib + 2 * stride);
+            let c = pair(ic, ic - 2 * stride);
+            let d = pair(id, id - 2 * stride);
             let apc = a + c;
             let amc = a - c;
             let bpd = b + d;
@@ -401,12 +415,11 @@ impl HalfFft {
     /// Unscaled inverse transform with the inverse-Makhoul unpack fused into
     /// the last pass: instead of finishing the FFT into a complex buffer and
     /// re-reading it for the store loop, the last butterfly writes its
-    /// outputs straight to the real strided line as
-    /// `data[out] = (z·½)·scale` (`out` = the even/odd slot map of
-    /// [`HalfFft::run_folded_fwd`], `negate_odd` flips the sign of odd
-    /// outputs for the DST). One full memory round trip cheaper than `run`
-    /// plus a store loop; bit-identical to it because the butterfly and
-    /// store arithmetic are unchanged.
+    /// outputs straight to the `L` real lines as `(z·½)·scale` (at the
+    /// even/odd slot map of [`HalfFft::run_folded_fwd`]; `negate_odd` flips
+    /// the sign of odd outputs for the DST before the scale). One full memory
+    /// round trip cheaper than `run` plus a store loop; bit-identical to it
+    /// because the butterfly and store arithmetic are unchanged.
     ///
     /// Requires `size ≥ 2` (size 1 has no stages — the caller special-cases
     /// it).
@@ -414,14 +427,12 @@ impl HalfFft {
     /// # Panics
     ///
     /// Panics if either buffer length differs from the plan size.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_refolded_inv(
+    pub(crate) fn run_refolded_inv<const L: usize>(
         &self,
-        a: &mut [Complex],
-        b: &mut [Complex],
+        a: &mut [Lanes<L>],
+        b: &mut [Lanes<L>],
         data: &mut [f64],
-        offset: usize,
-        stride: usize,
+        lines: Lines,
         scale: f64,
         negate_odd: bool,
     ) {
@@ -432,32 +443,23 @@ impl HalfFft {
             None => unreachable!("run_refolded_inv requires size >= 2"),
         };
         let (in_b, s) = Self::run_stages(head, 1, a, b, true, false);
-        let z: &[Complex] = if in_b { &*b } else { &*a };
+        let z: &[Lanes<L>] = if in_b { &*b } else { &*a };
         let h = self.size;
         let n = 2 * h;
+        let stride = lines.stride;
         let step = 4 * stride;
         // Per-stream output cursors: two ascending even streams, two
         // descending odd streams (see the module docs for the slot map).
-        let mut e0 = offset;
-        let mut o0 = offset + (n - 1) * stride;
+        let mut e0 = lines.at(0);
+        let mut o0 = lines.at(n - 1);
         match last {
             HalfFftStage::Radix4 { tw, .. } => {
                 let [w1, w2, w3] = tw[0];
                 let (xa, xr) = z.split_at(s);
                 let (xb, xr) = xr.split_at(s);
                 let (xc, xd) = xr.split_at(s);
-                let mut e1 = offset + h * stride;
-                let mut o1 = offset + (h - 1) * stride;
-                let store = |data: &mut [f64], i: usize, v: Complex, neg: bool, down: bool| {
-                    let (re, im) = if neg {
-                        (-(v.re * 0.5), -(v.im * 0.5))
-                    } else {
-                        (v.re * 0.5, v.im * 0.5)
-                    };
-                    let j = if down { i - 2 * stride } else { i + 2 * stride };
-                    data[i] = re * scale;
-                    data[j] = im * scale;
-                };
+                let mut e1 = lines.at(h);
+                let mut o1 = lines.at(h - 1);
                 for (((&a, &b), &c), &d) in xa.iter().zip(xb).zip(xc).zip(xd) {
                     let apc = a + c;
                     let amc = a - c;
@@ -465,10 +467,24 @@ impl HalfFft {
                     let jbmd = (b - d).mul_i();
                     let t1 = amc + jbmd;
                     let t3 = amc - jbmd;
-                    store(data, e0, apc + bpd, false, false);
-                    store(data, e1, w1 * t1, false, false);
-                    store(data, o0, w2 * (apc - bpd), negate_odd, true);
-                    store(data, o1, w3 * t3, negate_odd, true);
+                    let (even0, even1) = (apc + bpd, w1 * t1);
+                    let (odd0, odd1) = (w2 * (apc - bpd), w3 * t3);
+                    lines.store(data, e0, half_scaled(even0.re, false, scale));
+                    lines.store(data, e0 + 2 * stride, half_scaled(even0.im, false, scale));
+                    lines.store(data, e1, half_scaled(even1.re, false, scale));
+                    lines.store(data, e1 + 2 * stride, half_scaled(even1.im, false, scale));
+                    lines.store(data, o0, half_scaled(odd0.re, negate_odd, scale));
+                    lines.store(
+                        data,
+                        o0 - 2 * stride,
+                        half_scaled(odd0.im, negate_odd, scale),
+                    );
+                    lines.store(data, o1, half_scaled(odd1.re, negate_odd, scale));
+                    lines.store(
+                        data,
+                        o1 - 2 * stride,
+                        half_scaled(odd1.im, negate_odd, scale),
+                    );
                     e0 += step;
                     e1 += step;
                     o0 = o0.wrapping_sub(step);
@@ -480,15 +496,14 @@ impl HalfFft {
                 for (&a, &b) in xa.iter().zip(xb) {
                     let even = a + b;
                     let odd = a - b;
-                    data[e0] = (even.re * 0.5) * scale;
-                    data[e0 + 2 * stride] = (even.im * 0.5) * scale;
-                    let (re, im) = if negate_odd {
-                        (-(odd.re * 0.5), -(odd.im * 0.5))
-                    } else {
-                        (odd.re * 0.5, odd.im * 0.5)
-                    };
-                    data[o0] = re * scale;
-                    data[o0 - 2 * stride] = im * scale;
+                    lines.store(data, e0, half_scaled(even.re, false, scale));
+                    lines.store(data, e0 + 2 * stride, half_scaled(even.im, false, scale));
+                    lines.store(data, o0, half_scaled(odd.re, negate_odd, scale));
+                    lines.store(
+                        data,
+                        o0 - 2 * stride,
+                        half_scaled(odd.im, negate_odd, scale),
+                    );
                     e0 += step;
                     o0 = o0.wrapping_sub(step);
                 }
@@ -504,12 +519,12 @@ impl HalfFft {
     /// expressed as slice splits and lock-step zips so every inner-loop
     /// access is provably in bounds — the compiler drops the per-element
     /// checks and vectorizes the butterfly.
-    fn radix4_pass(
+    fn radix4_pass<const L: usize>(
         len: usize,
         s: usize,
         tw: &[[Complex; 3]],
-        x: &[Complex],
-        y: &mut [Complex],
+        x: &[Lanes<L>],
+        y: &mut [Lanes<L>],
         invert: bool,
     ) {
         let quarter = s * (len / 4);
@@ -528,7 +543,7 @@ impl HalfFft {
             let (y0, yr) = yp.split_at_mut(s);
             let (y1, yr) = yr.split_at_mut(s);
             let (y2, y3) = yr.split_at_mut(s);
-            let lanes = pa
+            let columns = pa
                 .iter()
                 .zip(pb)
                 .zip(pc)
@@ -537,7 +552,7 @@ impl HalfFft {
                 .zip(y1)
                 .zip(y2)
                 .zip(y3);
-            for (((((((a, b), c), d), y0), y1), y2), y3) in lanes {
+            for (((((((a, b), c), d), y0), y1), y2), y3) in columns {
                 let apc = *a + *c;
                 let amc = *a - *c;
                 let bpd = *b + *d;
@@ -556,7 +571,7 @@ impl HalfFft {
     }
 
     /// The final radix-2 pass: `s` twiddle-free length-2 butterflies.
-    fn radix2_pass(s: usize, x: &[Complex], y: &mut [Complex]) {
+    fn radix2_pass<const L: usize>(s: usize, x: &[Lanes<L>], y: &mut [Lanes<L>]) {
         let (xa, xb) = x.split_at(s);
         let (ya, yb) = y.split_at_mut(s);
         for (((a, b), ya), yb) in xa.iter().zip(xb).zip(ya).zip(yb) {
@@ -564,6 +579,16 @@ impl HalfFft {
             *yb = *a - *b;
         }
     }
+}
+
+/// The inverse-Makhoul store value `(v·½)·scale` per lane, the DST's sign
+/// flip applied to `v·½` first.
+#[inline(always)]
+fn half_scaled<const L: usize>(v: [f64; L], negate: bool, scale: f64) -> [f64; L] {
+    v.map(|x| {
+        let half = x * 0.5;
+        (if negate { -half } else { half }) * scale
+    })
 }
 
 #[cfg(test)]
@@ -656,6 +681,15 @@ mod tests {
         assert!(FftPlan::new(0).is_err());
     }
 
+    /// `z` as a one-lane group per element, and back.
+    fn one_lane(z: &[Complex]) -> Vec<Lanes<1>> {
+        z.iter().map(|c| Lanes::new([c.re], [c.im])).collect()
+    }
+
+    fn from_one_lane(z: &[Lanes<1>]) -> Vec<Complex> {
+        z.iter().map(|c| Complex::new(c.re[0], c.im[0])).collect()
+    }
+
     #[test]
     fn half_fft_matches_naive_dft() {
         for &n in &[1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
@@ -665,12 +699,12 @@ mod tests {
             let input: Vec<Complex> = (0..n)
                 .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
                 .collect();
-            let mut a = input.clone();
-            let mut b = vec![Complex::ZERO; n];
+            let mut a = one_lane(&input);
+            let mut b = vec![Lanes::ZERO; n];
             let in_b = half.run(&mut a, &mut b, false);
-            let fast = if in_b { &b } else { &a };
+            let fast = from_one_lane(if in_b { &b } else { &a });
             let slow = reference::naive_dft(&input);
-            assert_close(fast, &slow, 1e-10 * n.max(1) as f64);
+            assert_close(&fast, &slow, 1e-10 * n.max(1) as f64);
         }
     }
 
@@ -681,18 +715,72 @@ mod tests {
             let input: Vec<Complex> = (0..n)
                 .map(|i| Complex::new(i as f64 * 0.25 - 1.0, (i as f64 * 0.9).sin()))
                 .collect();
-            let mut a = input.clone();
-            let mut b = vec![Complex::ZERO; n];
+            let mut a = one_lane(&input);
+            let mut b = vec![Lanes::ZERO; n];
             let fwd_in_b = half.run(&mut a, &mut b, false);
             // Feed the spectrum back through the inverse stages.
             if fwd_in_b {
                 std::mem::swap(&mut a, &mut b);
             }
             let inv_in_b = half.run(&mut a, &mut b, true);
-            let out = if inv_in_b { &b } else { &a };
+            let out = from_one_lane(if inv_in_b { &b } else { &a });
             let scale = 1.0 / n as f64;
             for (y, x) in out.iter().zip(&input) {
                 assert!((y.scale(scale) - *x).norm() < 1e-10, "n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn half_fft_lanes_are_bitwise_one_line_runs() {
+        // Four lines through one lane-group run must each get the bits of
+        // their own one-line run, whatever the neighbouring lanes hold.
+        let specials = [
+            0.0,
+            -0.0,
+            5e-324,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &n in &[1usize, 2, 4, 8, 32, 128] {
+            let half = HalfFft::new(Pow2::new(n).unwrap());
+            let line = |l: usize| -> Vec<Complex> {
+                (0..n)
+                    .map(|i| {
+                        let k = i * 4 + l;
+                        if l == 3 && i % 7 == 2 {
+                            Complex::new(specials[k % 6], specials[(k + 1) % 6])
+                        } else {
+                            Complex::new((k as f64 * 0.37).sin(), (k as f64 * 0.11).cos())
+                        }
+                    })
+                    .collect()
+            };
+            for invert in [false, true] {
+                let mut a: Vec<Lanes<4>> = (0..n)
+                    .map(|i| {
+                        let z: [Complex; 4] = std::array::from_fn(|l| line(l)[i]);
+                        Lanes::new(z.map(|c| c.re), z.map(|c| c.im))
+                    })
+                    .collect();
+                let mut b = vec![Lanes::ZERO; n];
+                let in_b = half.run(&mut a, &mut b, invert);
+                let wide = if in_b { &b } else { &a };
+                for l in 0..4 {
+                    let mut a1 = one_lane(&line(l));
+                    let mut b1 = vec![Lanes::ZERO; n];
+                    let in_b1 = half.run(&mut a1, &mut b1, invert);
+                    let one = if in_b1 { &b1 } else { &a1 };
+                    for (w, o) in wide.iter().zip(one) {
+                        for (x, y) in [(w.re[l], o.re[0]), (w.im[l], o.im[0])] {
+                            assert!(
+                                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                                "n {n} invert {invert} lane {l}: {x} vs {y}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -11,12 +11,16 @@
 //! * [`Complex`] — minimal complex arithmetic.
 //! * [`FftPlan`] — iterative radix-2 complex FFT with precomputed twiddles.
 //! * [`DctPlan`] — DCT-II analysis and DCT-III / DST-III synthesis, each one
-//!   in-place kernel per engine over a strided line (V1 via Makhoul's
-//!   N-point-FFT repacking).
+//!   in-place kernel per engine (V1 via Makhoul's N-point-FFT repacking).
+//!   Each kernel is generic over a lane count `L` and transforms `L` strided
+//!   lines a fixed distance apart per call, every lane computing the
+//!   one-line arithmetic bit for bit; the public per-line methods are its
+//!   `L = 1` instance.
 //! * [`SpectralPlan`] — process-wide per-size cache of shared [`DctPlan`]s,
 //!   so twiddle/cosine tables are computed once per grid size.
 //! * [`Transform2d`] — separable two-dimensional transforms in the exact
-//!   basis mix the Poisson solver needs (cos·cos, sin·cos, cos·sin).
+//!   basis mix the Poisson solver needs (cos·cos, sin·cos, cos·sin), run
+//!   four rows or four adjacent columns per kernel call.
 //! * [`mod@reference`] — naive `O(N²)` reference transforms used by the tests.
 //!
 //! # Engines
@@ -67,6 +71,7 @@
 mod complex;
 mod dct;
 mod fft;
+mod lanes;
 mod plan;
 pub mod reference;
 mod transform2d;

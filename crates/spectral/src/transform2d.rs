@@ -1,7 +1,16 @@
-use crate::dct::DctScratch;
+use crate::dct::{DctScratch, Synth};
+use crate::lanes::Lines;
 use crate::{DctPlan, Pow2, SpectralEngine, SpectralPlan};
 use eplace_errors::EplaceError;
 use eplace_exec::{for_each_unit, ExecConfig};
+
+/// Lines per kernel call. Rows transform in groups of `LANES` rows, and
+/// columns in groups of `LANES` adjacent columns, so one pass over the
+/// shared twiddles serves `LANES` lines and the lane arithmetic runs as
+/// vector instructions. 4 measured fastest on both engines against 2 and 8
+/// (EXPERIMENTS.md, "Lane groups"). Every lane computes the one-line
+/// kernel's arithmetic, so the width never shows in the output bits.
+const LANES: usize = 4;
 
 /// Which 1-D kernel a pass applies along an axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +38,15 @@ enum Kernel {
 /// three times per optimizer iteration.
 ///
 /// Every line runs through the engine's one in-place kernel per transform
-/// ([`DctPlan::dct2_strided`] and friends, or their `*_v2` twins): rows at
-/// stride 1, columns directly at stride `nx` — the same float sequence the
-/// historical gather → transform → scatter produced, without the bounce
-/// buffer or its two extra passes per column.
+/// (the lane-group form of [`DctPlan::dct2_strided`] and friends, or of
+/// their `*_v2` twins), four lines per call: groups of rows at
+/// stride 1, `nx` apart, and groups of adjacent columns directly at stride
+/// `nx`, 1 apart, so each element of a column group is one contiguous load.
+/// Each lane performs the one-line kernel's IEEE operations on the same
+/// operands in the same order, so every output bit is the one the
+/// one-line kernel gives, and the historical gather → transform → scatter
+/// gave. An axis with fewer than 4 lines (a 1- or 2-line grid) runs the
+/// one-line kernel.
 ///
 /// The synthesis transforms also come in `*_scaled` variants that fuse the
 /// caller's elementwise post-scale (the Poisson solver's normalization)
@@ -41,9 +55,9 @@ enum Kernel {
 ///
 /// With [`Transform2d::set_exec`] the row pass, both transposes, and the
 /// column pass run through [`eplace_exec::for_each_unit`] on scoped worker
-/// threads. Every parallel unit (one row or one column) is written by
-/// exactly one worker, so the result is bitwise identical for every thread
-/// count, including the serial default.
+/// threads. Every parallel unit (a lane group of rows or columns, or one
+/// transpose line) is written by exactly one worker, so the result is
+/// bitwise identical for every thread count, including the serial default.
 ///
 /// [`Transform2d::set_engine`] selects the transform engine: the default
 /// [`SpectralEngine::V1`] reproduces historical bits exactly, while
@@ -74,12 +88,12 @@ pub struct Transform2d {
     plan_y: SpectralPlan,
     /// Column-major staging for the parallel column pass.
     transpose_buf: Vec<f64>,
-    scratch_x: DctScratch,
-    scratch_y: DctScratch,
+    scratch_x: AxisScratch,
+    scratch_y: AxisScratch,
     /// Per-worker scratch pools for the parallel row/column passes,
     /// persistent across calls.
-    pool_x: Vec<DctScratch>,
-    pool_y: Vec<DctScratch>,
+    pool_x: Vec<AxisScratch>,
+    pool_y: Vec<AxisScratch>,
     exec: ExecConfig,
     engine: SpectralEngine,
 }
@@ -108,8 +122,8 @@ impl Transform2d {
             plan_x,
             plan_y,
             transpose_buf: Vec::new(),
-            scratch_x: DctScratch::new(nx),
-            scratch_y: DctScratch::new(ny),
+            scratch_x: AxisScratch::new(nx, ny),
+            scratch_y: AxisScratch::new(ny, nx),
             pool_x: Vec::new(),
             pool_y: Vec::new(),
             exec: ExecConfig::serial(),
@@ -246,28 +260,36 @@ impl Transform2d {
         }
     }
 
-    /// The single-threaded path, using the object-owned scratch. Rows
-    /// transform at stride 1; each column transforms at stride `nx`, with
-    /// the caller's `scale` fused into the final store.
+    /// The single-threaded path, using the object-owned scratch. Row groups
+    /// transform at stride 1; each group of adjacent columns transforms at
+    /// stride `nx`, with the caller's `scale` fused into the final store.
     fn apply_serial(&mut self, data: &mut [f64], kernel_x: Kernel, kernel_y: Kernel, scale: f64) {
-        let nx = self.nx;
-        let (op_x, op_y) = ((self.engine, kernel_x), (self.engine, kernel_y));
-        for row in data.chunks_exact_mut(nx) {
-            run_line(&self.plan_x, op_x, row, 0, 1, 1.0, &mut self.scratch_x);
-        }
+        let (nx, ny) = (self.nx, self.ny);
         debug_assert!(
             kernel_y != Kernel::Dct2 || scale == 1.0,
             "forward pass never scales"
         );
-        for ix in 0..nx {
-            run_line(&self.plan_y, op_y, data, ix, nx, scale, &mut self.scratch_y);
-        }
+        let rows = Lines {
+            offset: 0,
+            stride: 1,
+            dist: nx,
+        };
+        let columns = Lines {
+            offset: 0,
+            stride: nx,
+            dist: 1,
+        };
+        let (op_x, op_y) = ((self.engine, kernel_x), (self.engine, kernel_y));
+        self.scratch_x.run(&self.plan_x, op_x, data, rows, ny, 1.0);
+        self.scratch_y
+            .run(&self.plan_y, op_y, data, columns, nx, scale);
     }
 
-    /// The multi-threaded path. Each parallel unit (row, column, or
-    /// transpose line) is written by exactly one worker with its own
-    /// pooled scratch, so the output is bitwise identical to the serial
-    /// path and steady-state calls build no new scratch.
+    /// The multi-threaded path. Each parallel unit (a lane group of rows or
+    /// of transposed columns, or one transpose line) is written by exactly
+    /// one worker with its own pooled scratch, so the output is bitwise
+    /// identical to the serial path and steady-state calls build no new
+    /// scratch. The units depend only on the grid size.
     fn apply_parallel(&mut self, data: &mut [f64], kernel_x: Kernel, kernel_y: Kernel, scale: f64) {
         let (nx, ny) = (self.nx, self.ny);
         self.transpose_buf.resize(nx * ny, 0.0);
@@ -278,13 +300,19 @@ impl Transform2d {
         let mut unit_pool: Vec<()> = Vec::new();
         let exec = self.exec;
         let plan_x = &self.plan_x;
+        let width_x = self.scratch_x.width();
+        let rows = Lines {
+            offset: 0,
+            stride: 1,
+            dist: nx,
+        };
         for_each_unit(
             &exec,
             data,
-            nx,
+            width_x * nx,
             &mut self.pool_x,
-            || DctScratch::new(nx),
-            |_, row, scratch| run_line(plan_x, op_x, row, 0, 1, 1.0, scratch),
+            || AxisScratch::new(nx, ny),
+            |_, group, scratch| scratch.run(plan_x, op_x, group, rows, width_x, 1.0),
         );
         {
             let src: &[f64] = data;
@@ -302,13 +330,19 @@ impl Transform2d {
             );
         }
         let plan_y = &self.plan_y;
+        let width_y = self.scratch_y.width();
+        let columns = Lines {
+            offset: 0,
+            stride: 1,
+            dist: ny,
+        };
         for_each_unit(
             &exec,
             &mut self.transpose_buf,
-            ny,
+            width_y * ny,
             &mut self.pool_y,
-            || DctScratch::new(ny),
-            |_, col, scratch| run_line(plan_y, op_y, col, 0, 1, 1.0, scratch),
+            || AxisScratch::new(ny, nx),
+            |_, group, scratch| scratch.run(plan_y, op_y, group, columns, width_y, 1.0),
         );
         // Transpose back with the caller's scale fused into the copy:
         // `v·scale` is the identical product the separate post-pass would
@@ -329,29 +363,83 @@ impl Transform2d {
     }
 }
 
-/// Runs one engine's kernel over the strided line
-/// `data[offset + i·stride]`, with `scale` fused into a synthesis store
-/// (the forward DCT-II takes none).
-fn run_line(
+/// One axis's kernel scratch: lane-group scratch when the axis has at least
+/// [`LANES`] lines (every power-of-two count that large is a whole number
+/// of groups), one-line scratch for a 1- or 2-line axis.
+#[derive(Debug, Clone)]
+enum AxisScratch {
+    Lanes(DctScratch<LANES>),
+    Line(DctScratch<1>),
+}
+
+impl AxisScratch {
+    /// Scratch for `count` lines of length `len`.
+    fn new(len: usize, count: usize) -> Self {
+        if count >= LANES {
+            AxisScratch::Lanes(DctScratch::new(len))
+        } else {
+            AxisScratch::Line(DctScratch::new(len))
+        }
+    }
+
+    /// Lines one kernel call transforms.
+    fn width(&self) -> usize {
+        match self {
+            AxisScratch::Lanes(_) => LANES,
+            AxisScratch::Line(_) => 1,
+        }
+    }
+
+    /// Transforms `count` lines, line `k` starting `k·lines.dist` past
+    /// `lines.offset`, one group of [`AxisScratch::width`] lines per call.
+    fn run(
+        &mut self,
+        plan: &DctPlan,
+        op: (SpectralEngine, Kernel),
+        data: &mut [f64],
+        lines: Lines,
+        count: usize,
+        scale: f64,
+    ) {
+        match self {
+            AxisScratch::Lanes(scratch) => run_groups(plan, op, data, lines, count, scale, scratch),
+            AxisScratch::Line(scratch) => run_groups(plan, op, data, lines, count, scale, scratch),
+        }
+    }
+}
+
+/// The group loop of [`AxisScratch::run`] at `L` lines per call.
+fn run_groups<const L: usize>(
     plan: &DctPlan,
     op: (SpectralEngine, Kernel),
     data: &mut [f64],
-    offset: usize,
-    stride: usize,
+    lines: Lines,
+    count: usize,
     scale: f64,
-    scratch: &mut DctScratch,
+    scratch: &mut DctScratch<L>,
 ) {
-    match op {
-        (SpectralEngine::V1, Kernel::Dct2) => plan.dct2_strided(data, offset, stride, scratch),
-        (SpectralEngine::V1, Kernel::Dct3) => {
-            plan.dct3_strided(data, offset, stride, scale, scratch)
+    debug_assert_eq!(count % L, 0, "a partial lane group");
+    for group in 0..count / L {
+        let lines = Lines {
+            offset: lines.offset + group * L * lines.dist,
+            ..lines
+        };
+        match op {
+            (SpectralEngine::V1, Kernel::Dct2) => plan.dct2_lines(data, lines, scratch),
+            (SpectralEngine::V1, Kernel::Dct3) => {
+                plan.synth_lines(data, lines, scale, scratch, Synth::Dct3)
+            }
+            (SpectralEngine::V1, Kernel::Dst3) => {
+                plan.synth_lines(data, lines, scale, scratch, Synth::Dst3)
+            }
+            (SpectralEngine::V2, Kernel::Dct2) => plan.dct2_v2_lines(data, lines, scratch),
+            (SpectralEngine::V2, Kernel::Dct3) => {
+                plan.synth_v2_lines(data, lines, scale, scratch, Synth::Dct3)
+            }
+            (SpectralEngine::V2, Kernel::Dst3) => {
+                plan.synth_v2_lines(data, lines, scale, scratch, Synth::Dst3)
+            }
         }
-        (SpectralEngine::V1, Kernel::Dst3) => {
-            plan.dst3_strided(data, offset, stride, scale, scratch)
-        }
-        (SpectralEngine::V2, Kernel::Dct2) => plan.dct2_v2(data, offset, stride, scratch),
-        (SpectralEngine::V2, Kernel::Dct3) => plan.dct3_v2(data, offset, stride, scale, scratch),
-        (SpectralEngine::V2, Kernel::Dst3) => plan.dst3_v2(data, offset, stride, scale, scratch),
     }
 }
 
@@ -678,6 +766,140 @@ mod tests {
                 let mut fused = data.clone();
                 scaled(&mut t, &mut fused, scale);
                 assert_eq!(bits(&expect), bits(&fused), "{name} threads {threads}");
+            }
+        }
+    }
+
+    /// The one-line (`L = 1`) 2-D transform: every row, then every column,
+    /// through the public per-line kernels, the column pass fusing `scale`.
+    fn one_line_2d(
+        data: &[f64],
+        (nx, ny): (usize, usize),
+        engine: SpectralEngine,
+        (kernel_x, kernel_y): (Kernel, Kernel),
+        scale: f64,
+    ) -> Vec<f64> {
+        let line = |plan: &DctPlan, kernel, d: &mut [f64], offset, stride, scale| {
+            let scratch = &mut DctScratch::new(plan.len());
+            match (engine, kernel) {
+                (SpectralEngine::V1, Kernel::Dct2) => plan.dct2_strided(d, offset, stride, scratch),
+                (SpectralEngine::V1, Kernel::Dct3) => {
+                    plan.dct3_strided(d, offset, stride, scale, scratch)
+                }
+                (SpectralEngine::V1, Kernel::Dst3) => {
+                    plan.dst3_strided(d, offset, stride, scale, scratch)
+                }
+                (SpectralEngine::V2, Kernel::Dct2) => plan.dct2_v2(d, offset, stride, scratch),
+                (SpectralEngine::V2, Kernel::Dct3) => {
+                    plan.dct3_v2(d, offset, stride, scale, scratch)
+                }
+                (SpectralEngine::V2, Kernel::Dst3) => {
+                    plan.dst3_v2(d, offset, stride, scale, scratch)
+                }
+            }
+        };
+        let (plan_x, plan_y) = (DctPlan::new(nx).unwrap(), DctPlan::new(ny).unwrap());
+        let mut out = data.to_vec();
+        for iy in 0..ny {
+            line(&plan_x, kernel_x, &mut out, iy * nx, 1, 1.0);
+        }
+        for ix in 0..nx {
+            line(&plan_y, kernel_y, &mut out, ix, nx, scale);
+        }
+        out
+    }
+
+    #[test]
+    fn lane_groups_are_bitwise_one_line_transforms() {
+        // Every operation, under both engines and at 1, 2 and 3 threads,
+        // must give each element the bits of the one-line transform. The
+        // inputs hold signed zeros and subnormals, and the second one also
+        // infinities and NaN; a NaN matches any NaN.
+        type Op = fn(&mut Transform2d, &mut [f64]);
+        const SCALE: f64 = -0.0625 * 0.73;
+        let ops: [(Op, (Kernel, Kernel), f64, &str); 7] = [
+            (Transform2d::dct2, (Kernel::Dct2, Kernel::Dct2), 1.0, "dct2"),
+            (Transform2d::dct3, (Kernel::Dct3, Kernel::Dct3), 1.0, "dct3"),
+            (
+                |t, d| t.dct3_scaled(d, SCALE),
+                (Kernel::Dct3, Kernel::Dct3),
+                SCALE,
+                "dct3_scaled",
+            ),
+            (
+                Transform2d::dst3_x,
+                (Kernel::Dst3, Kernel::Dct3),
+                1.0,
+                "dst3_x",
+            ),
+            (
+                |t, d| t.dst3_x_scaled(d, SCALE),
+                (Kernel::Dst3, Kernel::Dct3),
+                SCALE,
+                "dst3_x_scaled",
+            ),
+            (
+                Transform2d::dst3_y,
+                (Kernel::Dct3, Kernel::Dst3),
+                1.0,
+                "dst3_y",
+            ),
+            (
+                |t, d| t.dst3_y_scaled(d, SCALE),
+                (Kernel::Dct3, Kernel::Dst3),
+                SCALE,
+                "dst3_y_scaled",
+            ),
+        ];
+        let finite = |i: usize| match i % 11 {
+            2 => -0.0,
+            5 => 0.0,
+            7 => f64::MIN_POSITIVE / (3 + i % 5) as f64,
+            9 => -5e-324,
+            _ => ((i * 7 % 13) as f64 - 6.0) * (i as f64 * 0.61).sin(),
+        };
+        let special = |i: usize| match i % 97 {
+            13 => f64::INFINITY,
+            41 => f64::NEG_INFINITY,
+            77 => f64::NAN,
+            _ => finite(i),
+        };
+        let grids = [
+            (1usize, 1usize),
+            (1, 8),
+            (2, 4),
+            (8, 2),
+            (4, 4),
+            (16, 64),
+            (64, 64),
+            (256, 32),
+        ];
+        for (nx, ny) in grids {
+            let inputs: [Vec<f64>; 2] = [
+                (0..nx * ny).map(finite).collect(),
+                (0..nx * ny).map(special).collect(),
+            ];
+            for engine in [SpectralEngine::V1, SpectralEngine::V2] {
+                for (op, kernels, op_scale, name) in ops {
+                    for input in &inputs {
+                        let expect = one_line_2d(input, (nx, ny), engine, kernels, op_scale);
+                        for threads in [1, 2, 3] {
+                            let mut t = Transform2d::new(nx, ny)
+                                .unwrap()
+                                .with_engine(engine)
+                                .with_exec(eplace_exec::ExecConfig::with_threads(threads));
+                            let mut got = input.clone();
+                            op(&mut t, &mut got);
+                            for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
+                                assert!(
+                                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                                    "{nx}x{ny} {engine:?} {name} threads {threads} at {i}: \
+                                     {a} vs {b}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }
