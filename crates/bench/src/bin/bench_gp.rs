@@ -3,29 +3,31 @@
 //! Runs the steady-state mGP iteration — Nesterov step, WA wirelength
 //! gradient, density deposit + spectral Poisson solve — on benchgen suites
 //! at four sizes (density grids 64, 128, 256 and 512, the last the grid a
-//! 10⁵-object flow runs at), records the median per-iteration wall time
-//! plus the per-phase span breakdown from `eplace-obs` and the share of
-//! the step its child spans cover, and writes `BENCH_gp.json` at the
-//! repository root. A separate `transform` record times one Poisson
-//! transform round (the analysis DCT-II and the two field syntheses a
-//! solve runs) at grid 256 under both spectral engines and reports the
-//! v2/v1 median speedup. The file is re-parsed and checked
-//! (`eplace_bench::report::GP`) before the program exits 0, so a zero exit
-//! status certifies a well-formed, finite result — and fails (exit 1) when
-//! the engine-v2 transform round is slower than v1 (speedup < 1.0).
+//! 10⁵-object flow runs at). Per suite it warms up, then times `samples`
+//! steps one by one and records their p10, median and p90 wall time, plus
+//! the per-phase span breakdown from `eplace-obs` over exactly those steps
+//! and the share of the step its child spans cover. A separate `transform`
+//! record times one Poisson transform round (the analysis DCT-II and the
+//! two field syntheses a solve runs) at grid 256 under both spectral
+//! engines and reports the v2/v1 median speedup. The document is checked
+//! (`eplace_bench::report::GP`) before it is written to `BENCH_gp.json` at
+//! the repository root, so a zero exit status certifies a well-formed,
+//! finite result — and the run fails (exit 1) when the engine-v2 transform
+//! round is slower than v1 (speedup < 1.0).
 //!
 //! ```text
 //! cargo run --release --bin bench_gp              # full 4-size sweep
 //! cargo run --release --bin bench_gp -- --smoke   # smallest suite only (CI)
 //! ```
 //!
-//! Flags: `--smoke` (1 000-cell suite only), `--samples N` (timed
-//! iterations per suite, default 30), `--out PATH` (output path override).
-//! `EPLACE_BENCH_THREADS` selects the execution layer width (default:
-//! serial, the configuration the golden trace pins down).
+//! Flags: `--smoke` (the 1 000-cell suite only, which the committed file
+//! does not hold: it is written only to `--out`), `--samples N` (timed
+//! steps per suite and transform rounds per engine, default 100, so p10
+//! and p90 each have 10 steps beyond them), `--threads N` (default 1, the
+//! serial configuration the golden trace pins down; 0 means every core),
+//! `--out PATH` (output path override).
 
-use eplace_bench::report::{self, bench_exec, Args};
-use eplace_bench::timing::bench;
+use eplace_bench::report::{self, Args};
 use eplace_benchgen::BenchmarkConfig;
 use eplace_core::{
     initial_placement, insert_fillers, EplaceCost, NesterovOptimizer, PlacementProblem,
@@ -36,7 +38,9 @@ use eplace_obs::json::parse_json;
 use eplace_obs::{Obs, Record};
 use eplace_spectral::{SpectralEngine, Transform2d};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::num::NonZeroUsize;
+use std::time::Instant;
 
 const SUITE_SIZES: &[usize] = &[1_000, 4_000, 16_000, 48_000];
 const WARMUP_STEPS: usize = 3;
@@ -65,6 +69,19 @@ fn spans_to_json(obs: &Obs) -> String {
     s
 }
 
+/// The wall time of one call of `f`, in nanoseconds.
+fn time_ns<R>(f: impl FnOnce() -> R) -> u64 {
+    let start = Instant::now();
+    black_box(f());
+    start.elapsed().as_nanos() as u64
+}
+
+/// The `q`-quantile of ascending `sorted` by nearest rank: index
+/// `round(q·(n − 1))`, so the median of an even count is the upper middle.
+fn quantile(sorted: &[u64], q: f64) -> u64 {
+    sorted[(q * (sorted.len() - 1) as f64).round() as usize]
+}
+
 /// Benchmarks steady-state `step` calls on one suite size and returns the
 /// suite's JSON object (as a raw string for [`Record::raw_field`]).
 fn bench_suite(cells: usize, samples: usize, exec: ExecConfig) -> String {
@@ -87,32 +104,34 @@ fn bench_suite(cells: usize, samples: usize, exec: ExecConfig) -> String {
         optimizer.step(&mut cost);
     }
 
-    // Spans are collected only over the timed region (plus the harness's
-    // own short warmup), so `mean_ns` reflects steady state.
+    // Spans are collected over exactly the timed steps, so `mean_ns`
+    // reflects steady state.
     let obs = Obs::metrics();
     cost.set_obs(obs.clone());
     optimizer.set_obs(obs.clone());
-    let m = bench(&format!("gp_step/{cells}"), samples, || {
-        optimizer.step(&mut cost)
-    });
+    let mut step_ns: Vec<u64> = (0..samples)
+        .map(|_| time_ns(|| optimizer.step(&mut cost)))
+        .collect();
+    step_ns.sort_unstable();
+    let [p10, median, p90] = [0.1, 0.5, 0.9].map(|q| quantile(&step_ns, q));
 
     let spans = spans_to_json(&obs);
     let coverage = parse_json(&spans)
         .map_err(|e| e.to_string())
         .and_then(|spans| report::step_coverage(&spans))
         .unwrap_or_else(|e| panic!("gp_step/{cells} spans: {e}"));
-    eprintln!(
-        "gp_step/{cells}: child spans cover {:.1} % of nesterov_step",
+    println!(
+        "gp_step/{cells}: p10 {p10} ns, median {median} ns, p90 {p90} ns; child spans cover {:.1} %",
         100.0 * coverage
     );
     Record::new("suite")
         .u64_field("cells", cells as u64)
         .u64_field("objects", problem.len() as u64)
         .u64_field("grid", dim as u64)
-        .u64_field("samples", m.samples as u64)
-        .u64_field("median_step_ns", m.median.as_nanos() as u64)
-        .u64_field("min_step_ns", m.min.as_nanos() as u64)
-        .u64_field("mean_step_ns", m.mean.as_nanos() as u64)
+        .u64_field("samples", samples as u64)
+        .u64_field("p10_step_ns", p10)
+        .u64_field("median_step_ns", median)
+        .u64_field("p90_step_ns", p90)
         .f64_field("step_coverage", coverage)
         .raw_field("spans", &spans)
         .into_line()
@@ -149,21 +168,17 @@ fn bench_transform(dim: usize, samples: usize, exec: ExecConfig) -> String {
     };
     // Warm up both engines (plan caches, scratch pools, branch predictors)
     // before any timed sample.
-    std::hint::black_box(round(&mut v1, &data));
-    std::hint::black_box(round(&mut v2, &data));
+    black_box(round(&mut v1, &data));
+    black_box(round(&mut v2, &data));
     let mut v1_ns = Vec::with_capacity(samples);
     let mut v2_ns = Vec::with_capacity(samples);
     for _ in 0..samples {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(round(&mut v1, &data));
-        v1_ns.push(t0.elapsed().as_nanos() as u64);
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(round(&mut v2, &data));
-        v2_ns.push(t0.elapsed().as_nanos() as u64);
+        v1_ns.push(time_ns(|| round(&mut v1, &data)));
+        v2_ns.push(time_ns(|| round(&mut v2, &data)));
     }
     let median = |ns: &mut Vec<u64>| {
         ns.sort_unstable();
-        ns[ns.len() / 2]
+        quantile(ns, 0.5)
     };
     let v1_median = median(&mut v1_ns);
     let v2_median = median(&mut v2_ns);
@@ -183,15 +198,16 @@ fn bench_transform(dim: usize, samples: usize, exec: ExecConfig) -> String {
 }
 
 fn main() {
-    let (smoke, samples, out) = Args::from_env(&["smoke", "samples", "out"], |a| {
+    let keys = ["smoke", "samples", "threads", "out"];
+    let (smoke, samples, exec, out) = Args::from_env(&keys, |a| {
         let samples = a.optional::<NonZeroUsize>("samples")?;
         Ok((
             a.switch("smoke")?,
-            samples.map_or(30, NonZeroUsize::get),
-            a.optional("out")?,
+            samples.map_or(100, NonZeroUsize::get),
+            ExecConfig::with_threads(a.value("threads", 1)?),
+            a.optional::<String>("out")?,
         ))
     });
-    let exec = bench_exec(ExecConfig::serial());
     let sizes = if smoke {
         &SUITE_SIZES[..1]
     } else {
@@ -214,5 +230,5 @@ fn main() {
         .u64_field("warmup_steps", WARMUP_STEPS as u64)
         .bool_field("smoke", smoke)
         .raw_field("transform", &transform);
-    report::emit(&report::GP, head, &suites, out);
+    report::emit(&report::GP, head, &suites, smoke, out);
 }

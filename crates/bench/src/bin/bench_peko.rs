@@ -19,11 +19,13 @@
 //!
 //! ```text
 //! cargo run --release -p eplace-bench --bin bench_peko              # full sweep
-//! cargo run --release -p eplace-bench --bin bench_peko -- --smoke   # smallest suite (CI)
+//! cargo run --release -p eplace-bench --bin bench_peko -- --smoke   # drift check (CI)
 //! ```
 //!
-//! Flags: `--smoke` (smallest suite only), `--seeds N` (seeds per size,
-//! default 3), `--out PATH` (output path override).
+//! Flags: `--smoke` (the smallest size only, checked against the committed
+//! file like `repro --smoke`: never written), `--seeds N` (seeds per size,
+//! default 3), `--out PATH` (the file to write or, with `--smoke`, to
+//! check against).
 
 use eplace_baselines::{CgPlacer, GlobalPlacer, MincutPlacer};
 use eplace_bench::paper::place_baseline;
@@ -116,7 +118,6 @@ fn main() {
     }
     let head = Record::new(report::PEKO.bin)
         .str_field("suite_family", "peko_like")
-        .u64_field("seeds_per_size", seeds)
-        .bool_field("smoke", smoke);
-    report::emit(&report::PEKO, head, &suites, out);
+        .u64_field("seeds_per_size", seeds);
+    report::emit(&report::PEKO, head, &suites, smoke, out);
 }

@@ -18,11 +18,13 @@
 //!
 //! ```text
 //! cargo run --release -p eplace-bench --bin bench_route             # full sweep
-//! cargo run --release -p eplace-bench --bin bench_route -- --smoke  # one suite (CI)
+//! cargo run --release -p eplace-bench --bin bench_route -- --smoke  # drift check (CI)
 //! ```
 //!
-//! Flags: `--smoke` (smallest suite, one seed), `--seeds N` (seeds per
-//! size, default 3), `--out PATH` (output path override).
+//! Flags: `--smoke` (the smallest size and one seed, checked against the
+//! committed file like `repro --smoke`: never written), `--seeds N` (seeds
+//! per size, default 3), `--out PATH` (the file to write or, with
+//! `--smoke`, to check against).
 
 use eplace_bench::report::{self, Args};
 use eplace_benchgen::BenchmarkConfig;
@@ -122,7 +124,6 @@ fn main() {
     let head = Record::new(report::ROUTE.bin)
         .str_field("suite_family", "ispd05_like")
         .f64_field("capacity_scale", CAPACITY_SCALE)
-        .u64_field("seeds_per_size", seeds)
-        .bool_field("smoke", smoke);
-    report::emit(&report::ROUTE, head, &suites, out);
+        .u64_field("seeds_per_size", seeds);
+    report::emit(&report::ROUTE, head, &suites, smoke, out);
 }

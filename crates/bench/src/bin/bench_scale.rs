@@ -20,7 +20,8 @@
 //! cargo run --release -p eplace-bench --bin bench_scale -- --smoke   # 1 000 and 2 000 cells (CI)
 //! ```
 //!
-//! Flags: `--smoke` (the two small sizes), `--out PATH` (output path
+//! Flags: `--smoke` (the two small sizes, which the committed file does not
+//! hold: they are written only to `--out`), `--out PATH` (output path
 //! override).
 
 use eplace_bench::report::{self, Args};
@@ -136,5 +137,5 @@ fn main() {
         .u64_field("seed", SEED)
         .bool_field("smoke", smoke)
         .raw_field("global_swap_growth", &growth);
-    report::emit(&report::SCALE, head, &suites, out);
+    report::emit(&report::SCALE, head, &suites, smoke, out);
 }

@@ -33,20 +33,11 @@ fn main() {
             flow.run()
         })
         .collect();
-    let path = report::PAPER.path(out);
-    let read = || std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()));
     if smoke {
-        if let Err(e) = read().and_then(|doc| paper::compare_runs(&runs, &doc)) {
-            eprintln!("repro --smoke: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "repro --smoke: {} runs match {}",
-            runs.len(),
-            path.display()
-        );
+        report::check_smoke(&report::PAPER, &runs, out);
         return;
     }
+    let path = report::PAPER.path(out);
     let claims = paper::claims(&runs);
     let head = Record::new(report::PAPER.bin)
         .u64_field("table12_scale", paper::TABLE12_SCALE as u64)
@@ -57,8 +48,11 @@ fn main() {
         &report::PAPER,
         head,
         &runs,
+        false,
         Some(path.display().to_string()),
     );
-    let table = read().and_then(|doc| paper::claims_table(&doc));
+    let table = std::fs::read_to_string(&path)
+        .map_err(|e| format!("{}: {e}", path.display()))
+        .and_then(|doc| paper::claims_table(&doc));
     print!("{}", table.expect("the file just written has claims"));
 }

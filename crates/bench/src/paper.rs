@@ -4,7 +4,7 @@
 //! record, and [`claims`] computes every claim from those records and
 //! judges it by [`verdict`]. The `repro` binary writes runs and claims to
 //! `BENCH_paper.json` ([`crate::report::PAPER`]); `repro --smoke` compares
-//! a subset of rerun flows with that file ([`compare_runs`]).
+//! a subset of rerun flows with that file ([`crate::report::check_smoke`]).
 
 use eplace_baselines::{
     BellshapePlacer, CgPlacer, GlobalPlacer, GpResult, MincutPlacer, QuadraticPlacer,
@@ -224,47 +224,6 @@ pub fn place_baseline(
 
 fn parse(doc: &str) -> Result<JsonValue, String> {
     parse_json(doc).map_err(|e| e.to_string())
-}
-
-fn keys(value: &JsonValue) -> Vec<String> {
-    match value {
-        JsonValue::Object(members) => members.iter().map(|(k, _)| k.clone()).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Checks rerun `runs` against `doc`, a committed `BENCH_paper.json`: every
-/// field of each run, except the clocks that end in `seconds`, must equal
-/// the committed value as written. The error names the first run and field
-/// that differ.
-pub fn compare_runs(runs: &[String], doc: &str) -> Result<(), String> {
-    let doc = parse(doc)?;
-    let committed = doc.get("suites").and_then(JsonValue::as_array);
-    for run in runs {
-        let run = parse(run)?;
-        let id = text(&run, "id");
-        let old = committed
-            .and_then(|runs| runs.iter().find(|r| r.get("id") == run.get("id")))
-            .ok_or_else(|| format!("{id}: no such run in the committed file"))?;
-        for key in keys(&run).into_iter().chain(keys(old)) {
-            let (now, then) = (run.get(&key), old.get(&key));
-            if !key.ends_with("seconds") && now != then {
-                let show = |v: Option<&JsonValue>| match v {
-                    Some(JsonValue::Number(v)) => v.to_string(),
-                    Some(JsonValue::String(s)) => s.clone(),
-                    Some(JsonValue::Bool(b)) => b.to_string(),
-                    Some(v) => format!("{v:?}"),
-                    None => "absent".into(),
-                };
-                return Err(format!(
-                    "{id}: {key} is {}, committed {}",
-                    show(now),
-                    show(then)
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 fn num(value: &JsonValue, key: &str) -> f64 {

@@ -1,10 +1,9 @@
 //! The plumbing every bench and repro binary shares: the flag parser
-//! ([`Args`]), the bench thread-count knob ([`bench_exec`]), and the
-//! `BENCH_*.json` writer ([`emit`]) with each file's checks ([`GP`],
-//! [`PEKO`], [`ROUTE`], [`PAPER`], [`SCALE`]).
+//! ([`Args`]), the `BENCH_*.json` writer ([`emit`]) with each file's checks
+//! ([`GP`], [`PEKO`], [`ROUTE`], [`PAPER`], [`SCALE`]), and the smoke runs'
+//! drift check against the committed files ([`check_smoke`]).
 
 use eplace_core::MAX_HPWL_COST;
-use eplace_exec::ExecConfig;
 use eplace_obs::json::{parse_json, JsonValue};
 use eplace_obs::Record;
 use std::path::PathBuf;
@@ -96,21 +95,6 @@ impl Args {
     }
 }
 
-/// The execution layer a bench runs on: `EPLACE_BENCH_THREADS` threads when
-/// the variable is set, `default` otherwise. Exits 2 on an unparsable value.
-pub fn bench_exec(default: ExecConfig) -> ExecConfig {
-    match std::env::var("EPLACE_BENCH_THREADS") {
-        Err(_) => default,
-        Ok(v) => match v.parse() {
-            Ok(threads) => ExecConfig::with_threads(threads),
-            Err(e) => {
-                eprintln!("error: bad EPLACE_BENCH_THREADS value `{v}`: {e}");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
 /// One `BENCH_*.json` file at the repository root and the invariants its
 /// writer guarantees: `check_suite` on every entry of `suites`, then
 /// `check_doc` on the whole document.
@@ -119,16 +103,22 @@ pub struct BenchFile {
     /// The writing binary, which is also the document's `type`.
     pub bin: &'static str,
     file: &'static str,
+    /// The fields that name one of the file's records, which [`compare`]
+    /// matches a `--smoke` rerun on. Empty for a file whose smoke records
+    /// are not committed.
+    identity: &'static [&'static str],
     check_suite: fn(&JsonValue) -> Result<(), String>,
     check_doc: fn(&JsonValue) -> Result<(), String>,
 }
 
-/// `bench_gp`: finite positive step timings with the hot-path spans, child
+/// `bench_gp`: finite positive step quantiles in order, one
+/// `nesterov_step` span call per timed step, the hot-path spans, child
 /// spans covering at least [`MIN_STEP_COVERAGE`] of every suite's step, and
 /// a spectral engine-v2 transform round no slower than v1.
 pub const GP: BenchFile = BenchFile {
     bin: "bench_gp",
     file: "BENCH_gp.json",
+    identity: &[],
     check_suite: check_gp_suite,
     check_doc: check_gp_transform,
 };
@@ -137,6 +127,7 @@ pub const GP: BenchFile = BenchFile {
 pub const PEKO: BenchFile = BenchFile {
     bin: "bench_peko",
     file: "BENCH_peko.json",
+    identity: &["cells", "seed"],
     check_suite: check_peko_suite,
     check_doc: |_| Ok(()),
 };
@@ -146,6 +137,7 @@ pub const PEKO: BenchFile = BenchFile {
 pub const ROUTE: BenchFile = BenchFile {
     bin: "bench_route",
     file: "BENCH_route.json",
+    identity: &["cells", "seed"],
     check_suite: check_route_suite,
     check_doc: |_| Ok(()),
 };
@@ -155,6 +147,7 @@ pub const ROUTE: BenchFile = BenchFile {
 pub const PAPER: BenchFile = BenchFile {
     bin: "repro",
     file: "BENCH_paper.json",
+    identity: &["id"],
     check_suite: check_paper_run,
     check_doc: check_paper_claims,
 };
@@ -165,6 +158,7 @@ pub const PAPER: BenchFile = BenchFile {
 pub const SCALE: BenchFile = BenchFile {
     bin: "bench_scale",
     file: "BENCH_scale.json",
+    identity: &[],
     check_suite: check_scale_suite,
     check_doc: check_scale_growth,
 };
@@ -196,13 +190,25 @@ fn validate(bench: &BenchFile, doc: &str) -> Result<(), String> {
 /// the run's settings), validates the document and writes it atomically to
 /// `out`, or to the repository root when `out` is `None`. Exits 1, leaving
 /// any previous file in place, when validation fails.
-pub fn emit(bench: &BenchFile, head: Record, suites: &[String], out: Option<String>) {
+///
+/// A `smoke` run never writes the committed file: when the file holds its
+/// records (the bench has identity fields) they are [`check_smoke`]ed
+/// against it, and otherwise the document is validated and written only to
+/// `out`.
+pub fn emit(bench: &BenchFile, head: Record, suites: &[String], smoke: bool, out: Option<String>) {
+    if smoke && !bench.identity.is_empty() {
+        return check_smoke(bench, suites, out);
+    }
     let doc = head
         .raw_field("suites", &format!("[{}]", suites.join(",")))
         .into_line();
     if let Err(e) = validate(bench, &doc) {
         eprintln!("{}: self-validation failed: {e}", bench.bin);
         std::process::exit(1);
+    }
+    if smoke && out.is_none() {
+        println!("{}: result validated, not written", bench.bin);
+        return;
     }
     let out = bench.path(out);
     eplace_obs::write_atomic(&out, format!("{doc}\n").as_bytes())
@@ -211,6 +217,89 @@ pub fn emit(bench: &BenchFile, head: Record, suites: &[String], out: Option<Stri
         "{}: validated result written to {}",
         bench.bin,
         out.display()
+    );
+}
+
+/// Checks rerun `records` against `doc`, a committed file of `bench`'s:
+/// each record must equal the committed record with the same identity
+/// fields in every field, nested ones included, as written — except the
+/// clocks, the keys ending in `seconds`. The error names the first record
+/// and field path that differ, or a record the file lacks.
+fn compare(bench: &BenchFile, records: &[String], doc: &str) -> Result<(), String> {
+    let doc = parse_json(doc).map_err(|e| format!("{} is not valid JSON: {e}", bench.file))?;
+    let committed = doc
+        .get("suites")
+        .and_then(JsonValue::as_array)
+        .unwrap_or_default();
+    for record in records {
+        let record = parse_json(record).map_err(|e| e.to_string())?;
+        let label = bench
+            .identity
+            .iter()
+            .map(|key| format!("{key}={}", show(record.get(key))))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let same = |old: &&JsonValue| bench.identity.iter().all(|k| old.get(k) == record.get(k));
+        let old = committed
+            .iter()
+            .find(same)
+            .ok_or_else(|| format!("{label}: no such record in the committed file"))?;
+        first_difference(&record, old, "").map_err(|e| format!("{label}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// The first field, by its `/`-joined path after `prefix`, at which the
+/// objects `now` and `then` differ, recursing into nested objects and
+/// skipping the keys that end in `seconds`.
+fn first_difference(now: &JsonValue, then: &JsonValue, prefix: &str) -> Result<(), String> {
+    let keys = |value: &JsonValue| match value {
+        JsonValue::Object(members) => members.iter().map(|(k, _)| k.clone()).collect(),
+        _ => Vec::new(),
+    };
+    for key in keys(now).into_iter().chain(keys(then)) {
+        let path = format!("{prefix}{key}");
+        match (now.get(&key), then.get(&key)) {
+            _ if key.ends_with("seconds") => {}
+            (Some(a @ JsonValue::Object(_)), Some(b @ JsonValue::Object(_))) => {
+                first_difference(a, b, &format!("{path}/"))?
+            }
+            (a, b) if a != b => {
+                return Err(format!("{path} is {}, committed {}", show(a), show(b)))
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// A JSON value as a diagnostic shows it.
+fn show(value: Option<&JsonValue>) -> String {
+    match value {
+        Some(JsonValue::Number(v)) => v.to_string(),
+        Some(JsonValue::String(s)) => s.clone(),
+        Some(JsonValue::Bool(b)) => b.to_string(),
+        Some(v) => format!("{v:?}"),
+        None => "absent".into(),
+    }
+}
+
+/// Ends a `--smoke` run whose records the committed file holds: compares
+/// `records` with the file at `bench.path(out)` in every field, nested ones
+/// included, except the clocks (the keys ending in `seconds`), and writes
+/// nothing. Exits 1 naming the first record and field that differ.
+pub fn check_smoke(bench: &BenchFile, records: &[String], out: Option<String>) {
+    let path = bench.path(out);
+    let doc = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()));
+    if let Err(e) = doc.and_then(|doc| compare(bench, records, &doc)) {
+        eprintln!("{} --smoke: {e}", bench.bin);
+        std::process::exit(1);
+    }
+    println!(
+        "{} --smoke: {} record(s) match {}",
+        bench.bin,
+        records.len(),
+        path.display()
     );
 }
 
@@ -228,9 +317,9 @@ fn finite(obj: &JsonValue, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{key} is missing or not a finite number"))
 }
 
-fn positive(obj: &JsonValue, key: &str) -> Result<(), String> {
+fn positive(obj: &JsonValue, key: &str) -> Result<f64, String> {
     match finite(obj, key)? {
-        v if v > 0.0 => Ok(()),
+        v if v > 0.0 => Ok(v),
         v => Err(format!("{key} = {v} is not positive")),
     }
 }
@@ -264,10 +353,22 @@ pub fn step_coverage(spans: &JsonValue) -> Result<f64, String> {
 }
 
 fn check_gp_suite(suite: &JsonValue) -> Result<(), String> {
-    for key in ["median_step_ns", "min_step_ns", "mean_step_ns"] {
-        positive(suite, key)?;
+    let p10 = positive(suite, "p10_step_ns")?;
+    let median = positive(suite, "median_step_ns")?;
+    let p90 = positive(suite, "p90_step_ns")?;
+    if !(p10 <= median && median <= p90) {
+        return Err(format!(
+            "step quantiles out of order: p10 {p10}, median {median}, p90 {p90}"
+        ));
     }
     let spans = field(suite, "spans")?;
+    let samples = positive(suite, "samples")?;
+    let calls = finite(field(spans, "nesterov_step")?, "calls")?;
+    if calls != samples {
+        return Err(format!(
+            "nesterov_step ran {calls} times under the recorder for {samples} timed steps"
+        ));
+    }
     for path in [
         "nesterov_step",
         "nesterov_step/density_solve",
@@ -501,22 +602,60 @@ mod tests {
     }
 
     #[test]
+    fn smoke_records_compare_in_every_field_but_the_clocks() {
+        let record = |cells: u32, hpwl: f64, seconds: f64| {
+            format!(
+                r#"{{"type":"suite","cells":{cells},"seed":7,"placers":{{"eplace":{{"hpwl":{hpwl},"seconds":{seconds}}}}}}}"#
+            )
+        };
+        let records = [record(240, 10.0, 0.5), record(600, 20.0, 0.7)];
+        let doc = format!(
+            r#"{{"type":"bench_peko","suites":[{}]}}"#,
+            records.join(",")
+        );
+        assert_eq!(
+            compare(&PEKO, &records, &doc),
+            Ok(()),
+            "a file against itself"
+        );
+        let rerun = [record(600, 20.0, 9.0)];
+        assert_eq!(compare(&PEKO, &rerun, &doc), Ok(()), "a nested clock");
+        let err = compare(&PEKO, &[record(600, 21.0, 0.7)], &doc).unwrap_err();
+        assert_eq!(
+            err,
+            "cells=600 seed=7: placers/eplace/hpwl is 21, committed 20"
+        );
+        let err = compare(&PEKO, &[record(300, 10.0, 0.5)], &doc).unwrap_err();
+        assert!(err.contains("cells=300 seed=7: no such record"), "{err}");
+        let extra = records[0].replace("\"seed\":7", "\"seed\":7,\"rounds\":1");
+        let err = compare(&PEKO, &[extra], &doc).unwrap_err();
+        assert!(err.contains("rounds is 1, committed absent"), "{err}");
+    }
+
+    #[test]
     fn checks_reject_broken_documents() {
         let peko = r#"{"suites":[{"optimal_hpwl":10,"placers":{"eplace":{"ratio":0.5},"cg-fftpl":{"ratio":1.2},"mincut":{"ratio":2}}}]}"#;
         assert!(validate(&PEKO, peko).unwrap_err().contains("cannot beat"));
         assert!(validate(&PEKO, r#"{"suites":[]}"#).is_err());
         assert!(validate(&ROUTE, "{\"suites\":").is_err());
-        let gp = r#"{"suites":[{"median_step_ns":null}]}"#;
+        let gp = r#"{"suites":[{"p10_step_ns":1,"median_step_ns":null}]}"#;
         assert!(validate(&GP, gp).unwrap_err().contains("median_step_ns"));
-        let gp = |deposit: u32| {
+        let gp = |p10: u32, calls: u32, deposit: u32| {
             format!(
-                r#"{{"suites":[{{"median_step_ns":1,"min_step_ns":1,"mean_step_ns":1,"spans":{{"nesterov_step":{{"total_ns":100}},"nesterov_step/density_deposit":{{"total_ns":{deposit}}},"nesterov_step/density_deposit/inner":{{"total_ns":50}},"nesterov_step/density_solve":{{"total_ns":40}},"nesterov_step/density_sample":{{"total_ns":10}}}}}}],"transform":{{"v1_median_ns":2,"v2_median_ns":1,"speedup":2}}}}"#
+                r#"{{"suites":[{{"samples":10,"p10_step_ns":{p10},"median_step_ns":2,"p90_step_ns":3,"spans":{{"nesterov_step":{{"calls":{calls},"total_ns":100}},"nesterov_step/density_deposit":{{"total_ns":{deposit}}},"nesterov_step/density_deposit/inner":{{"total_ns":50}},"nesterov_step/density_solve":{{"total_ns":40}},"nesterov_step/density_sample":{{"total_ns":10}}}}}}],"transform":{{"v1_median_ns":2,"v2_median_ns":1,"speedup":2}}}}"#
             )
         };
-        assert!(validate(&GP, &gp(45)).is_ok());
-        let err = validate(&GP, &gp(30)).unwrap_err();
+        assert!(validate(&GP, &gp(1, 10, 45)).is_ok());
+        let err = validate(&GP, &gp(1, 10, 30)).unwrap_err();
         assert!(
             err.contains("80.0 %") && err.contains("92.5 % floor"),
+            "{err}"
+        );
+        let err = validate(&GP, &gp(4, 10, 45)).unwrap_err();
+        assert!(err.contains("out of order"), "{err}");
+        let err = validate(&GP, &gp(1, 13, 45)).unwrap_err();
+        assert!(
+            err.contains("13 times") && err.contains("10 timed"),
             "{err}"
         );
         let run = r#"{"id":"t/c/ePlace","hpwl":1,"scaled_hpwl":1,"overflow":0.1,"legal":true,"seconds":1}"#;

@@ -79,7 +79,7 @@ pub const SMOOTH_FACTOR: f64 = std::f64::consts::SQRT_2;
 /// ```
 pub fn grid_dimension(movable_count: usize, min: usize, max: usize) -> usize {
     let target = (movable_count as f64).sqrt().ceil() as usize;
-    eplace_spectral::next_power_of_two(target).clamp(min, max)
+    target.next_power_of_two().clamp(min, max)
 }
 
 #[cfg(test)]
@@ -97,6 +97,15 @@ mod tests {
     #[test]
     fn grid_dimension_respects_min() {
         assert_eq!(grid_dimension(1, 64, 1024), 64);
+    }
+
+    #[test]
+    fn next_pow2() {
+        // ⌈√count⌉ rounds up to the next power of two, and an empty
+        // problem gets the 1-bin grid.
+        for (count, dim) in [(0, 1), (1, 1), (2, 2), (4, 2), (5, 4), (1025 * 1025, 2048)] {
+            assert_eq!(grid_dimension(count, 1, 4096), dim, "count {count}");
+        }
     }
 }
 

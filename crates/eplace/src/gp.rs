@@ -91,7 +91,8 @@ pub struct GpOutcome {
 /// # Errors
 ///
 /// [`EplaceError::Validation`] when `design.target_density` (ρ_t) is not in
-/// `(0, 1]`, before any work. [`EplaceError::Diverged`] when the sentinel
+/// `(0, 1]`, or when `cfg.grid_min` and `cfg.grid_max` are not powers of two
+/// or are inverted, before any work. [`EplaceError::Diverged`] when the sentinel
 /// trips more than 3 times; the best placement seen is committed to
 /// `design` before returning and the report carries its HPWL/overflow.
 /// [`EplaceError::Cancelled`] when the config's [`crate::CancelToken`]
@@ -218,6 +219,16 @@ fn run_guarded(
         return Err(EplaceError::invalid(
             "target_density",
             format!("target density must be in (0, 1], got {rho}"),
+        ));
+    }
+    let (grid_min, grid_max) = (cfg.grid_min, cfg.grid_max);
+    if !(grid_min.is_power_of_two() && grid_max.is_power_of_two() && grid_min <= grid_max) {
+        return Err(EplaceError::invalid(
+            "grid bounds",
+            format!(
+                "grid_min and grid_max must be powers of two with grid_min <= grid_max, \
+                 got {grid_min} and {grid_max}"
+            ),
         ));
     }
     let started = std::time::Instant::now();

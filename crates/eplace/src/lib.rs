@@ -93,6 +93,8 @@ pub struct EplaceConfig {
     /// Iterations of the filler-only phase (paper: 20).
     pub filler_phase_iterations: usize,
     /// Density-grid dimension clamp (power-of-two, per [`eplace_density::grid_dimension`]).
+    /// Global placement rejects bounds that are not powers of two or are
+    /// inverted with a validation error.
     pub grid_min: usize,
     /// Upper clamp of the grid dimension.
     pub grid_max: usize,

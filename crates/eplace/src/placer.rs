@@ -409,6 +409,28 @@ mod tests {
     }
 
     #[test]
+    fn bad_grid_bounds_are_a_validation_error() {
+        // A bound that is not a power of two, or bounds inverted, used to
+        // panic building the density grid or clamping its dimension.
+        for (grid_min, grid_max) in [(48, 128), (16, 100), (64, 32)] {
+            let design = BenchmarkConfig::ispd05_like("grid", 3)
+                .scale(200)
+                .generate();
+            let cfg = EplaceConfig {
+                grid_min,
+                grid_max,
+                ..EplaceConfig::fast()
+            };
+            let err = Placer::new(design, cfg).run().unwrap_err();
+            assert!(
+                matches!(err, EplaceError::Validation { .. }),
+                "[{grid_min}, {grid_max}]: {err}"
+            );
+            assert!(err.to_string().contains("powers of two"), "{err}");
+        }
+    }
+
+    #[test]
     fn stdcell_flow_end_to_end() {
         let design = BenchmarkConfig::ispd05_like("flow", 71)
             .scale(250)

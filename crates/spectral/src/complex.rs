@@ -4,70 +4,64 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 /// A complex number with `f64` components.
 ///
 /// Deliberately minimal — just what the FFT and the DCT repacking need.
-///
-/// # Examples
-///
-/// ```
-/// use eplace_spectral::Complex;
-///
-/// let i = Complex::new(0.0, 1.0);
-/// assert_eq!(i * i, Complex::new(-1.0, 0.0));
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex {
+pub(crate) struct Complex {
     /// Real part.
-    pub re: f64,
+    pub(crate) re: f64,
     /// Imaginary part.
-    pub im: f64,
+    pub(crate) im: f64,
 }
 
 impl Complex {
-    /// The additive identity.
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-    /// The multiplicative identity.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-
     /// Creates a complex number from real and imaginary parts.
     #[inline]
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub(crate) const fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
     }
 
     /// `e^{iθ} = cos θ + i sin θ`.
     #[inline]
-    pub fn from_polar_unit(theta: f64) -> Self {
+    pub(crate) fn from_polar_unit(theta: f64) -> Self {
         Complex::new(theta.cos(), theta.sin())
     }
 
     /// Complex conjugate.
     #[inline]
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Complex::new(self.re, -self.im)
-    }
-
-    /// Squared magnitude.
-    #[inline]
-    pub fn norm_sq(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
-    /// Magnitude.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.re.hypot(self.im)
     }
 
     /// Multiplication by the imaginary unit (`· i`), cheaper than a full
     /// complex multiply.
     #[inline]
-    pub fn mul_i(self) -> Self {
+    pub(crate) fn mul_i(self) -> Self {
         Complex::new(-self.im, self.re)
     }
 
     /// Scales both components by a real factor.
     #[inline]
-    pub fn scale(self, s: f64) -> Self {
+    pub(crate) fn scale(self, s: f64) -> Self {
         Complex::new(self.re * s, self.im * s)
+    }
+}
+
+/// The constants and magnitudes only the tests and the reference
+/// transforms use.
+#[cfg(test)]
+impl Complex {
+    /// The additive identity.
+    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    /// The multiplicative identity.
+    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+
+    /// Squared magnitude.
+    pub(crate) fn norm_sq(self) -> f64 {
+        self.re * self.re + self.im * self.im
+    }
+
+    /// Magnitude.
+    pub(crate) fn norm(self) -> f64 {
+        self.re.hypot(self.im)
     }
 }
 

@@ -1,31 +1,27 @@
 use crate::fft::HalfFft;
 use crate::lanes::{neg, Lanes, Lines};
 use crate::{Complex, FftPlan, Pow2};
-use eplace_errors::EplaceError;
 use std::array;
 use std::f64::consts::PI;
 
 /// A reusable plan for cosine/sine transforms of one fixed power-of-two size.
 ///
 /// Each transform is one in-place kernel per engine
-/// ([`crate::SpectralEngine`]) over the strided line
-/// `data[offset + i·stride]`: a contiguous line at offset 0 and stride 1,
-/// or one column of a row-major grid at stride `nx`.
+/// ([`crate::SpectralEngine`]), generic over a lane count `L`: one call
+/// transforms the `L` strided lines of a [`Lines`] group, element `i` of
+/// line `l` at `data[offset + i·stride + l·dist]` — `L` rows of a
+/// row-major grid at stride 1, or `L` adjacent columns at stride `nx`.
+/// Every lane computes the one-line (`L = 1`) arithmetic bit for bit.
 ///
 /// | transform | V1 | V2 |
 /// |---|---|---|
-/// | DCT-II analysis (the Poisson solve's forward step) | [`DctPlan::dct2_strided`] | [`DctPlan::dct2_v2`] |
-/// | DCT-III synthesis (the potential ψ) | [`DctPlan::dct3_strided`] | [`DctPlan::dct3_v2`] |
-/// | DST-III synthesis (the field ξ) | [`DctPlan::dst3_strided`] | [`DctPlan::dst3_v2`] |
+/// | DCT-II analysis (the Poisson solve's forward step) | [`DctPlan::dct2_lines`] | [`DctPlan::dct2_v2_lines`] |
+/// | DCT-III synthesis (the potential ψ) | [`DctPlan::synth_lines`], [`Synth::Dct3`] | [`DctPlan::synth_v2_lines`], [`Synth::Dct3`] |
+/// | DST-III synthesis (the field ξ) | [`DctPlan::synth_lines`], [`Synth::Dst3`] | [`DctPlan::synth_v2_lines`], [`Synth::Dst3`] |
 ///
 /// The synthesis kernels fuse a caller's elementwise `·scale` into their
 /// final store (`1.0` for none); DCT-III scaled by `2/N` inverts the
 /// DCT-II.
-///
-/// Behind each public one-line method sits one kernel generic over a lane
-/// count `L`: [`crate::Transform2d`] runs it on `L` lines a fixed distance
-/// apart per call, every lane computing the one-line arithmetic, and the
-/// public methods are its `L = 1` instance.
 ///
 /// V1 runs in `O(N log N)` via Makhoul's repacking onto a single `N`-point
 /// complex FFT, bit-for-bit identical to the textbook pipeline it replaces:
@@ -40,24 +36,8 @@ use std::f64::consts::PI;
 ///   `N/2` scale / DST sign flips) into the unpacking store;
 /// * every kernel reads its whole lines into scratch before its first
 ///   store, so rows and columns transform without a bounce buffer.
-///
-/// # Examples
-///
-/// ```
-/// use eplace_spectral::{DctPlan, DctScratch};
-///
-/// let plan = DctPlan::new(16).unwrap();
-/// let mut scratch = DctScratch::new(16);
-/// let x: Vec<f64> = (0..16).map(|i| i as f64).collect();
-/// let mut line = x.clone();
-/// plan.dct2_strided(&mut line, 0, 1, &mut scratch);
-/// plan.dct3_strided(&mut line, 0, 1, 1.0, &mut scratch);
-/// for (a, b) in x.iter().zip(&line) {
-///     assert!((8.0 * a - b).abs() < 1e-9); // dct3∘dct2 = (N/2)·id
-/// }
-/// ```
 #[derive(Debug, Clone)]
-pub struct DctPlan {
+pub(crate) struct DctPlan {
     size: usize,
     fft: FftPlan,
     /// `e^{-iπu/(2N)}` for `u < N` — forward post-twiddles.
@@ -92,13 +72,13 @@ pub struct DctPlan {
 }
 
 /// Work buffers for the [`DctPlan`] kernels of one plan size, holding `L`
-/// lines per slot (the public one-line kernels take the default `L = 1`).
+/// lines per slot.
 ///
 /// A caller builds one per plan size and passes it to every kernel call,
 /// so repeated transforms are allocation-free (the placer transforms the
 /// grid three times per Nesterov iteration).
 #[derive(Debug, Clone)]
-pub struct DctScratch<const L: usize = 1> {
+pub(crate) struct DctScratch<const L: usize> {
     /// Complex FFT workspace (v1 full-size path).
     freq: Vec<Lanes<L>>,
     /// Engine-v2 half-size ping-pong buffer A (`N/2` slots).
@@ -111,7 +91,7 @@ pub struct DctScratch<const L: usize = 1> {
 
 impl<const L: usize> DctScratch<L> {
     /// Scratch sized for a plan of length `size`.
-    pub fn new(size: usize) -> Self {
+    pub(crate) fn new(size: usize) -> Self {
         let h = size / 2;
         DctScratch {
             freq: vec![Lanes::ZERO; size],
@@ -123,14 +103,8 @@ impl<const L: usize> DctScratch<L> {
 
     /// The plan size this scratch serves.
     #[inline]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.freq.len()
-    }
-
-    /// `true` for size-zero scratch (never produced by the solver).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.freq.is_empty()
     }
 }
 
@@ -155,18 +129,8 @@ impl Synth {
 
 impl DctPlan {
     /// Builds a plan for transforms of length `size`.
-    ///
-    /// # Errors
-    ///
-    /// [`EplaceError::Validation`] when `size` is not a power of two. Callers
-    /// with a statically valid size use [`DctPlan::for_pow2`] instead.
-    pub fn new(size: usize) -> Result<Self, EplaceError> {
-        Pow2::new(size).map(Self::for_pow2)
-    }
-
-    /// Builds a plan from a checked-at-construction size — infallible.
-    pub fn for_pow2(size: Pow2) -> Self {
-        let fft = FftPlan::for_pow2(size);
+    pub(crate) fn new(size: Pow2) -> Self {
+        let fft = FftPlan::new(size);
         let size = size.get();
         let fwd_twiddles: Vec<Complex> = (0..size)
             .map(|u| Complex::from_polar_unit(-PI * u as f64 / (2 * size) as f64))
@@ -220,18 +184,6 @@ impl DctPlan {
         }
     }
 
-    /// The transform length this plan was built for.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.size
-    }
-
-    /// Always `false`; present for the `len`/`is_empty` convention.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Panics unless `lines` lie in a buffer of `len` elements and the
     /// scratch was built for this plan's size.
     fn check<const L: usize>(&self, len: usize, lines: Lines, scratch: &DctScratch<L>, what: &str) {
@@ -239,24 +191,13 @@ impl DctPlan {
         assert_eq!(scratch.len(), self.size, "{what} scratch length mismatch");
     }
 
-    /// Forward DCT-II `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))` of the strided
-    /// line `x[i] = data[offset + i·stride]`, in place.
+    /// Forward DCT-II `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))` of each of the
+    /// `L` lines `lines`, in place.
     ///
     /// # Panics
     ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dct2_strided(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scratch: &mut DctScratch,
-    ) {
-        self.dct2_lines(data, Lines::one(offset, stride), scratch)
-    }
-
-    /// [`DctPlan::dct2_strided`] of the `L` lines `lines`, in place.
+    /// Panics if the scratch length differs from the plan size or a line
+    /// runs past `data`.
     pub(crate) fn dct2_lines<const L: usize>(
         &self,
         data: &mut [f64],
@@ -280,77 +221,38 @@ impl DctPlan {
         }
     }
 
-    /// DCT-III synthesis `y[n] = X[0]/2 + Σ_{u≥1} X[u]·cos(π·u·(2n+1)/(2N))`
-    /// of the strided line `X[u] = data[offset + u·stride]`, in place, with
-    /// `scale` multiplying every stored output — a caller's elementwise
-    /// post-scale pass fused into the store (`v·scale` exactly as the
-    /// separate pass computes it; pass `1.0` for none).
+    /// V1 synthesis of each of the `L` lines `lines`, in place, with `scale`
+    /// multiplying every stored output — a caller's elementwise post-scale
+    /// pass fused into the store (`v·scale` exactly as the separate pass
+    /// computes it; pass `1.0` for none):
     ///
-    /// DCT-III after [`DctPlan::dct2_strided`] is `(N/2)·x`, so `scale`
-    /// `2/N` inverts the DCT-II.
+    /// * [`Synth::Dct3`], the DCT-III
+    ///   `y[n] = X[0]/2 + Σ_{u≥1} X[u]·cos(π·u·(2n+1)/(2N))`. DCT-III after
+    ///   [`DctPlan::dct2_lines`] is `(N/2)·x`, so `scale` `2/N` inverts the
+    ///   DCT-II.
+    /// * [`Synth::Dst3`], the DST-III-style synthesis of the electric field,
+    ///   `y[n] = Σ_{u=1}^{N-1} b[u]·sin(π·u·(2n+1)/(2N))`. `b[0]` multiplies
+    ///   the identically-zero basis function `sin(0)` and is therefore
+    ///   ignored. The identity
+    ///   `sin(πu(2n+1)/(2N)) = (−1)ⁿ·cos(π(N−u)(2n+1)/(2N))` turns the sine
+    ///   synthesis into a coefficient-reversed DCT-III followed by
+    ///   alternating sign flips; the reversal is fused into the spectrum
+    ///   rebuild and the sign flips into the unpacking store, so no extra
+    ///   passes run.
     ///
-    /// # Panics
-    ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dct3_strided(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scale: f64,
-        scratch: &mut DctScratch,
-    ) {
-        self.synth_lines(
-            data,
-            Lines::one(offset, stride),
-            scale,
-            scratch,
-            Synth::Dct3,
-        )
-    }
-
-    /// DST-III-style synthesis used for the electric field,
-    /// `y[n] = Σ_{u=1}^{N-1} b[u]·sin(π·u·(2n+1)/(2N))`, of the strided line
-    /// `b[u] = data[offset + u·stride]`, in place, with `scale` fused into
-    /// the store (see [`DctPlan::dct3_strided`]).
-    ///
-    /// `b[0]` multiplies the identically-zero basis function `sin(0)` and is
-    /// therefore ignored. The identity
-    /// `sin(πu(2n+1)/(2N)) = (−1)ⁿ·cos(π(N−u)(2n+1)/(2N))` turns the sine
-    /// synthesis into a coefficient-reversed DCT-III followed by alternating
-    /// sign flips; the reversal is fused into the spectrum rebuild and the
-    /// sign flips into the unpacking store, so no extra passes run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dst3_strided(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scale: f64,
-        scratch: &mut DctScratch,
-    ) {
-        self.synth_lines(
-            data,
-            Lines::one(offset, stride),
-            scale,
-            scratch,
-            Synth::Dst3,
-        )
-    }
-
-    /// V1 synthesis core, over `L` lines. Rebuilds the Hermitian FFT
-    /// spectrum `V[u] = e^{iπu/(2N)}·(X[u] − i·X[N−u])` (with `X[N] ≡ 0`)
-    /// directly in bit-reversed order, so the inverse butterflies run with no
-    /// separate permutation pass; the DST reads the coefficients mirrored
+    /// The kernel rebuilds the Hermitian FFT spectrum
+    /// `V[u] = e^{iπu/(2N)}·(X[u] − i·X[N−u])` (with `X[N] ≡ 0`) directly in
+    /// bit-reversed order, so the inverse butterflies run with no separate
+    /// permutation pass; the DST reads the coefficients mirrored
     /// (`X'[u] = X[N−u]`, `X'[0] = 0`) instead of materializing them in a
     /// second buffer. The store unpacks the even/odd interleave, every
     /// output performing the identical `re·(1/N)·(N/2)` chain (then the DST
     /// sign flip, then `·scale`) the historical separate passes performed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scratch length differs from the plan size or a line
+    /// runs past `data`.
     pub(crate) fn synth_lines<const L: usize>(
         &self,
         data: &mut [f64],
@@ -414,31 +316,19 @@ impl DctPlan {
         }
     }
 
-    /// Engine-v2 forward DCT-II over the strided line
-    /// `data[offset + i·stride]`, in place.
+    /// Engine-v2 forward DCT-II of each of the `L` lines `lines`, in place.
     ///
     /// Folds the length-`N` real input into a length-`N/2` complex FFT
     /// (Makhoul pack of even/odd samples into real/imaginary lanes), runs
     /// the mixed-radix half-size kernel, then unfolds each conjugate bin
     /// pair back to two DCT outputs. Same transform convention as
-    /// [`DctPlan::dct2_strided`], but the restructured arithmetic rounds
+    /// [`DctPlan::dct2_lines`], but the restructured arithmetic rounds
     /// differently at the last ulps — see [`crate::SpectralEngine`].
     ///
     /// # Panics
     ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dct2_v2(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scratch: &mut DctScratch,
-    ) {
-        self.dct2_v2_lines(data, Lines::one(offset, stride), scratch)
-    }
-
-    /// [`DctPlan::dct2_v2`] of the `L` lines `lines`, in place.
+    /// Panics if the scratch length differs from the plan size or a line
+    /// runs past `data`.
     pub(crate) fn dct2_v2_lines<const L: usize>(
         &self,
         data: &mut [f64],
@@ -500,60 +390,12 @@ impl DctPlan {
         }
     }
 
-    /// Engine-v2 DCT-III synthesis over the strided line
-    /// `data[offset + i·stride]`, with `scale` fused into the store as
-    /// `(value)·scale` — bitwise identical to synthesizing with scale `1.0`
-    /// and scaling afterwards. Same convention as [`DctPlan::dct3_strided`];
-    /// rounds differently from v1 at the last ulps.
+    /// Engine-v2 synthesis of each of the `L` lines `lines`, in place, with
+    /// `scale` fused into the store: same conventions as
+    /// [`DctPlan::synth_lines`], but it rounds differently from v1 at the
+    /// last ulps.
     ///
-    /// # Panics
-    ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dct3_v2(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scale: f64,
-        scratch: &mut DctScratch,
-    ) {
-        self.synth_v2_lines(
-            data,
-            Lines::one(offset, stride),
-            scale,
-            scratch,
-            Synth::Dct3,
-        )
-    }
-
-    /// Engine-v2 DST-III synthesis over the strided line
-    /// `data[offset + i·stride]`, with `scale` fused into the store (see
-    /// [`DctPlan::dct3_v2`]). Same convention as [`DctPlan::dst3_strided`];
-    /// rounds differently from v1 at the last ulps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch length differs from the plan size or the
-    /// strided line runs past `data`.
-    pub fn dst3_v2(
-        &self,
-        data: &mut [f64],
-        offset: usize,
-        stride: usize,
-        scale: f64,
-        scratch: &mut DctScratch,
-    ) {
-        self.synth_v2_lines(
-            data,
-            Lines::one(offset, stride),
-            scale,
-            scratch,
-            Synth::Dst3,
-        )
-    }
-
-    /// Engine-v2 synthesis core, over `L` lines: rebuild the natural-order
+    /// The kernel rebuilds the natural-order
     /// Hermitian half-spectrum `Vh[u] = conj(W[u])·(X[u] − i·X[N−u])` for
     /// `u ≤ H`, refold the even/odd halves into one half-size inverse input
     /// `Zc[u] = (Vh[u] + conj(Vh[H−u])) + i·e^{2πiu/N}·(Vh[u] − conj(Vh[H−u]))`,
@@ -562,6 +404,11 @@ impl DctPlan {
     /// Makhoul permutation fused into the store, `½ = (1/N)·(N/2)` being the
     /// DCT-III scale. The store computes `(value·½)·scale` so a fused
     /// `scale` is bitwise identical to a separate scaling pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scratch length differs from the plan size or a line
+    /// runs past `data`.
     pub(crate) fn synth_v2_lines<const L: usize>(
         &self,
         data: &mut [f64],
@@ -666,29 +513,68 @@ impl DctPlan {
 }
 
 #[cfg(test)]
+impl DctPlan {
+    /// The transform length this plan was built for.
+    pub(crate) fn len(&self) -> usize {
+        self.size
+    }
+}
+
+#[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::{reference, SpectralEngine};
 
-    /// The V1 DCT-II of `x` as one contiguous line (offset 0, stride 1).
-    pub(crate) fn dct2(plan: &DctPlan, x: &[f64]) -> Vec<f64> {
+    /// A plan for transforms of length `n`, a power of two.
+    pub(crate) fn dct_plan(n: usize) -> DctPlan {
+        DctPlan::new(Pow2::new(n).unwrap())
+    }
+
+    /// `engine`'s DCT-II (`mode = None`) or synthesis (`Some(mode)`, with
+    /// `scale` fused) of the `L` lines `lines`, in place.
+    pub(crate) fn kernel<const L: usize>(
+        plan: &DctPlan,
+        (engine, mode): (SpectralEngine, Option<Synth>),
+        data: &mut [f64],
+        lines: Lines,
+        scale: f64,
+        scratch: &mut DctScratch<L>,
+    ) {
+        match (engine, mode) {
+            (SpectralEngine::V1, None) => plan.dct2_lines(data, lines, scratch),
+            (SpectralEngine::V1, Some(m)) => plan.synth_lines(data, lines, scale, scratch, m),
+            (SpectralEngine::V2, None) => plan.dct2_v2_lines(data, lines, scratch),
+            (SpectralEngine::V2, Some(m)) => plan.synth_v2_lines(data, lines, scale, scratch, m),
+        }
+    }
+
+    /// [`kernel`] of `x` as one contiguous line (offset 0, stride 1), with
+    /// fresh scratch.
+    pub(crate) fn one_line(
+        plan: &DctPlan,
+        op: (SpectralEngine, Option<Synth>),
+        x: &[f64],
+        scale: f64,
+    ) -> Vec<f64> {
         let mut line = x.to_vec();
-        plan.dct2_strided(&mut line, 0, 1, &mut DctScratch::new(plan.len()));
+        let scratch = &mut DctScratch::<1>::new(plan.len());
+        kernel(plan, op, &mut line, Lines::one(0, 1), scale, scratch);
         line
+    }
+
+    /// The V1 DCT-II of `x` as one contiguous line.
+    pub(crate) fn dct2(plan: &DctPlan, x: &[f64]) -> Vec<f64> {
+        one_line(plan, (SpectralEngine::V1, None), x, 1.0)
     }
 
     /// The V1 DCT-III of `x` as one contiguous line, scaled by `scale`.
     pub(crate) fn dct3(plan: &DctPlan, x: &[f64], scale: f64) -> Vec<f64> {
-        let mut line = x.to_vec();
-        plan.dct3_strided(&mut line, 0, 1, scale, &mut DctScratch::new(plan.len()));
-        line
+        one_line(plan, (SpectralEngine::V1, Some(Synth::Dct3)), x, scale)
     }
 
     /// The V1 DST-III of `x` as one contiguous line.
     pub(crate) fn dst3(plan: &DctPlan, x: &[f64]) -> Vec<f64> {
-        let mut line = x.to_vec();
-        plan.dst3_strided(&mut line, 0, 1, 1.0, &mut DctScratch::new(plan.len()));
-        line
+        one_line(plan, (SpectralEngine::V1, Some(Synth::Dst3)), x, 1.0)
     }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
@@ -707,7 +593,7 @@ pub(crate) mod tests {
     #[test]
     fn dct2_matches_reference() {
         for &n in &[1usize, 2, 4, 8, 32, 128] {
-            let plan = DctPlan::new(n).unwrap();
+            let plan = dct_plan(n);
             let x = test_signal(n);
             assert_close(&dct2(&plan, &x), &reference::naive_dct2(&x), 1e-9);
         }
@@ -716,7 +602,7 @@ pub(crate) mod tests {
     #[test]
     fn dct3_matches_reference() {
         for &n in &[2usize, 4, 16, 64] {
-            let plan = DctPlan::new(n).unwrap();
+            let plan = dct_plan(n);
             let c = test_signal(n);
             assert_close(&dct3(&plan, &c, 1.0), &reference::naive_dct3(&c), 1e-9);
         }
@@ -725,7 +611,7 @@ pub(crate) mod tests {
     #[test]
     fn dst3_matches_reference() {
         for &n in &[2usize, 4, 16, 64] {
-            let plan = DctPlan::new(n).unwrap();
+            let plan = dct_plan(n);
             let c = test_signal(n);
             assert_close(&dst3(&plan, &c), &reference::naive_dst3(&c), 1e-9);
         }
@@ -734,7 +620,7 @@ pub(crate) mod tests {
     #[test]
     fn dct3_dct2_is_half_n_identity() {
         let n = 32;
-        let plan = DctPlan::new(n).unwrap();
+        let plan = dct_plan(n);
         let x = test_signal(n);
         let y = dct3(&plan, &dct2(&plan, &x), 1.0);
         let scaled: Vec<f64> = x.iter().map(|v| v * n as f64 / 2.0).collect();
@@ -743,7 +629,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dst3_zeroth_coefficient_is_ignored() {
-        let plan = DctPlan::new(8).unwrap();
+        let plan = dct_plan(8);
         let mut c = test_signal(8);
         let a = dst3(&plan, &c);
         c[0] = 1234.5;
@@ -754,7 +640,7 @@ pub(crate) mod tests {
     #[test]
     fn dct2_of_single_cosine_mode_is_sparse() {
         let n = 16;
-        let plan = DctPlan::new(n).unwrap();
+        let plan = dct_plan(n);
         let u0 = 3;
         let x: Vec<f64> = (0..n)
             .map(|i| (PI * u0 as f64 * (2 * i + 1) as f64 / (2 * n) as f64).cos())
@@ -772,27 +658,26 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "exceeds buffer length")]
     fn wrong_length_panics() {
-        let plan = DctPlan::new(8).unwrap();
+        let plan = dct_plan(8);
         let _ = dct2(&plan, &[1.0; 4]);
     }
 
     #[test]
     fn len_accessor() {
-        let plan = DctPlan::new(4).unwrap();
-        assert_eq!(plan.len(), 4);
-        assert!(!plan.is_empty());
+        assert_eq!(dct_plan(4).len(), 4);
     }
 
     #[test]
     fn strided_kernels_are_bitwise_gather_transform_scatter() {
-        // The strided entry points must reproduce, bit for bit, the
-        // historical bounce-buffer pipeline: gather the strided line,
-        // transform it contiguously, apply the elementwise scale pass,
-        // scatter it back.
+        // The one-line kernels over a strided line must reproduce, bit for
+        // bit, the historical bounce-buffer pipeline: gather the strided
+        // line, transform it contiguously, apply the elementwise scale
+        // pass, scatter it back.
         for &n in &[1usize, 2, 8, 32, 128] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
+            let plan = dct_plan(n);
+            let mut scratch = DctScratch::<1>::new(n);
             let (offset, stride) = (2usize, 5usize);
+            let strided = Lines::one(offset, stride);
             let len = offset + (n - 1) * stride + 3;
             let base: Vec<f64> = (0..len).map(|i| (i as f64 * 0.31).sin() - 0.4).collect();
             let gather =
@@ -802,31 +687,26 @@ pub(crate) mod tests {
 
             // dct2 (unscaled).
             let line = dct2(&plan, &gather(&base));
-            let mut strided = base.clone();
-            plan.dct2_strided(&mut strided, offset, stride, &mut scratch);
-            assert_eq!(bits(&line), bits(&gather(&strided)), "dct2 n {n}");
+            let mut buf = base.clone();
+            plan.dct2_lines(&mut buf, strided, &mut scratch);
+            assert_eq!(bits(&line), bits(&gather(&buf)), "dct2 n {n}");
 
             // dct3 and dst3, scale fused vs separate pass.
-            type Kernel = fn(&DctPlan, &mut [f64], usize, usize, f64, &mut DctScratch);
-            let cases: [(Kernel, &str); 2] = [
-                (DctPlan::dct3_strided, "dct3"),
-                (DctPlan::dst3_strided, "dst3"),
-            ];
-            for (kernel, name) in cases {
+            for mode in [Synth::Dct3, Synth::Dst3] {
                 let mut line = gather(&base);
-                kernel(&plan, &mut line, 0, 1, 1.0, &mut scratch);
+                plan.synth_lines(&mut line, Lines::one(0, 1), 1.0, &mut scratch, mode);
                 for v in line.iter_mut() {
                     *v *= scale;
                 }
                 let mut buf = base.clone();
-                kernel(&plan, &mut buf, offset, stride, scale, &mut scratch);
-                assert_eq!(bits(&line), bits(&gather(&buf)), "{name} n {n}");
+                plan.synth_lines(&mut buf, strided, scale, &mut scratch, mode);
+                assert_eq!(bits(&line), bits(&gather(&buf)), "{mode:?} n {n}");
                 // Untouched interstitial elements stay untouched.
                 for (i, (a, b)) in base.iter().zip(&buf).enumerate() {
                     let on_line =
                         i >= offset && (i - offset) % stride == 0 && (i - offset) / stride < n;
                     if !on_line {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{name} n {n} clobbered {i}");
+                        assert_eq!(a.to_bits(), b.to_bits(), "{mode:?} n {n} clobbered {i}");
                     }
                 }
             }
@@ -839,7 +719,7 @@ pub(crate) mod tests {
         // pipeline: spectrum rebuild in natural order, fft.inverse (with its
         // separate 1/N pass), unpack, then scale/sign passes.
         for &n in &[2usize, 8, 32, 128] {
-            let plan = DctPlan::new(n).unwrap();
+            let plan = dct_plan(n);
             let coeffs = test_signal(n);
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             // Unfused dct2: Makhoul pack, full complex FFT (separate swap
@@ -902,29 +782,54 @@ pub(crate) mod tests {
         }
     }
 
+    /// The engine-v2 DCT-II (`mode = None`) or synthesis of the contiguous
+    /// line `data`, in place, on the caller's scratch.
+    pub(crate) fn v2(
+        plan: &DctPlan,
+        mode: Option<Synth>,
+        data: &mut [f64],
+        scale: f64,
+        scratch: &mut DctScratch<1>,
+    ) {
+        kernel(
+            plan,
+            (SpectralEngine::V2, mode),
+            data,
+            Lines::one(0, 1),
+            scale,
+            scratch,
+        );
+    }
+
     #[test]
     fn v2_kernels_match_reference() {
         for &n in &[1usize, 2, 4, 8, 16, 32, 64, 128] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
+            let plan = dct_plan(n);
+            let mut scratch = DctScratch::<1>::new(n);
             let x = test_signal(n);
             let tol = 1e-9 * n.max(1) as f64;
 
             let mut fwd = x.clone();
-            plan.dct2_v2(&mut fwd, 0, 1, &mut scratch);
+            v2(&plan, None, &mut fwd, 1.0, &mut scratch);
             assert_close(&fwd, &reference::naive_dct2(&x), tol);
 
             // DCT-III scaled by 2/N inverts the DCT-II.
             let mut back = fwd.clone();
-            plan.dct3_v2(&mut back, 0, 1, 2.0 / n as f64, &mut scratch);
+            v2(
+                &plan,
+                Some(Synth::Dct3),
+                &mut back,
+                2.0 / n as f64,
+                &mut scratch,
+            );
             assert_close(&back, &x, tol);
 
             let mut dct3 = x.clone();
-            plan.dct3_v2(&mut dct3, 0, 1, 1.0, &mut scratch);
+            v2(&plan, Some(Synth::Dct3), &mut dct3, 1.0, &mut scratch);
             assert_close(&dct3, &reference::naive_dct3(&x), tol);
 
             let mut dst3 = x.clone();
-            plan.dst3_v2(&mut dst3, 0, 1, 1.0, &mut scratch);
+            v2(&plan, Some(Synth::Dst3), &mut dst3, 1.0, &mut scratch);
             assert_close(&dst3, &reference::naive_dst3(&x), tol);
         }
     }
@@ -934,22 +839,14 @@ pub(crate) mod tests {
         // The two engines round differently at the last ulps but compute the
         // same transform; the gap must stay at roundoff scale.
         for &n in &[2usize, 8, 64, 256] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
+            let plan = dct_plan(n);
             let x = test_signal(n);
             let tol = 1e-11 * n as f64;
-
-            let mut v2 = x.clone();
-            plan.dct2_v2(&mut v2, 0, 1, &mut scratch);
-            assert_close(&v2, &dct2(&plan, &x), tol);
-
-            let mut v2 = x.clone();
-            plan.dct3_v2(&mut v2, 0, 1, 1.0, &mut scratch);
-            assert_close(&v2, &dct3(&plan, &x, 1.0), tol);
-
-            let mut v2 = x.clone();
-            plan.dst3_v2(&mut v2, 0, 1, 1.0, &mut scratch);
-            assert_close(&v2, &dst3(&plan, &x), tol);
+            for mode in [None, Some(Synth::Dct3), Some(Synth::Dst3)] {
+                let v1 = one_line(&plan, (SpectralEngine::V1, mode), &x, 1.0);
+                let v2 = one_line(&plan, (SpectralEngine::V2, mode), &x, 1.0);
+                assert_close(&v2, &v1, tol);
+            }
         }
     }
 
@@ -960,8 +857,8 @@ pub(crate) mod tests {
         // contiguously, and scattering it back — and leave interstitial
         // elements untouched.
         for &n in &[1usize, 2, 8, 32, 128] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
+            let plan = dct_plan(n);
+            let mut scratch = DctScratch::<1>::new(n);
             let (offset, stride) = (3usize, 4usize);
             let len = offset + (n - 1) * stride + 2;
             let base: Vec<f64> = (0..len).map(|i| (i as f64 * 0.53).cos() + 0.1).collect();
@@ -969,31 +866,25 @@ pub(crate) mod tests {
                 |b: &[f64]| -> Vec<f64> { (0..n).map(|i| b[offset + i * stride]).collect() };
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             let scale = 1.7;
-
-            type Kernel<'a> = Box<dyn Fn(&mut [f64], usize, usize, &mut DctScratch) + 'a>;
-            let p = &plan;
-            let cases: [(Kernel<'_>, &str); 3] = [
-                (Box::new(move |d, o, s, sc| p.dct2_v2(d, o, s, sc)), "dct2"),
-                (
-                    Box::new(move |d, o, s, sc| p.dct3_v2(d, o, s, scale, sc)),
-                    "dct3",
-                ),
-                (
-                    Box::new(move |d, o, s, sc| p.dst3_v2(d, o, s, scale, sc)),
-                    "dst3",
-                ),
-            ];
-            for (kernel, name) in &cases {
+            for mode in [None, Some(Synth::Dct3), Some(Synth::Dst3)] {
                 let mut line = gather(&base);
-                kernel(&mut line, 0, 1, &mut scratch);
+                v2(&plan, mode, &mut line, scale, &mut scratch);
                 let mut buf = base.clone();
-                kernel(&mut buf, offset, stride, &mut scratch);
-                assert_eq!(bits(&line), bits(&gather(&buf)), "{name} n {n}");
+                let op = (SpectralEngine::V2, mode);
+                kernel(
+                    &plan,
+                    op,
+                    &mut buf,
+                    Lines::one(offset, stride),
+                    scale,
+                    &mut scratch,
+                );
+                assert_eq!(bits(&line), bits(&gather(&buf)), "{mode:?} n {n}");
                 for (i, (a, b)) in base.iter().zip(&buf).enumerate() {
                     let on_line =
                         i >= offset && (i - offset) % stride == 0 && (i - offset) / stride < n;
                     if !on_line {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{name} n {n} clobbered {i}");
+                        assert_eq!(a.to_bits(), b.to_bits(), "{mode:?} n {n} clobbered {i}");
                     }
                 }
             }
@@ -1006,27 +897,20 @@ pub(crate) mod tests {
         // multiplying — bit for bit — so the parallel 2-D path (scale in the
         // transpose-back) matches the serial fused path exactly.
         for &n in &[1usize, 2, 8, 64] {
-            let plan = DctPlan::new(n).unwrap();
-            let mut scratch = DctScratch::new(n);
+            let plan = dct_plan(n);
+            let mut scratch = DctScratch::<1>::new(n);
             let x = test_signal(n);
             let scale = 0.731;
-            for dst in [false, true] {
-                let run = |d: &mut [f64], s: f64, sc: &mut DctScratch| {
-                    if dst {
-                        plan.dst3_v2(d, 0, 1, s, sc);
-                    } else {
-                        plan.dct3_v2(d, 0, 1, s, sc);
-                    }
-                };
+            for mode in [Synth::Dct3, Synth::Dst3] {
                 let mut fused = x.clone();
-                run(&mut fused, scale, &mut scratch);
+                v2(&plan, Some(mode), &mut fused, scale, &mut scratch);
                 let mut separate = x.clone();
-                run(&mut separate, 1.0, &mut scratch);
+                v2(&plan, Some(mode), &mut separate, 1.0, &mut scratch);
                 for v in separate.iter_mut() {
                     *v *= scale;
                 }
                 for (a, b) in fused.iter().zip(&separate) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "dst {dst} n {n}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "{mode:?} n {n}");
                 }
             }
         }
@@ -1035,24 +919,6 @@ pub(crate) mod tests {
     /// Bitwise equality in which a NaN matches any NaN.
     fn same_bits(a: f64, b: f64) -> bool {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-    }
-
-    /// `engine`'s DCT-II (`mode = None`) or synthesis at scale 0.3 over the
-    /// `L` lines `lines`.
-    fn run<const L: usize>(
-        plan: &DctPlan,
-        engine: SpectralEngine,
-        mode: Option<Synth>,
-        data: &mut [f64],
-        lines: Lines,
-    ) {
-        let scratch = &mut DctScratch::<L>::new(plan.len());
-        match (engine, mode) {
-            (SpectralEngine::V1, None) => plan.dct2_lines(data, lines, scratch),
-            (SpectralEngine::V1, Some(m)) => plan.synth_lines(data, lines, 0.3, scratch, m),
-            (SpectralEngine::V2, None) => plan.dct2_v2_lines(data, lines, scratch),
-            (SpectralEngine::V2, Some(m)) => plan.synth_v2_lines(data, lines, 0.3, scratch, m),
-        }
     }
 
     #[test]
@@ -1076,7 +942,7 @@ pub(crate) mod tests {
             }
         };
         for &n in &[1usize, 2, 4, 8, 16, 64, 256] {
-            let plan = DctPlan::new(n).unwrap();
+            let plan = dct_plan(n);
             let layouts = [
                 Lines {
                     offset: 2,
@@ -1097,14 +963,17 @@ pub(crate) mod tests {
                         base[lines.at(i) + l * lines.dist] = value(l, i);
                     }
                 }
-                let one_line = |l: usize| Lines::one(lines.offset + l * lines.dist, lines.stride);
+                let line = |l: usize| Lines::one(lines.offset + l * lines.dist, lines.stride);
                 for engine in [SpectralEngine::V1, SpectralEngine::V2] {
                     for mode in [None, Some(Synth::Dct3), Some(Synth::Dst3)] {
+                        let op = (engine, mode);
                         let mut wide = base.clone();
-                        run::<L>(&plan, engine, mode, &mut wide, lines);
+                        let scratch = &mut DctScratch::<L>::new(n);
+                        kernel(&plan, op, &mut wide, lines, 0.3, scratch);
                         let mut narrow = base.clone();
                         for l in 0..L {
-                            run::<1>(&plan, engine, mode, &mut narrow, one_line(l));
+                            let scratch = &mut DctScratch::<1>::new(n);
+                            kernel(&plan, op, &mut narrow, line(l), 0.3, scratch);
                         }
                         for (i, (a, b)) in wide.iter().zip(&narrow).enumerate() {
                             assert!(

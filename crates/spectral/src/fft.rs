@@ -1,6 +1,5 @@
 use crate::lanes::{Lanes, Lines};
 use crate::{Complex, Pow2};
-use eplace_errors::EplaceError;
 use std::f64::consts::PI;
 use std::ops::{Add, Mul, Sub};
 
@@ -8,32 +7,19 @@ use std::ops::{Add, Mul, Sub};
 ///
 /// The plan precomputes the bit-reversal permutation and both twiddle tables
 /// (forward `e^{-2πi·k/N}` and its exact conjugate for the inverse) once;
-/// [`FftPlan::forward`] and [`FftPlan::inverse`] then run the classic
-/// iterative Cooley–Tukey butterfly in place with no per-butterfly branch or
-/// bounds check.
+/// [`FftPlan::butterflies`] then runs the classic iterative Cooley–Tukey
+/// butterfly in place with no per-butterfly branch or bounds check.
 ///
 /// The transform convention is the unnormalized DFT
-/// `X[k] = Σ_n x[n]·e^{-2πi·k·n/N}`; the inverse divides by `N`, so
-/// `inverse(forward(x)) == x`.
+/// `X[k] = Σ_n x[n]·e^{-2πi·k·n/N}`; the inverse divides by `N`.
 ///
 /// The V1 DCT kernels ([`crate::DctPlan`]) run this plan's butterflies on
-/// their own fused loads and stores, over a group of lines at once;
-/// `forward` and `inverse` run the same butterflies on one [`Complex`]
-/// line, as the textbook pipeline those kernels are pinned to bit for bit.
-///
-/// # Examples
-///
-/// ```
-/// use eplace_spectral::{Complex, FftPlan};
-///
-/// let plan = FftPlan::new(4).unwrap();
-/// let mut data = vec![Complex::ONE; 4];
-/// plan.forward(&mut data);
-/// assert_eq!(data[0], Complex::new(4.0, 0.0)); // DC bin
-/// assert!(data[1].norm() < 1e-12);
-/// ```
+/// their own fused loads and stores, over a group of lines at once; the
+/// tests' `forward` and `inverse` run the same butterflies on one
+/// [`Complex`] line, as the textbook pipeline those kernels are pinned to
+/// bit for bit.
 #[derive(Debug, Clone)]
-pub struct FftPlan {
+pub(crate) struct FftPlan {
     size: usize,
     bit_rev: Vec<u32>,
     /// Forward twiddles `e^{-2πi·k/N}` for `k < N/2`.
@@ -46,17 +32,7 @@ pub struct FftPlan {
 
 impl FftPlan {
     /// Builds a plan for transforms of length `size`.
-    ///
-    /// # Errors
-    ///
-    /// [`EplaceError::Validation`] when `size` is not a power of two. Callers
-    /// with a statically valid size use [`FftPlan::for_pow2`] instead.
-    pub fn new(size: usize) -> Result<Self, EplaceError> {
-        Pow2::new(size).map(Self::for_pow2)
-    }
-
-    /// Builds a plan from a checked-at-construction size — infallible.
-    pub fn for_pow2(size: Pow2) -> Self {
+    pub(crate) fn new(size: Pow2) -> Self {
         let size = size.get();
         let bits = size.trailing_zeros();
         let mut bit_rev = vec![0u32; size];
@@ -78,70 +54,11 @@ impl FftPlan {
         }
     }
 
-    /// The transform length this plan was built for.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.size
-    }
-
-    /// Returns `true` for the (degenerate but legal) length-1 plan — present
-    /// to satisfy the `len`/`is_empty` convention; a plan is never truly
-    /// empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// The bit-reversal permutation table (`data[i]` pre-butterfly holds
     /// `x[bit_rev[i]]`). The DCT layer fuses this into its own repacking.
     #[inline]
     pub(crate) fn bit_rev_table(&self) -> &[u32] {
         &self.bit_rev
-    }
-
-    /// In-place forward DFT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the plan size.
-    pub fn forward(&self, data: &mut [Complex]) {
-        self.check_len(data.len());
-        self.permute(data);
-        self.butterflies(data, false);
-    }
-
-    /// In-place inverse DFT (including the `1/N` normalization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the plan size.
-    pub fn inverse(&self, data: &mut [Complex]) {
-        self.check_len(data.len());
-        self.permute(data);
-        self.butterflies(data, true);
-        let scale = 1.0 / self.size as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
-    }
-
-    #[inline]
-    fn check_len(&self, len: usize) {
-        assert_eq!(
-            len, self.size,
-            "FFT buffer length {} differs from plan size {}",
-            len, self.size
-        );
-    }
-
-    /// The bit-reversal swap pass (self-inverse permutation).
-    fn permute(&self, data: &mut [Complex]) {
-        for i in 0..self.size {
-            let j = self.bit_rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
     }
 
     /// Iterative butterfly passes over bit-reversed data. Twiddles for the
@@ -212,6 +129,55 @@ impl FftPlan {
                 }
             }
             half *= 2;
+        }
+    }
+}
+
+/// The one-line textbook transforms the tests pin the V1 kernels to.
+#[cfg(test)]
+impl FftPlan {
+    /// In-place forward DFT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the plan size.
+    pub(crate) fn forward(&self, data: &mut [Complex]) {
+        self.check_len(data.len());
+        self.permute(data);
+        self.butterflies(data, false);
+    }
+
+    /// In-place inverse DFT (including the `1/N` normalization).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the plan size.
+    pub(crate) fn inverse(&self, data: &mut [Complex]) {
+        self.check_len(data.len());
+        self.permute(data);
+        self.butterflies(data, true);
+        let scale = 1.0 / self.size as f64;
+        for z in data.iter_mut() {
+            *z = z.scale(scale);
+        }
+    }
+
+    #[inline]
+    fn check_len(&self, len: usize) {
+        assert_eq!(
+            len, self.size,
+            "FFT buffer length {} differs from plan size {}",
+            len, self.size
+        );
+    }
+
+    /// The bit-reversal swap pass (self-inverse permutation).
+    fn permute(&self, data: &mut [Complex]) {
+        for i in 0..self.size {
+            let j = self.bit_rev[i] as usize;
+            if i < j {
+                data.swap(i, j);
+            }
         }
     }
 }
@@ -596,6 +562,10 @@ mod tests {
     use super::*;
     use crate::reference;
 
+    fn fft_plan(n: usize) -> FftPlan {
+        FftPlan::new(Pow2::new(n).unwrap())
+    }
+
     fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -605,7 +575,7 @@ mod tests {
 
     #[test]
     fn impulse_transforms_to_flat_spectrum() {
-        let plan = FftPlan::new(8).unwrap();
+        let plan = fft_plan(8);
         let mut data = vec![Complex::ZERO; 8];
         data[0] = Complex::ONE;
         plan.forward(&mut data);
@@ -617,7 +587,7 @@ mod tests {
     #[test]
     fn matches_naive_dft() {
         for &n in &[1usize, 2, 4, 8, 16, 64] {
-            let plan = FftPlan::new(n).unwrap();
+            let plan = fft_plan(n);
             let input: Vec<Complex> = (0..n)
                 .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
                 .collect();
@@ -630,7 +600,7 @@ mod tests {
 
     #[test]
     fn round_trip_identity() {
-        let plan = FftPlan::new(32).unwrap();
+        let plan = fft_plan(32);
         let input: Vec<Complex> = (0..32)
             .map(|i| Complex::new(i as f64, -(i as f64) * 0.5))
             .collect();
@@ -642,7 +612,7 @@ mod tests {
 
     #[test]
     fn linearity() {
-        let plan = FftPlan::new(16).unwrap();
+        let plan = fft_plan(16);
         let a: Vec<Complex> = (0..16).map(|i| Complex::new(i as f64, 0.0)).collect();
         let b: Vec<Complex> = (0..16).map(|i| Complex::new(0.0, (i * i) as f64)).collect();
         let mut fa = a.clone();
@@ -658,7 +628,7 @@ mod tests {
 
     #[test]
     fn parseval_energy_conservation() {
-        let plan = FftPlan::new(64).unwrap();
+        let plan = fft_plan(64);
         let input: Vec<Complex> = (0..64)
             .map(|i| Complex::new((i as f64).cos(), (i as f64 * 0.3).sin()))
             .collect();
@@ -667,18 +637,6 @@ mod tests {
         plan.forward(&mut freq);
         let freq_energy: f64 = freq.iter().map(|z| z.norm_sq()).sum::<f64>() / 64.0;
         assert!((time_energy - freq_energy).abs() < 1e-8 * time_energy);
-    }
-
-    #[test]
-    fn non_power_of_two_size_is_a_typed_error() {
-        let err = FftPlan::new(12).unwrap_err();
-        let text = err.to_string();
-        assert!(text.contains("power of two"), "unexpected error: {text}");
-        assert!(
-            matches!(err, eplace_errors::EplaceError::Validation { .. }),
-            "expected a Validation error"
-        );
-        assert!(FftPlan::new(0).is_err());
     }
 
     /// `z` as a one-lane group per element, and back.
@@ -788,26 +746,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "differs from plan size")]
     fn wrong_buffer_length_panics() {
-        let plan = FftPlan::new(8).unwrap();
+        let plan = fft_plan(8);
         let mut data = vec![Complex::ZERO; 4];
         plan.forward(&mut data);
     }
 
     #[test]
     fn size_one_is_identity() {
-        let plan = FftPlan::new(1).unwrap();
+        let plan = fft_plan(1);
         let mut data = vec![Complex::new(3.0, 4.0)];
         plan.forward(&mut data);
         assert_eq!(data[0], Complex::new(3.0, 4.0));
         plan.inverse(&mut data);
         assert_eq!(data[0], Complex::new(3.0, 4.0));
-        assert_eq!(plan.len(), 1);
-        assert!(!plan.is_empty());
     }
 
     #[test]
     fn inverse_twiddles_are_exact_conjugates() {
-        let plan = FftPlan::new(64).unwrap();
+        let plan = fft_plan(64);
         for (w, iw) in plan.twiddles.iter().zip(&plan.inv_twiddles) {
             assert_eq!(w.re.to_bits(), iw.re.to_bits());
             assert_eq!((-w.im).to_bits(), iw.im.to_bits());
@@ -846,7 +802,7 @@ mod tests {
     #[test]
     fn specialized_first_stages_are_bitwise_generic() {
         for &n in &[1usize, 2, 4, 8, 32, 256] {
-            let plan = FftPlan::new(n).unwrap();
+            let plan = fft_plan(n);
             // Include signed zeros and denormal-ish magnitudes: the exact
             // cases where skipping a (1, −0) twiddle multiply would differ.
             let input: Vec<Complex> = (0..n)

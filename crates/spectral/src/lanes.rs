@@ -122,6 +122,7 @@ pub(crate) struct Lines {
 
 impl Lines {
     /// One line (`dist` is never read at `L = 1`).
+    #[cfg(test)]
     pub(crate) fn one(offset: usize, stride: usize) -> Self {
         Lines {
             offset,

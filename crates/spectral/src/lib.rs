@@ -6,22 +6,28 @@
 //! potential/field are synthesized by inverse cosine/sine transforms. Total
 //! cost is `O(n log n)` per iteration via the fast Fourier transform.
 //!
-//! Everything here is written from scratch — no external FFT crate:
+//! Everything here is written from scratch — no external FFT crate. The
+//! public surface is two names:
 //!
-//! * [`Complex`] — minimal complex arithmetic.
-//! * [`FftPlan`] — iterative radix-2 complex FFT with precomputed twiddles.
-//! * [`DctPlan`] — DCT-II analysis and DCT-III / DST-III synthesis, each one
+//! * [`Transform2d`] — separable two-dimensional transforms in the exact
+//!   basis mix the Poisson solver needs (cos·cos, sin·cos, cos·sin), run
+//!   four rows or four adjacent columns per kernel call. Its constructor is
+//!   the crate's one size check.
+//! * [`SpectralEngine`] — which of two engines those transforms run.
+//!
+//! Behind them, private to the crate:
+//!
+//! * `Complex` — minimal complex arithmetic.
+//! * `FftPlan` — iterative radix-2 complex FFT with precomputed twiddles.
+//! * `DctPlan` — DCT-II analysis and DCT-III / DST-III synthesis, each one
 //!   in-place kernel per engine (V1 via Makhoul's N-point-FFT repacking).
 //!   Each kernel is generic over a lane count `L` and transforms `L` strided
 //!   lines a fixed distance apart per call, every lane computing the
-//!   one-line arithmetic bit for bit; the public per-line methods are its
+//!   one-line arithmetic bit for bit; the tests pin the lane groups to the
 //!   `L = 1` instance.
-//! * [`SpectralPlan`] — process-wide per-size cache of shared [`DctPlan`]s,
-//!   so twiddle/cosine tables are computed once per grid size.
-//! * [`Transform2d`] — separable two-dimensional transforms in the exact
-//!   basis mix the Poisson solver needs (cos·cos, sin·cos, cos·sin), run
-//!   four rows or four adjacent columns per kernel call.
-//! * [`mod@reference`] — naive `O(N²)` reference transforms used by the tests.
+//! * `plan` — a process-wide per-size cache of shared `DctPlan`s, so
+//!   twiddle/cosine tables are computed once per grid size.
+//! * `reference` (tests only) — naive `O(N²)` reference transforms.
 //!
 //! # Engines
 //!
@@ -53,15 +59,14 @@
 //! # Examples
 //!
 //! ```
-//! use eplace_spectral::{DctPlan, DctScratch};
+//! use eplace_spectral::{SpectralEngine, Transform2d};
 //!
-//! let plan = DctPlan::new(8).unwrap();
-//! let mut scratch = DctScratch::new(8);
-//! let x: Vec<f64> = (0..8).map(|i| (i as f64).sin()).collect();
-//! let mut line = x.clone();
-//! plan.dct2_strided(&mut line, 0, 1, &mut scratch);
-//! plan.dct3_strided(&mut line, 0, 1, 2.0 / 8.0, &mut scratch);
-//! for (a, b) in x.iter().zip(&line) {
+//! let mut t = Transform2d::new(8, 8).unwrap().with_engine(SpectralEngine::V2);
+//! let x: Vec<f64> = (0..64).map(|i| (i as f64).sin()).collect();
+//! let mut grid = x.clone();
+//! t.dct2(&mut grid);
+//! t.dct3_scaled(&mut grid, (2.0 / 8.0) * (2.0 / 8.0));
+//! for (a, b) in x.iter().zip(&grid) {
 //!     assert!((a - b).abs() < 1e-12);
 //! }
 //! ```
@@ -73,19 +78,19 @@ mod dct;
 mod fft;
 mod lanes;
 mod plan;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 mod transform2d;
 
-pub use complex::Complex;
-pub use dct::{DctPlan, DctScratch};
-pub use fft::FftPlan;
-pub use plan::SpectralPlan;
 pub use transform2d::Transform2d;
 
+use complex::Complex;
+use dct::DctPlan;
 use eplace_errors::EplaceError;
+use fft::FftPlan;
 
-/// Which transform engine a [`Transform2d`] (or a direct [`DctPlan`] caller)
-/// runs — see the crate docs for the trade-off.
+/// Which transform engine a [`Transform2d`] runs — see the crate docs for
+/// the trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpectralEngine {
     /// Historical radix-2 path; bit-identical to every prior release and
@@ -99,27 +104,10 @@ pub enum SpectralEngine {
     V2,
 }
 
-/// A transform size proven to be a power of two at construction.
-///
-/// The checked-at-construction handle for callers that statically guarantee
-/// valid sizes: validate once with [`Pow2::new`], then use the infallible
-/// `for_pow2` plan constructors ([`FftPlan::for_pow2`],
-/// [`DctPlan::for_pow2`], [`SpectralPlan::for_pow2`],
-/// [`Transform2d::for_pow2`]) with no runtime assert or `Result` at the use
-/// site.
-///
-/// # Examples
-///
-/// ```
-/// use eplace_spectral::{DctPlan, Pow2};
-///
-/// let size = Pow2::new(64).unwrap();
-/// let plan = DctPlan::for_pow2(size); // infallible
-/// assert_eq!(plan.len(), 64);
-/// assert!(Pow2::new(48).is_err());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Pow2(usize);
+/// A transform size proven to be a power of two at construction, so the
+/// plan constructors that take one need no runtime check or `Result`.
+#[derive(Debug, Clone, Copy)]
+struct Pow2(usize);
 
 impl Pow2 {
     /// Validates `n`, returning the proof-carrying handle.
@@ -127,8 +115,8 @@ impl Pow2 {
     /// # Errors
     ///
     /// [`EplaceError::Validation`] when `n` is not a power of two.
-    pub fn new(n: usize) -> Result<Self, EplaceError> {
-        if is_power_of_two(n) {
+    fn new(n: usize) -> Result<Self, EplaceError> {
+        if n.is_power_of_two() {
             Ok(Pow2(n))
         } else {
             Err(EplaceError::invalid(
@@ -140,35 +128,9 @@ impl Pow2 {
 
     /// The validated size.
     #[inline]
-    pub fn get(self) -> usize {
+    fn get(self) -> usize {
         self.0
     }
-}
-
-/// Returns `true` when `n` is a power of two (and non-zero).
-///
-/// # Examples
-///
-/// ```
-/// assert!(eplace_spectral::is_power_of_two(64));
-/// assert!(!eplace_spectral::is_power_of_two(48));
-/// ```
-#[inline]
-pub fn is_power_of_two(n: usize) -> bool {
-    n != 0 && n & (n - 1) == 0
-}
-
-/// Smallest power of two `>= n` (minimum 1).
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(eplace_spectral::next_power_of_two(100), 128);
-/// assert_eq!(eplace_spectral::next_power_of_two(0), 1);
-/// ```
-#[inline]
-pub fn next_power_of_two(n: usize) -> usize {
-    n.max(1).next_power_of_two()
 }
 
 #[cfg(test)]
@@ -177,20 +139,17 @@ mod tests {
 
     #[test]
     fn power_of_two_predicates() {
-        assert!(is_power_of_two(1));
-        assert!(is_power_of_two(2));
-        assert!(is_power_of_two(1024));
-        assert!(!is_power_of_two(0));
-        assert!(!is_power_of_two(3));
-        assert!(!is_power_of_two(1023));
-    }
-
-    #[test]
-    fn next_pow2() {
-        assert_eq!(next_power_of_two(1), 1);
-        assert_eq!(next_power_of_two(2), 2);
-        assert_eq!(next_power_of_two(3), 4);
-        assert_eq!(next_power_of_two(1025), 2048);
+        for n in [1, 2, 1024] {
+            assert_eq!(Pow2::new(n).unwrap().get(), n);
+        }
+        for n in [0, 3, 48, 1023] {
+            let err = Pow2::new(n).unwrap_err();
+            assert!(
+                matches!(err, EplaceError::Validation { .. }),
+                "expected a Validation error"
+            );
+            assert!(err.to_string().contains("power of two"), "{err}");
+        }
     }
 }
 

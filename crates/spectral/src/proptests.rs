@@ -1,7 +1,9 @@
 //! Property-based tests of the transform algebra.
 
-use crate::dct::tests::{dct2, dct3, dst3};
-use crate::{reference, Complex, DctPlan, DctScratch, FftPlan, SpectralEngine, Transform2d};
+use crate::dct::tests::{dct2, dct3, dct_plan, dst3, v2};
+use crate::dct::{DctScratch, Synth};
+use crate::lanes::Lines;
+use crate::{reference, Complex, FftPlan, Pow2, SpectralEngine, Transform2d};
 use eplace_testkit::{check, Gen};
 
 const CASES: u64 = 256;
@@ -13,14 +15,20 @@ fn arb_vec(g: &mut Gen, len: usize, lo: f64, hi: f64) -> Vec<f64> {
 #[test]
 fn fft_parseval() {
     check("fft_parseval", CASES, |g| {
-        let values = arb_vec(g, 64, -100.0, 100.0);
+        // Energy is conserved, and the inverse undoes the forward transform.
+        let n = arb_pow2(g, 5, 6);
+        let values = arb_vec(g, 2 * n, -100.0, 100.0);
         let input: Vec<Complex> = values.chunks(2).map(|c| Complex::new(c[0], c[1])).collect();
-        let plan = FftPlan::new(32).unwrap();
+        let plan = FftPlan::new(Pow2::new(n).unwrap());
         let mut freq = input.clone();
         plan.forward(&mut freq);
         let time_energy: f64 = input.iter().map(|z| z.norm_sq()).sum();
-        let freq_energy: f64 = freq.iter().map(|z| z.norm_sq()).sum::<f64>() / 32.0;
+        let freq_energy: f64 = freq.iter().map(|z| z.norm_sq()).sum::<f64>() / n as f64;
         assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
+        plan.inverse(&mut freq);
+        for (a, b) in freq.iter().zip(&input) {
+            assert!((*a - *b).norm() < 1e-9, "n {n}: {a} vs {b}");
+        }
     });
 }
 
@@ -31,7 +39,7 @@ fn fft_convolution_theorem() {
         let n = 16;
         let a = arb_vec(g, n, -10.0, 10.0);
         let b = arb_vec(g, n, -10.0, 10.0);
-        let plan = FftPlan::new(n).unwrap();
+        let plan = FftPlan::new(Pow2::new(n).unwrap());
         let ca: Vec<Complex> = a.iter().map(|&v| Complex::from(v)).collect();
         let cb: Vec<Complex> = b.iter().map(|&v| Complex::from(v)).collect();
         // Direct circular convolution.
@@ -60,7 +68,7 @@ fn dct_linearity() {
         let a = arb_vec(g, 16, -50.0, 50.0);
         let b = arb_vec(g, 16, -50.0, 50.0);
         let s = g.f64_range(-3.0, 3.0);
-        let plan = DctPlan::new(16).unwrap();
+        let plan = dct_plan(16);
         let combo: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + s * y).collect();
         let ca = dct2(&plan, &a);
         let cb = dct2(&plan, &b);
@@ -75,7 +83,7 @@ fn dct_linearity() {
 fn dst3_matches_reference_on_arbitrary_coeffs() {
     check("dst3_matches_reference_on_arbitrary_coeffs", CASES, |g| {
         let coeffs = arb_vec(g, 32, -20.0, 20.0);
-        let plan = DctPlan::new(32).unwrap();
+        let plan = dct_plan(32);
         let fast = dst3(&plan, &coeffs);
         let slow = reference::naive_dst3(&coeffs);
         for (a, b) in fast.iter().zip(&slow) {
@@ -87,10 +95,15 @@ fn dst3_matches_reference_on_arbitrary_coeffs() {
 #[test]
 fn dct2_idct2_roundtrip_arbitrary() {
     check("dct2_idct2_roundtrip_arbitrary", CASES, |g| {
-        // The inverse DCT-II is the DCT-III scaled by 2/N.
+        // The DCT-II matches the O(n²) oracle, and the inverse DCT-II is
+        // the DCT-III scaled by 2/N.
         let values = arb_vec(g, 64, -1e3, 1e3);
-        let plan = DctPlan::new(64).unwrap();
-        let back = dct3(&plan, &dct2(&plan, &values), 2.0 / 64.0);
+        let plan = dct_plan(64);
+        let coeffs = dct2(&plan, &values);
+        for (a, b) in coeffs.iter().zip(&reference::naive_dct2(&values)) {
+            assert!((a - b).abs() < 1e-7, "{a} vs {b}");
+        }
+        let back = dct3(&plan, &coeffs, 2.0 / 64.0);
         for (a, b) in back.iter().zip(&values) {
             assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()));
         }
@@ -109,16 +122,22 @@ fn dct2_idct2_roundtrip_under_scratch_reuse() {
         // bitwise identical to fresh scratch. The inverse DCT-II is the
         // DCT-III scaled by 2/N.
         let n = arb_pow2(g, 1, 7);
-        let plan = DctPlan::new(n).unwrap();
-        let mut scratch = DctScratch::new(n);
+        let plan = dct_plan(n);
+        let mut scratch = DctScratch::<1>::new(n);
         let inverse = 2.0 / n as f64;
         for _ in 0..3 {
             let values = arb_vec(g, n, -1e3, 1e3);
             let mut coeffs = values.clone();
-            plan.dct2_strided(&mut coeffs, 0, 1, &mut scratch);
+            plan.dct2_lines(&mut coeffs, Lines::one(0, 1), &mut scratch);
             assert_eq!(coeffs, dct2(&plan, &values), "n {n}");
             let mut back = coeffs.clone();
-            plan.dct3_strided(&mut back, 0, 1, inverse, &mut scratch);
+            plan.synth_lines(
+                &mut back,
+                Lines::one(0, 1),
+                inverse,
+                &mut scratch,
+                Synth::Dct3,
+            );
             assert_eq!(back, dct3(&plan, &coeffs, inverse), "n {n}");
             for (a, b) in back.iter().zip(&values) {
                 assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()), "n {n}");
@@ -133,12 +152,12 @@ fn dst3_scratch_reuse_matches_reference() {
         // The DST path reverses coefficients inside the scratch; stale
         // contents from earlier calls must not leak into later ones.
         let n = arb_pow2(g, 1, 6);
-        let plan = DctPlan::new(n).unwrap();
-        let mut scratch = DctScratch::new(n);
+        let plan = dct_plan(n);
+        let mut scratch = DctScratch::<1>::new(n);
         for _ in 0..3 {
             let coeffs = arb_vec(g, n, -20.0, 20.0);
             let mut out = coeffs.clone();
-            plan.dst3_strided(&mut out, 0, 1, 1.0, &mut scratch);
+            plan.synth_lines(&mut out, Lines::one(0, 1), 1.0, &mut scratch, Synth::Dst3);
             let slow = reference::naive_dst3(&coeffs);
             for (a, b) in out.iter().zip(&slow) {
                 assert!((a - b).abs() < 1e-8, "n {n}");
@@ -207,29 +226,35 @@ fn v2_kernels_match_oracle_on_arbitrary_inputs() {
         // Every v2 kernel (folded-real forward, half-size mixed-radix
         // synthesis) against the O(n²) oracle over generated sizes/inputs.
         let n = arb_pow2(g, 0, 8);
-        let plan = DctPlan::new(n).unwrap();
-        let mut scratch = DctScratch::new(n);
+        let plan = dct_plan(n);
+        let mut scratch = DctScratch::<1>::new(n);
         let x = arb_vec(g, n, -100.0, 100.0);
         let tol = 1e-8 * n.max(1) as f64;
 
         let mut fwd = x.clone();
-        plan.dct2_v2(&mut fwd, 0, 1, &mut scratch);
+        v2(&plan, None, &mut fwd, 1.0, &mut scratch);
         for (a, b) in fwd.iter().zip(&reference::naive_dct2(&x)) {
             assert!((a - b).abs() < tol, "dct2 n {n}: {a} vs {b}");
         }
         // DCT-III scaled by 2/N inverts the DCT-II.
         let mut back = fwd.clone();
-        plan.dct3_v2(&mut back, 0, 1, 2.0 / n as f64, &mut scratch);
+        v2(
+            &plan,
+            Some(Synth::Dct3),
+            &mut back,
+            2.0 / n as f64,
+            &mut scratch,
+        );
         for (a, b) in back.iter().zip(&x) {
             assert!((a - b).abs() < tol, "inverse n {n}");
         }
         let mut dct3 = x.clone();
-        plan.dct3_v2(&mut dct3, 0, 1, 1.0, &mut scratch);
+        v2(&plan, Some(Synth::Dct3), &mut dct3, 1.0, &mut scratch);
         for (a, b) in dct3.iter().zip(&reference::naive_dct3(&x)) {
             assert!((a - b).abs() < tol, "dct3 n {n}: {a} vs {b}");
         }
         let mut dst3 = x.clone();
-        plan.dst3_v2(&mut dst3, 0, 1, 1.0, &mut scratch);
+        v2(&plan, Some(Synth::Dst3), &mut dst3, 1.0, &mut scratch);
         for (a, b) in dst3.iter().zip(&reference::naive_dst3(&x)) {
             assert!((a - b).abs() < tol, "dst3 n {n}: {a} vs {b}");
         }
@@ -277,14 +302,14 @@ fn v2_transform2d_thread_sweep_is_bitwise_invariant() {
 #[test]
 fn v2_roundtrip_arbitrary() {
     check("v2_roundtrip_arbitrary", CASES, |g| {
-        // dct3_v2(dct2_v2(x)) == (N/2)·x on arbitrary inputs.
+        // The v2 DCT-III of the v2 DCT-II is (N/2)·x on arbitrary inputs.
         let n = arb_pow2(g, 1, 7);
-        let plan = DctPlan::new(n).unwrap();
-        let mut scratch = DctScratch::new(n);
+        let plan = dct_plan(n);
+        let mut scratch = DctScratch::<1>::new(n);
         let x = arb_vec(g, n, -1e3, 1e3);
         let mut w = x.clone();
-        plan.dct2_v2(&mut w, 0, 1, &mut scratch);
-        plan.dct3_v2(&mut w, 0, 1, 1.0, &mut scratch);
+        v2(&plan, None, &mut w, 1.0, &mut scratch);
+        v2(&plan, Some(Synth::Dct3), &mut w, 1.0, &mut scratch);
         let scale = n as f64 / 2.0;
         for (a, b) in w.iter().zip(&x) {
             assert!((a - scale * b).abs() < 1e-7 * (1.0 + b.abs()), "n {n}");

@@ -9,7 +9,7 @@ use crate::Complex;
 use std::f64::consts::PI;
 
 /// Direct DFT: `X[k] = Σ_n x[n]·e^{-2πi·k·n/N}`.
-pub fn naive_dft(input: &[Complex]) -> Vec<Complex> {
+pub(crate) fn naive_dft(input: &[Complex]) -> Vec<Complex> {
     let n = input.len();
     (0..n)
         .map(|k| {
@@ -24,7 +24,7 @@ pub fn naive_dft(input: &[Complex]) -> Vec<Complex> {
 }
 
 /// Direct DCT-II: `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))`.
-pub fn naive_dct2(input: &[f64]) -> Vec<f64> {
+pub(crate) fn naive_dct2(input: &[f64]) -> Vec<f64> {
     let n = input.len();
     (0..n)
         .map(|u| {
@@ -38,7 +38,7 @@ pub fn naive_dct2(input: &[f64]) -> Vec<f64> {
 }
 
 /// Direct DCT-III: `y[n] = X[0]/2 + Σ_{u≥1} X[u]·cos(π·u·(2n+1)/(2N))`.
-pub fn naive_dct3(coeffs: &[f64]) -> Vec<f64> {
+pub(crate) fn naive_dct3(coeffs: &[f64]) -> Vec<f64> {
     let n = coeffs.len();
     (0..n)
         .map(|idx| {
@@ -53,7 +53,7 @@ pub fn naive_dct3(coeffs: &[f64]) -> Vec<f64> {
 
 /// Direct DST-III-style synthesis used for the field:
 /// `y[n] = Σ_{u=1}^{N-1} b[u]·sin(π·u·(2n+1)/(2N))`. `b[0]` is ignored.
-pub fn naive_dst3(coeffs: &[f64]) -> Vec<f64> {
+pub(crate) fn naive_dst3(coeffs: &[f64]) -> Vec<f64> {
     let n = coeffs.len();
     (0..n)
         .map(|idx| {

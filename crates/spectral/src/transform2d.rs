@@ -1,6 +1,6 @@
 use crate::dct::{DctScratch, Synth};
 use crate::lanes::Lines;
-use crate::{DctPlan, Pow2, SpectralEngine, SpectralPlan};
+use crate::{plan, DctPlan, Pow2, SpectralEngine};
 use eplace_errors::EplaceError;
 use eplace_exec::{for_each_unit, ExecConfig};
 
@@ -29,19 +29,18 @@ enum Kernel {
 /// * synthesis [`Transform2d::dst3_x`] — field ξx (`sin` in x, `cos` in y),
 /// * synthesis [`Transform2d::dst3_y`] — field ξy (`cos` in x, `sin` in y).
 ///
-/// The per-axis plans come from the process-wide [`SpectralPlan`] cache, so
+/// The per-axis plans come from a process-wide per-size cache, so
 /// constructing a `Transform2d` for an already-seen size costs two cache
 /// lookups instead of rebuilding twiddle tables. The object owns all scratch
-/// (including the [`DctScratch`] FFT workspace and, for parallel runs, a
-/// per-worker scratch pool), so steady-state serial calls are
-/// allocation-free; this matters because the placer transforms the grid
-/// three times per optimizer iteration.
+/// (including the FFT workspace and, for parallel runs, a per-worker scratch
+/// pool), so steady-state serial calls are allocation-free; this matters
+/// because the placer transforms the grid three times per optimizer
+/// iteration.
 ///
-/// Every line runs through the engine's one in-place kernel per transform
-/// (the lane-group form of [`DctPlan::dct2_strided`] and friends, or of
-/// their `*_v2` twins), four lines per call: groups of rows at
-/// stride 1, `nx` apart, and groups of adjacent columns directly at stride
-/// `nx`, 1 apart, so each element of a column group is one contiguous load.
+/// Every line runs through the engine's one in-place kernel per transform,
+/// four lines per call: groups of rows at stride 1, `nx` apart, and groups
+/// of adjacent columns directly at stride `nx`, 1 apart, so each element of
+/// a column group is one contiguous load.
 /// Each lane performs the one-line kernel's IEEE operations on the same
 /// operands in the same order, so every output bit is the one the
 /// one-line kernel gives, and the historical gather → transform → scatter
@@ -84,8 +83,8 @@ enum Kernel {
 pub struct Transform2d {
     nx: usize,
     ny: usize,
-    plan_x: SpectralPlan,
-    plan_y: SpectralPlan,
+    plan_x: &'static DctPlan,
+    plan_y: &'static DctPlan,
     /// Column-major staging for the parallel column pass.
     transpose_buf: Vec<f64>,
     scratch_x: AxisScratch,
@@ -105,18 +104,11 @@ impl Transform2d {
     /// # Errors
     ///
     /// [`EplaceError::Validation`] when either dimension is not a power of
-    /// two. Callers with statically valid sizes use
-    /// [`Transform2d::for_pow2`] instead.
+    /// two — the crate's one size check.
     pub fn new(nx: usize, ny: usize) -> Result<Self, EplaceError> {
-        Ok(Self::for_pow2(Pow2::new(nx)?, Pow2::new(ny)?))
-    }
-
-    /// Builds transforms from checked-at-construction sizes — infallible.
-    pub fn for_pow2(nx: Pow2, ny: Pow2) -> Self {
-        let plan_x = SpectralPlan::for_pow2(nx);
-        let plan_y = SpectralPlan::for_pow2(ny);
-        let (nx, ny) = (nx.get(), ny.get());
-        Transform2d {
+        let plan_x = plan::cached(Pow2::new(nx)?);
+        let plan_y = plan::cached(Pow2::new(ny)?);
+        Ok(Transform2d {
             nx,
             ny,
             plan_x,
@@ -128,7 +120,7 @@ impl Transform2d {
             pool_y: Vec::new(),
             exec: ExecConfig::serial(),
             engine: SpectralEngine::default(),
-        }
+        })
     }
 
     /// Sets the execution configuration for subsequent transforms.
@@ -280,9 +272,9 @@ impl Transform2d {
             dist: 1,
         };
         let (op_x, op_y) = ((self.engine, kernel_x), (self.engine, kernel_y));
-        self.scratch_x.run(&self.plan_x, op_x, data, rows, ny, 1.0);
+        self.scratch_x.run(self.plan_x, op_x, data, rows, ny, 1.0);
         self.scratch_y
-            .run(&self.plan_y, op_y, data, columns, nx, scale);
+            .run(self.plan_y, op_y, data, columns, nx, scale);
     }
 
     /// The multi-threaded path. Each parallel unit (a lane group of rows or
@@ -299,7 +291,7 @@ impl Transform2d {
         // allocation-free.
         let mut unit_pool: Vec<()> = Vec::new();
         let exec = self.exec;
-        let plan_x = &self.plan_x;
+        let plan_x = self.plan_x;
         let width_x = self.scratch_x.width();
         let rows = Lines {
             offset: 0,
@@ -329,7 +321,7 @@ impl Transform2d {
                 },
             );
         }
-        let plan_y = &self.plan_y;
+        let plan_y = self.plan_y;
         let width_y = self.scratch_y.width();
         let columns = Lines {
             offset: 0,
@@ -571,11 +563,11 @@ mod tests {
     fn plans_are_shared_between_instances() {
         let a = Transform2d::new(16, 32).unwrap();
         let b = Transform2d::new(16, 32).unwrap();
-        assert!(a.plan_x.shares_tables_with(&b.plan_x));
-        assert!(a.plan_y.shares_tables_with(&b.plan_y));
+        assert!(std::ptr::eq(a.plan_x, b.plan_x));
+        assert!(std::ptr::eq(a.plan_y, b.plan_y));
         // Square grids share one plan across both axes.
         let c = Transform2d::new(32, 32).unwrap();
-        assert!(c.plan_x.shares_tables_with(&c.plan_y));
+        assert!(std::ptr::eq(c.plan_x, c.plan_y));
     }
 
     #[test]
@@ -771,7 +763,7 @@ mod tests {
     }
 
     /// The one-line (`L = 1`) 2-D transform: every row, then every column,
-    /// through the public per-line kernels, the column pass fusing `scale`.
+    /// one line per kernel call, the column pass fusing `scale`.
     fn one_line_2d(
         data: &[f64],
         (nx, ny): (usize, usize),
@@ -779,33 +771,39 @@ mod tests {
         (kernel_x, kernel_y): (Kernel, Kernel),
         scale: f64,
     ) -> Vec<f64> {
-        let line = |plan: &DctPlan, kernel, d: &mut [f64], offset, stride, scale| {
-            let scratch = &mut DctScratch::new(plan.len());
-            match (engine, kernel) {
-                (SpectralEngine::V1, Kernel::Dct2) => plan.dct2_strided(d, offset, stride, scratch),
-                (SpectralEngine::V1, Kernel::Dct3) => {
-                    plan.dct3_strided(d, offset, stride, scale, scratch)
-                }
-                (SpectralEngine::V1, Kernel::Dst3) => {
-                    plan.dst3_strided(d, offset, stride, scale, scratch)
-                }
-                (SpectralEngine::V2, Kernel::Dct2) => plan.dct2_v2(d, offset, stride, scratch),
-                (SpectralEngine::V2, Kernel::Dct3) => {
-                    plan.dct3_v2(d, offset, stride, scale, scratch)
-                }
-                (SpectralEngine::V2, Kernel::Dst3) => {
-                    plan.dst3_v2(d, offset, stride, scale, scratch)
-                }
-            }
+        let size = |n| Pow2::new(n).unwrap();
+        let (plan_x, plan_y) = (DctPlan::new(size(nx)), DctPlan::new(size(ny)));
+        let rows = Lines {
+            offset: 0,
+            stride: 1,
+            dist: nx,
         };
-        let (plan_x, plan_y) = (DctPlan::new(nx).unwrap(), DctPlan::new(ny).unwrap());
+        let columns = Lines {
+            offset: 0,
+            stride: nx,
+            dist: 1,
+        };
         let mut out = data.to_vec();
-        for iy in 0..ny {
-            line(&plan_x, kernel_x, &mut out, iy * nx, 1, 1.0);
-        }
-        for ix in 0..nx {
-            line(&plan_y, kernel_y, &mut out, ix, nx, scale);
-        }
+        let scratch = &mut DctScratch::<1>::new(nx);
+        run_groups(
+            &plan_x,
+            (engine, kernel_x),
+            &mut out,
+            rows,
+            ny,
+            1.0,
+            scratch,
+        );
+        let scratch = &mut DctScratch::<1>::new(ny);
+        run_groups(
+            &plan_y,
+            (engine, kernel_y),
+            &mut out,
+            columns,
+            nx,
+            scale,
+            scratch,
+        );
         out
     }
 

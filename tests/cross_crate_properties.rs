@@ -1,15 +1,32 @@
-//! Property-based tests spanning crates: format round trips, model
-//! inequalities, and legalizer post-conditions on arbitrary inputs.
+//! Property-based tests spanning crates: format and transform round trips,
+//! model inequalities, and legalizer post-conditions on arbitrary inputs.
 
 use eplace_repro::bookshelf::{read_aux, write_aux};
 use eplace_repro::geometry::{Point, Rect};
 use eplace_repro::legalize::{check_legal, legalize};
 use eplace_repro::netlist::{CellKind, Design, DesignBuilder};
-use eplace_repro::spectral::{reference, DctPlan, DctScratch, FftPlan};
+use eplace_repro::spectral::{SpectralEngine, Transform2d};
 use eplace_repro::wirelength::{LseModel, SmoothWirelength, WaModel};
 use eplace_testkit::{check, Gen};
+use std::f64::consts::PI;
 
 const CASES: u64 = 32;
+
+const ENGINES: [SpectralEngine; 2] = [SpectralEngine::V1, SpectralEngine::V2];
+
+/// Direct DCT-II, `X[u] = Σ_n x[n]·cos(π·u·(2n+1)/(2N))`, as an oracle
+/// independent of `eplace-spectral`.
+fn naive_dct2(x: &[f64]) -> Vec<f64> {
+    let n = x.len() as f64;
+    (0..x.len())
+        .map(|u| {
+            x.iter()
+                .enumerate()
+                .map(|(i, &v)| v * (PI * u as f64 * (2 * i + 1) as f64 / (2.0 * n)).cos())
+                .sum()
+        })
+        .collect()
+}
 
 /// An arbitrary small design: cells on rows, a couple of pads, random nets.
 fn arb_design(g: &mut Gen) -> Design {
@@ -111,39 +128,50 @@ fn legalization_postconditions() {
 
 #[test]
 fn fft_round_trip() {
+    // The FFT is private to eplace-spectral, and `Transform2d` runs it on
+    // every row: V1's DCT-II through Makhoul's forward 64-point FFT and its
+    // DCT-III through the inverse one, V2 through a folded 32-point pair.
+    // So a 64 × 2 grid's DCT-II → DCT-III round trip runs it both ways.
     check("fft_round_trip", CASES, |g| {
         let values: Vec<f64> = (0..128).map(|_| g.f64_range(-100.0, 100.0)).collect();
-        let plan = FftPlan::new(64).unwrap();
-        let input: Vec<_> = values
-            .chunks(2)
-            .map(|c| eplace_repro::spectral::Complex::new(c[0], c[1]))
-            .collect();
-        let mut data = input.clone();
-        plan.forward(&mut data);
-        plan.inverse(&mut data);
-        for (a, b) in data.iter().zip(&input) {
-            assert!((*a - *b).norm() < 1e-9);
+        for engine in ENGINES {
+            let mut t = Transform2d::new(64, 2).unwrap().with_engine(engine);
+            let mut data = values.clone();
+            t.dct2(&mut data);
+            // dct3∘dct2 scales by (nx/2)·(ny/2) = 32.
+            t.dct3_scaled(&mut data, 1.0 / 32.0);
+            for (a, b) in data.iter().zip(&values) {
+                assert!((a - b).abs() < 1e-9, "{engine:?}: {a} vs {b}");
+            }
         }
     });
 }
 
 #[test]
 fn dct_matches_naive_on_arbitrary_signals() {
+    // One 32-sample line, laid out as a row (32 × 1) and as a column
+    // (1 × 32). The length-1 axis's DCT-II is the identity, so the 2-D
+    // transform is the 1-D DCT-II along the other axis.
     check("dct_matches_naive_on_arbitrary_signals", CASES, |g| {
         let values: Vec<f64> = (0..32).map(|_| g.f64_range(-50.0, 50.0)).collect();
-        let plan = DctPlan::new(32).unwrap();
-        let mut scratch = DctScratch::new(32);
-        let mut fast = values.clone();
-        plan.dct2_strided(&mut fast, 0, 1, &mut scratch);
-        let slow = reference::naive_dct2(&values);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a - b).abs() < 1e-8);
-        }
-        // The inverse DCT-II is the DCT-III scaled by 2/N.
-        let mut back = fast;
-        plan.dct3_strided(&mut back, 0, 1, 2.0 / 32.0, &mut scratch);
-        for (a, b) in back.iter().zip(&values) {
-            assert!((a - b).abs() < 1e-9);
+        let slow = naive_dct2(&values);
+        for engine in ENGINES {
+            for (nx, ny) in [(32, 1), (1, 32)] {
+                let mut t = Transform2d::new(nx, ny).unwrap().with_engine(engine);
+                let mut fast = values.clone();
+                t.dct2(&mut fast);
+                for (a, b) in fast.iter().zip(&slow) {
+                    assert!((a - b).abs() < 1e-8, "{engine:?} {nx}×{ny}: {a} vs {b}");
+                }
+                // The inverse DCT-II is the DCT-III scaled by 2/N per axis;
+                // on the length-1 axis that is 2/1, undoing the DCT-III's
+                // halving of X[0].
+                let mut back = fast;
+                t.dct3_scaled(&mut back, (2.0 / 32.0) * 2.0);
+                for (a, b) in back.iter().zip(&values) {
+                    assert!((a - b).abs() < 1e-9, "{engine:?} {nx}×{ny}: {a} vs {b}");
+                }
+            }
         }
     });
 }
